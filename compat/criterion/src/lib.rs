@@ -3,7 +3,7 @@
 //! The build environment has no network access to crates.io, so the
 //! workspace ships minimal local implementations of the third-party APIs it
 //! consumes (see `compat/README.md`). This harness supports the
-//! surface the `nm-benches` crate uses — [`Criterion`],
+//! surface the `nm-bench` crate uses — [`Criterion`],
 //! `benchmark_group`, `bench_function`, `bench_with_input`,
 //! [`Bencher::iter`], [`Bencher::iter_custom`], [`BenchmarkId`],
 //! [`black_box`], [`criterion_group!`], [`criterion_main!`] — with a

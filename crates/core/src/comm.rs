@@ -781,10 +781,12 @@ impl CommCore {
     /// section, so concurrent pollers on different lanes of the same
     /// rail never serialize against each other.
     fn poll_lane(&self, g: &Gate, lane: usize) -> usize {
+        /// Packets polled per lane per progression pass.
+        const MAX_POLLS_PER_PASS: usize = 16;
         let reliable = self.config.reliability.enabled;
         let (rail, vci) = g.lane_rail_vci(lane);
         let mut events = 0;
-        for _ in 0..self.config.max_polls_per_pass {
+        for _ in 0..MAX_POLLS_PER_PASS {
             let pkt = {
                 let s = self.policy.enter(SectionKind::Driver(g.driver_base + lane));
                 let p = g.drivers[rail].poll_vci(vci);
@@ -944,27 +946,8 @@ impl CommCore {
             for entry in entries {
                 match entry {
                     Entry::Eager { tag, seq, data } => g.rx.with(&s, |rx| {
-                        if self.config.ordered_eager {
-                            // Resequencer: release messages strictly in
-                            // send order; park later ones.
-                            if seq != rx.expected_seq {
-                                if seq_lt(seq, rx.expected_seq) {
-                                    // Already released: a redelivery.
-                                    self.stats.dup_dropped.incr();
-                                } else if !rx.push_ooo(Parked::Eager(UnexpectedMsg {
-                                    tag,
-                                    seq,
-                                    data,
-                                })) {
-                                    self.stats.dup_dropped.incr();
-                                }
-                                return;
-                            }
-                            self.deliver_eager(rx, tag, seq, data, &mut after);
-                            self.release_parked(rx, &mut after, &mut cts_out);
-                        } else {
-                            self.deliver_eager(rx, tag, seq, data, &mut after);
-                        }
+                        let msg = Parked::Eager(UnexpectedMsg { tag, seq, data });
+                        self.resequence(rx, msg, &mut after, &mut cts_out);
                     }),
                     Entry::Rts { tag, seq, total } => g.rx.with(&s, |rx| {
                         if rx.rdv_in_contains(seq) {
@@ -972,25 +955,9 @@ impl CommCore {
                             // accepted; the CTS is on its way (or lost —
                             // the sender's retransmit covers that).
                             self.stats.dup_dropped.incr();
-                        } else if self.config.ordered_eager {
-                            // The RTS obeys the same resequencer as eager
-                            // messages (shared seq space): a large send
-                            // must not overtake a smaller same-tag one
-                            // just because it rode a different lane.
-                            if seq != rx.expected_seq {
-                                // Stale redelivery, or a duplicate of an
-                                // already-parked RTS: drop either way.
-                                if seq_lt(seq, rx.expected_seq)
-                                    || !rx.push_ooo(Parked::Rts(PendingRts { tag, seq, total }))
-                                {
-                                    self.stats.dup_dropped.incr();
-                                }
-                                return;
-                            }
-                            self.accept_rts(rx, tag, seq, total, &mut cts_out);
-                            self.release_parked(rx, &mut after, &mut cts_out);
                         } else {
-                            self.accept_rts(rx, tag, seq, total, &mut cts_out);
+                            let msg = Parked::Rts(PendingRts { tag, seq, total });
+                            self.resequence(rx, msg, &mut after, &mut cts_out);
                         }
                     }),
                     Entry::Cts { tag: _, seq } => cts_in.push(seq),
@@ -1562,16 +1529,14 @@ impl CommCore {
     fn deliver_eager(
         &self,
         rx: &mut crate::gate::RxState,
-        tag: u64,
-        seq: u32,
-        data: Bytes,
+        msg: UnexpectedMsg,
         after: &mut Vec<After>,
     ) {
-        if let Some(p) = rx.take_posted(tag) {
-            after.push(After::CompleteRecv(p.req, tag, data));
+        if let Some(p) = rx.take_posted(msg.tag) {
+            after.push(After::CompleteRecv(p.req, msg.tag, msg.data));
         } else {
             self.stats.unexpected_msgs.incr();
-            rx.push_unexpected(UnexpectedMsg { tag, seq, data });
+            rx.push_unexpected(msg);
         }
     }
 
@@ -1581,11 +1546,10 @@ impl CommCore {
     fn accept_rts(
         &self,
         rx: &mut crate::gate::RxState,
-        tag: u64,
-        seq: u32,
-        total: u32,
+        rts: PendingRts,
         cts_out: &mut Vec<(u64, u32, u64)>,
     ) {
+        let PendingRts { tag, seq, total } = rts;
         if let Some(p) = rx.take_posted(tag) {
             let recv_span = p.req.span();
             rx.rdv_in_insert(RdvRecv {
@@ -1599,27 +1563,39 @@ impl CommCore {
             });
             self.stats.rdv_accepted.incr();
             cts_out.push((tag, seq, recv_span));
-        } else if !rx.push_pending_rts(PendingRts { tag, seq, total }) {
+        } else if !rx.push_pending_rts(rts) {
             self.stats.dup_dropped.incr();
         }
     }
 
-    /// Advances the resequencer past a just-released message and drains
-    /// every parked message that is now in order, whichever protocol it
-    /// belongs to. Runs under the gate's rx section.
-    fn release_parked(
+    /// The resequencer: releases messages strictly in send order and
+    /// parks later ones. Eager and rendezvous share the per-gate sequence
+    /// space, so a large send cannot overtake a smaller same-tag one just
+    /// because it rode a different lane. Runs under the gate's rx section.
+    fn resequence(
         &self,
         rx: &mut crate::gate::RxState,
+        msg: Parked,
         after: &mut Vec<After>,
         cts_out: &mut Vec<(u64, u32, u64)>,
     ) {
-        rx.expected_seq = rx.expected_seq.wrapping_add(1);
-        while let Some(parked) = rx.take_ooo(rx.expected_seq) {
+        let seq = msg.seq();
+        if seq != rx.expected_seq {
+            // Already released (a redelivery), or a duplicate of an
+            // already-parked message: drop either way.
+            if seq_lt(seq, rx.expected_seq) || !rx.push_ooo(msg) {
+                self.stats.dup_dropped.incr();
+            }
+            return;
+        }
+        let mut next = Some(msg);
+        while let Some(parked) = next {
             match parked {
-                Parked::Eager(m) => self.deliver_eager(rx, m.tag, m.seq, m.data, after),
-                Parked::Rts(r) => self.accept_rts(rx, r.tag, r.seq, r.total, cts_out),
+                Parked::Eager(m) => self.deliver_eager(rx, m, after),
+                Parked::Rts(r) => self.accept_rts(rx, r, cts_out),
             }
             rx.expected_seq = rx.expected_seq.wrapping_add(1);
+            next = rx.take_ooo(rx.expected_seq);
         }
     }
 }

@@ -25,15 +25,6 @@ pub struct CoreConfig {
     pub tasklet_engine: Option<Arc<TaskletEngine>>,
     /// Preferred rendezvous chunk size (clamped to the rail MTU).
     pub rdv_chunk: usize,
-    /// Packets polled per rail per progression pass.
-    pub max_polls_per_pass: usize,
-    /// Restore per-gate FIFO order of eager messages at the receiver.
-    ///
-    /// Multirail distribution and reordering transports can deliver eager
-    /// packets out of order; with this on (the default) the receiver
-    /// holds out-of-order eager messages in a resequencing buffer so
-    /// same-tag messages always match receives in send order.
-    pub ordered_eager: bool,
     /// End-to-end reliability protocol (ack/retransmit over lossy wires).
     pub reliability: ReliabilityConfig,
 }
@@ -94,8 +85,6 @@ impl Default for CoreConfig {
             offload: OffloadMode::Inline,
             tasklet_engine: None,
             rdv_chunk: 16 * 1024,
-            max_polls_per_pass: 16,
-            ordered_eager: true,
             reliability: ReliabilityConfig::default(),
         }
     }
@@ -136,12 +125,6 @@ impl CoreConfig {
     /// Sets the rendezvous chunk size.
     pub fn rdv_chunk(mut self, bytes: usize) -> Self {
         self.rdv_chunk = bytes;
-        self
-    }
-
-    /// Enables or disables receiver-side eager resequencing.
-    pub fn ordered_eager(mut self, on: bool) -> Self {
-        self.ordered_eager = on;
         self
     }
 

@@ -68,7 +68,7 @@ pub(crate) enum Parked {
 }
 
 impl Parked {
-    fn seq(&self) -> u32 {
+    pub fn seq(&self) -> u32 {
         match self {
             Parked::Eager(m) => m.seq,
             Parked::Rts(r) => r.seq,

@@ -205,7 +205,7 @@ impl LockStatsSnapshot {
         }
     }
 
-    fn absorb(&mut self, s: &nm_sync::stats::LockStats) {
+    fn absorb(&mut self, s: &nm_metrics::LockStats) {
         self.acquisitions += s.acquisitions();
         self.contentions += s.contentions();
     }
@@ -379,7 +379,7 @@ impl LockPolicy {
     }
 
     /// Lock statistics of the coarse/global lock.
-    pub fn global_stats(&self) -> &nm_sync::stats::LockStats {
+    pub fn global_stats(&self) -> &nm_metrics::LockStats {
         self.global.stats()
     }
 
@@ -393,22 +393,22 @@ impl LockPolicy {
     }
 
     /// Statistics of gate `g`'s send-side collect lock.
-    pub fn collect_tx_stats(&self, g: usize) -> &nm_sync::stats::LockStats {
+    pub fn collect_tx_stats(&self, g: usize) -> &nm_metrics::LockStats {
         self.collect_tx[g].stats()
     }
 
     /// Statistics of gate `g`'s receive-side collect lock.
-    pub fn collect_rx_stats(&self, g: usize) -> &nm_sync::stats::LockStats {
+    pub fn collect_rx_stats(&self, g: usize) -> &nm_metrics::LockStats {
         self.collect_rx[g].stats()
     }
 
     /// Statistics of lane `i`'s reliability-state lock.
-    pub fn retrans_stats(&self, i: usize) -> &nm_sync::stats::LockStats {
+    pub fn retrans_stats(&self, i: usize) -> &nm_metrics::LockStats {
         self.retrans[i].stats()
     }
 
     /// Statistics of lane `i`'s VCI transfer-queue lock.
-    pub fn vci_stats(&self, i: usize) -> &nm_sync::stats::LockStats {
+    pub fn vci_stats(&self, i: usize) -> &nm_metrics::LockStats {
         self.vci[i].stats()
     }
 

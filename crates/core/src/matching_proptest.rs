@@ -128,7 +128,7 @@ proptest! {
     fn hashed_bins_match_linear_scan_oracle(
         ops in prop::collection::vec(op_strategy(), 1..120),
         // Raw arrival seqs: arbitrary (not monotonic) to also exercise
-        // the out-of-order bin insertion path (`ordered_eager: false`).
+        // the out-of-order bin insertion path.
         raw_seqs in prop::collection::vec(any::<u32>(), 240..241),
     ) {
         let mut oracle = OracleRx::default();

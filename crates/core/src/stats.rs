@@ -1,6 +1,6 @@
 //! Core-level instrumentation.
 
-use nm_sync::stats::Counter;
+use nm_metrics::Counter;
 
 /// Event counters of one communication core.
 ///

@@ -6,7 +6,10 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use nm_core::{CommCore, CoreBuilder, CoreConfig, GateId, LockingMode, StrategyKind};
-use nm_fabric::{ClockSource, Driver, Fabric, LoopbackDriver, SimNic, SimNicDriver, WireModel};
+use nm_fabric::{
+    ChaosDriver, ClockSource, Driver, Fabric, FaultPlan, LoopbackDriver, SimNic, SimNicDriver,
+    WireModel,
+};
 use nm_sync::WaitStrategy;
 
 const G: GateId = GateId(0);
@@ -372,27 +375,30 @@ fn message_stream_many_sizes() {
 }
 
 #[test]
-#[allow(deprecated)] // the shim must keep behaving exactly like the old driver
 fn ordered_delivery_over_reordering_transport() {
-    use nm_fabric::ReorderDriver;
     // A transport that shuffles packets within a 4-deep window; the
-    // receiver's resequencer must restore send order.
+    // receiver's resequencer must restore send order across both
+    // protocols, which share one per-gate sequence space.
+    const THRESHOLD: usize = 256;
+    const SIZES: [usize; 5] = [THRESHOLD - 1, THRESHOLD + 1, 3, THRESHOLD, 4 * THRESHOLD];
+    const N: usize = 32;
     let (da, db) = LoopbackDriver::pair(128);
-    let db = ReorderDriver::new(db, 4, 0xBADC0FFE);
-    let a = CoreBuilder::new(CoreConfig::default())
+    let db = Arc::new(ChaosDriver::new(db, FaultPlan::reorder_only(4, 0xBADC0FFE)));
+    let config = CoreConfig::default().eager_threshold(THRESHOLD);
+    let a = CoreBuilder::new(config.clone())
         .add_gate(vec![Arc::new(da) as Arc<dyn Driver>])
         .build();
-    let b = CoreBuilder::new(CoreConfig::default())
-        .add_gate(vec![Arc::new(db) as Arc<dyn Driver>])
+    let b = CoreBuilder::new(config)
+        .add_gate(vec![Arc::clone(&db) as Arc<dyn Driver>])
         .build();
 
-    const N: usize = 32;
-    // Force one packet per message so the transport can reorder them.
-    let config_check = a.config().ordered_eager;
-    assert!(config_check, "ordered delivery is the default");
+    let payload = |i: usize| Bytes::from(vec![i as u8; SIZES[i % SIZES.len()]]);
+    let mut sends = Vec::new();
     for i in 0..N {
-        let s = a.isend(G, 9, Bytes::from(format!("m{i:02}"))).unwrap();
-        a.wait(&s, WaitStrategy::Busy).unwrap();
+        sends.push(a.isend(G, 9, payload(i)).unwrap());
+        // One packet per message (no aggregation), so the transport can
+        // reorder eager packets and RTS packets against each other.
+        a.progress();
     }
     for i in 0..N {
         let r = b.irecv(G, 9).unwrap();
@@ -402,43 +408,13 @@ fn ordered_delivery_over_reordering_transport() {
         }
         assert_eq!(
             r.take_data().unwrap(),
-            Bytes::from(format!("m{i:02}")),
+            payload(i),
             "message {i} out of order"
         );
     }
-}
-
-#[test]
-#[allow(deprecated)] // the shim must keep behaving exactly like the old driver
-fn unordered_mode_still_delivers_everything() {
-    use nm_fabric::ReorderDriver;
-    use std::collections::BTreeSet;
-    let (da, db) = LoopbackDriver::pair(128);
-    let db = ReorderDriver::new(db, 4, 42);
-    let config = CoreConfig::default().ordered_eager(false);
-    let a = CoreBuilder::new(config.clone())
-        .add_gate(vec![Arc::new(da) as Arc<dyn Driver>])
-        .build();
-    let b = CoreBuilder::new(config)
-        .add_gate(vec![Arc::new(db) as Arc<dyn Driver>])
-        .build();
-
-    const N: usize = 16;
-    for i in 0..N {
-        let s = a.isend(G, 0, Bytes::from(vec![i as u8])).unwrap();
-        a.wait(&s, WaitStrategy::Busy).unwrap();
-    }
-    let mut seen = BTreeSet::new();
-    for _ in 0..N {
-        let r = b.irecv(G, 0).unwrap();
-        while !r.is_complete() {
-            b.progress();
-            a.progress();
-        }
-        seen.insert(r.take_data().unwrap()[0]);
-    }
-    // Possibly out of order, but nothing lost or duplicated.
-    assert_eq!(seen.len(), N);
+    a.wait_all(&sends, WaitStrategy::Busy).unwrap();
+    assert!(db.stats().reordered > 0, "the transport reordered nothing");
+    assert!(b.stats().rdv_accepted.get() > 0 && b.stats().dup_dropped.get() == 0);
 }
 
 #[test]
@@ -537,11 +513,14 @@ fn corrupt_packets_are_counted_and_skipped() {
         .build();
 
     // Raw garbage fails the frame checksum: dropped before any decode.
-    da.post(Bytes::from_static(b"\xFF\xFF garbage that is not a packet"))
-        .unwrap();
+    da.post_vci(
+        0,
+        Bytes::from_static(b"\xFF\xFF garbage that is not a packet"),
+    )
+    .unwrap();
     // A well-framed frame around a garbage packet passes the CRC and
     // fails protocol decode: a wire error.
-    da.post(encode_frame(0, 0, 0, 0, b"\xFF\xFF not a packet either"))
+    da.post_vci(0, encode_frame(0, 0, 0, 0, b"\xFF\xFF not a packet either"))
         .unwrap();
     while b.progress() > 0 {}
     assert_eq!(b.stats().corrupt_dropped.get(), 1);
@@ -572,13 +551,16 @@ fn duplicate_cts_is_ignored() {
         .add_gate(vec![Arc::clone(&db) as Arc<dyn Driver>])
         .build();
     // Send a spurious CTS from b's side of the wire toward a.
-    db.post(encode_frame(
+    db.post_vci(
         0,
-        0,
-        0,
-        0,
-        &encode_packet(&[Entry::Cts { tag: 1, seq: 99 }]),
-    ))
+        encode_frame(
+            0,
+            0,
+            0,
+            0,
+            &encode_packet(&[Entry::Cts { tag: 1, seq: 99 }]),
+        ),
+    )
     .unwrap();
     while a.progress() > 0 {}
     assert_eq!(a.stats().wire_errors.get(), 1);

@@ -93,7 +93,7 @@ fn eager_spills_across_vci_contexts_under_backpressure() {
     }
 }
 
-/// A driver whose `can_post` hint is *always* stale-true: the inner
+/// A driver whose `can_post_vci` hint is *always* stale-true: the inner
 /// depth-1 loopback refuses the post whenever it is full, which is the
 /// worst case of the racy hint a multi-queue driver can present. Every
 /// successful post is recorded for wire-order inspection.
@@ -121,16 +121,16 @@ impl Driver for LyingDriver {
     fn caps(&self) -> &DriverCaps {
         &self.caps
     }
-    fn can_post(&self) -> bool {
+    fn can_post_vci(&self, _vci: usize) -> bool {
         true // the hint every flusher sees, no matter the ring state
     }
-    fn post(&self, data: Bytes) -> Result<(), PostError> {
-        self.inner.post(data.clone())?;
+    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError> {
+        self.inner.post_vci(vci, data.clone())?;
         self.log.lock().unwrap().push(data);
         Ok(())
     }
-    fn poll(&self) -> Option<Bytes> {
-        self.inner.poll()
+    fn poll_vci(&self, vci: usize) -> Option<Bytes> {
+        self.inner.poll_vci(vci)
     }
 }
 
@@ -253,29 +253,20 @@ impl Driver for HalfDeadDriver {
     fn caps(&self) -> &DriverCaps {
         &self.caps
     }
-    fn can_post(&self) -> bool {
-        self.can_post_vci(0)
-    }
-    fn post(&self, data: Bytes) -> Result<(), PostError> {
-        self.post_vci(0, data)
-    }
-    fn poll(&self) -> Option<Bytes> {
-        self.poll_vci(0)
-    }
     fn num_vcis(&self) -> usize {
         2
     }
     fn can_post_vci(&self, vci: usize) -> bool {
-        self.vcis[vci].can_post()
+        self.vcis[vci].can_post_vci(0)
     }
     fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError> {
         if vci == 0 && self.blackhole_zero {
             return Ok(()); // accepted, never delivered
         }
-        self.vcis[vci].post(data)
+        self.vcis[vci].post_vci(0, data)
     }
     fn poll_vci(&self, vci: usize) -> Option<Bytes> {
-        self.vcis[vci].poll()
+        self.vcis[vci].poll_vci(0)
     }
 }
 

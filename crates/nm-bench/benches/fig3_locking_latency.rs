@@ -10,7 +10,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use nm_benches::{bench_sizes, build_ideal_pair, co_polled_roundtrip};
+use nm_bench::pingpong::{bench_sizes, build_ideal_pair, co_polled_roundtrip};
 use nm_core::LockingMode;
 
 fn quick() -> Criterion {

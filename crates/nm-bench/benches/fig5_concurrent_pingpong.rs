@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use nm_benches::build_ideal_pair;
+use nm_bench::pingpong::build_ideal_pair;
 use nm_core::{GateId, LockingMode};
 use nm_sync::WaitStrategy;
 

@@ -10,7 +10,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use nm_benches::{bench_sizes, build_ideal_pair};
+use nm_bench::pingpong::{bench_sizes, build_ideal_pair, co_polled_roundtrip};
 use nm_core::{CommCore, GateId, LockingMode};
 use nm_progress::ProgressEngine;
 
@@ -66,7 +66,7 @@ fn fig6(c: &mut Criterion) {
             g.bench_with_input(
                 BenchmarkId::new(format!("direct-{}", mode.label()), size),
                 &size,
-                |bench, _| bench.iter(|| nm_benches::co_polled_roundtrip(&a2, &b2, &payload)),
+                |bench, _| bench.iter(|| co_polled_roundtrip(&a2, &b2, &payload)),
             );
         }
     }

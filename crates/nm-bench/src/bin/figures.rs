@@ -13,13 +13,14 @@
 //!   --dual        fig8: use the dual-socket topology
 //!   --csv         CSV output instead of Markdown
 //!   --quick       fewer sizes and iterations
-//!   --json        bench: write BENCH_FIGURES.json / BENCH_PINGPONG.json
+//!   --json        bench: write BENCH_FIGURES.json
 //!   --out DIR     bench --json: output directory (default: cwd)
-//!   --sim-only    bench --json: skip the wall-clock records
 //! ```
 //!
 //! The `bench` subcommand produces the machine-readable regression
-//! baselines consumed by `cargo xtask bench-check` (docs/METRICS.md).
+//! baseline of the deterministic simulator consumed by `cargo xtask
+//! bench-check` (docs/METRICS.md). Wall-clock numbers of the real stack
+//! are gated by the stand-alone `benchmark/` package instead.
 //!
 //! Default mode is the deterministic simulator with the paper's cost
 //! constants, so output is reproducible anywhere; `--real` drives the
@@ -51,7 +52,6 @@ struct Options {
     csv: bool,
     quick: bool,
     json: bool,
-    sim_only: bool,
     out: Option<String>,
 }
 
@@ -89,7 +89,6 @@ fn main() {
         csv: false,
         quick: false,
         json: false,
-        sim_only: false,
         out: None,
     };
     let mut i = 0;
@@ -104,7 +103,6 @@ fn main() {
             "--csv" => opts.csv = true,
             "--quick" => opts.quick = true,
             "--json" => opts.json = true,
-            "--sim-only" => opts.sim_only = true,
             "--out" => {
                 i += 1;
                 match args.get(i) {
@@ -194,7 +192,7 @@ fn print_usage() {
     eprintln!(
         "usage: figures [all|fig3|fig5|fig6|fig7|fig8|fig9|msgrate|cq|chaos|breakdown|table1|sec33|bench] \
          [--list] [--real] [--calibrated] [--from-trace] [--folded] [--dual] [--csv] [--quick] \
-         [--json] [--out DIR] [--sim-only]"
+         [--json] [--out DIR]"
     );
 }
 
@@ -821,13 +819,6 @@ fn table1_from_trace(opts: &Options, costs: SimCosts) {
 /// records.
 const BENCH_SIZES: &[usize] = &[4, 64, 1024, 16384];
 
-/// The `bench` subcommand: machine-readable regression baselines.
-///
-/// `BENCH_FIGURES.json` holds deterministic simulator results (compared
-/// exactly by `cargo xtask bench-check`); `BENCH_PINGPONG.json` holds
-/// wall-clock measurements of the real stack plus the metrics-layer
-/// record-cost microbench (compared within ±15%). `--sim-only` skips
-/// the wall-clock file for hosts/CI where timing is not comparable.
 /// Critical-path latency breakdown per locking mode: the deterministic
 /// virtual-clock model in `nm_bench::breakdown`, decomposed by the
 /// production span assembler (`nm-obs`). Components always sum exactly
@@ -865,6 +856,9 @@ fn breakdown_report(opts: &Options, costs: SimCosts) {
     }
 }
 
+/// The `bench` subcommand: the machine-readable regression baseline.
+/// `BENCH_FIGURES.json` holds deterministic simulator results, compared
+/// exactly by `cargo xtask bench-check`.
 fn bench(opts: &Options, costs: SimCosts) {
     use nm_bench::report::{write_json, BenchRecord};
 
@@ -874,7 +868,6 @@ fn bench(opts: &Options, costs: SimCosts) {
     }
     let out_dir = std::path::PathBuf::from(opts.out.as_deref().unwrap_or("."));
 
-    // --- BENCH_FIGURES.json: deterministic sim records ----------------
     let mut records = Vec::new();
     let flatten = |records: &mut Vec<BenchRecord>, fig: &str, series: Vec<Series>| {
         for s in series {
@@ -983,55 +976,6 @@ fn bench(opts: &Options, costs: SimCosts) {
     eprintln!(
         "# wrote {} ({} records)",
         figures_path.display(),
-        records.len()
-    );
-
-    // --- BENCH_PINGPONG.json: wall-clock records ----------------------
-    if opts.sim_only {
-        return;
-    }
-    let mut records = Vec::new();
-    for &size in &[4usize, 1024] {
-        let po = PingpongOpts {
-            locking: LockingMode::Fine,
-            iters: if opts.quick { 50 } else { 400 },
-            warmup: if opts.quick { 10 } else { 40 },
-            ..PingpongOpts::default()
-        };
-        let stats = nm_bench::pingpong::pingpong_singlethread(&po, size);
-        records.push(BenchRecord::real(
-            format!("pingpong/singlethread/myri10g/size={size}"),
-            "us",
-            stats.median_us(),
-            stats.median_us(),
-            stats.percentile_ns(99.0) as f64 / 1_000.0,
-        ));
-    }
-    let mo = nm_bench::msgrate::MsgrateOpts {
-        rounds: if opts.quick { 10 } else { 50 },
-        ..nm_bench::msgrate::MsgrateOpts::default()
-    };
-    let rate = nm_bench::msgrate::msgrate_singlethread(&mo);
-    records.push(BenchRecord::real(
-        format!("msgrate/singlethread/fine/flows={}", mo.flows),
-        "Mmsg/s",
-        rate,
-        rate,
-        rate,
-    ));
-    let rec_ns = nm_bench::report::measure_hist_record_ns();
-    records.push(BenchRecord::real(
-        "micro/hist_record/ns",
-        "ns",
-        rec_ns,
-        rec_ns,
-        rec_ns,
-    ));
-    let pingpong_path = out_dir.join("BENCH_PINGPONG.json");
-    write_json(&pingpong_path, &records).expect("write BENCH_PINGPONG.json");
-    eprintln!(
-        "# wrote {} ({} records)",
-        pingpong_path.display(),
         records.len()
     );
 }

@@ -222,23 +222,20 @@ mod tests {
         assert_eq!(c.offload_hop_ns, 0);
     }
 
+    /// One test, not two: `sim_trace` installs the process-global trace
+    /// clock, so two tests replaying it on parallel test threads would
+    /// clobber each other's timestamps.
     #[cfg(feature = "trace")]
     #[test]
-    fn sim_constants_equal_costs_exactly() {
+    fn sim_trace_equals_costs_exactly_and_is_bit_deterministic() {
         let costs = SimCosts::paper();
-        let trace = own_threads(sim_trace(&costs));
-        let c = derive(&trace);
+        let a = own_threads(sim_trace(&costs));
+        let c = derive(&a);
         assert_eq!(c.lock_cycle_ns, costs.lock_cycle_ns);
         assert_eq!(c.pioman_pass_ns, costs.pioman_pass_ns);
         assert_eq!(c.ctx_switch_ns, costs.ctx_switch_ns);
         assert_eq!(c.offload_hop_ns, costs.enqueue_ns + costs.idle_poll_gap_ns);
-    }
 
-    #[cfg(feature = "trace")]
-    #[test]
-    fn sim_trace_is_bit_deterministic() {
-        let costs = SimCosts::paper();
-        let a = own_threads(sim_trace(&costs));
         let b = own_threads(sim_trace(&costs));
         let flat = |t: &Trace| {
             t.threads

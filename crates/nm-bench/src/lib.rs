@@ -1,4 +1,7 @@
-//! Benchmark harness for the nomad stack.
+//! Figure regeneration for the nomad stack: the `figures` binary, one
+//! criterion bench per table/figure of the paper (`benches/`), and the
+//! harness library both share. The gate for real-stack performance is
+//! the stand-alone `benchmark/` package, not this crate.
 //!
 //! Two measurement modes regenerate the paper's figures:
 //!

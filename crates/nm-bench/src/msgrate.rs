@@ -24,10 +24,10 @@ pub struct MsgrateOpts {
     pub locking: LockingMode,
     /// Wire model of every flow's rail.
     pub wire: WireModel,
-    /// Waiting strategy of senders and receivers (threaded mode).
+    /// Waiting strategy of senders and receivers.
     pub wait: WaitStrategy,
     /// Concurrent single-gate flows (one sender + one receiver thread
-    /// each in threaded mode).
+    /// each).
     pub flows: usize,
     /// VCI contexts per flow's NIC (1 = the classic shared-ring NIC;
     /// the transfer layer stripes over `vcis` independent tx/rx rings).
@@ -38,8 +38,6 @@ pub struct MsgrateOpts {
     pub window: usize,
     /// Measured rounds.
     pub rounds: usize,
-    /// Untimed warmup rounds (single-thread mode only).
-    pub warmup_rounds: usize,
 }
 
 impl Default for MsgrateOpts {
@@ -53,7 +51,6 @@ impl Default for MsgrateOpts {
             size: 8,
             window: 32,
             rounds: 50,
-            warmup_rounds: 5,
         }
     }
 }
@@ -136,46 +133,6 @@ pub fn msgrate_threaded(opts: &MsgrateOpts) -> f64 {
     (flows * rounds * window) as f64 / elapsed_ns as f64 * 1e3
 }
 
-/// Aggregate message rate with a **single thread driving both cores**,
-/// round-robin across all flows.
-///
-/// The stable counterpart of [`msgrate_threaded`] for regression
-/// baselines (same rationale as `pingpong_singlethread`): one thread
-/// posts every flow's window on both sides, then polls both cores until
-/// the round drains, so the measurement stays on-CPU even on a
-/// single-core box. This is the configuration the committed
-/// `BENCH_PINGPONG.json` msgrate record uses.
-pub fn msgrate_singlethread(opts: &MsgrateOpts) -> f64 {
-    let (a, b) = build_multi_gate(opts);
-    let payload = Bytes::from(vec![0x42u8; opts.size]);
-    let mut t0 = Instant::now();
-    for round in 0..opts.warmup_rounds + opts.rounds {
-        if round == opts.warmup_rounds {
-            t0 = Instant::now();
-        }
-        let mut recvs = Vec::with_capacity(opts.flows * opts.window);
-        let mut sends = Vec::with_capacity(opts.flows * opts.window);
-        for t in 0..opts.flows {
-            for _ in 0..opts.window {
-                recvs.push(b.irecv(GateId(t), t as u64).expect("irecv"));
-                sends.push(
-                    a.isend(GateId(t), t as u64, payload.clone())
-                        .expect("isend"),
-                );
-            }
-        }
-        while !(recvs.iter().all(|r| r.is_complete()) && sends.iter().all(|s| s.is_complete())) {
-            a.progress();
-            b.progress();
-        }
-        for r in recvs {
-            let _ = r.take_data().expect("payload");
-        }
-    }
-    let elapsed_ns = t0.elapsed().as_nanos() as u64;
-    (opts.flows * opts.rounds * opts.window) as f64 / elapsed_ns as f64 * 1e3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,20 +144,7 @@ mod tests {
             flows,
             window: 8,
             rounds: 3,
-            warmup_rounds: 1,
             ..MsgrateOpts::default()
-        }
-    }
-
-    #[test]
-    fn singlethread_runs_for_every_locking_mode() {
-        for locking in [
-            LockingMode::SingleThread,
-            LockingMode::Coarse,
-            LockingMode::Fine,
-        ] {
-            let rate = msgrate_singlethread(&quick(locking, 2));
-            assert!(rate > 0.0, "{locking:?} rate {rate}");
         }
     }
 
@@ -211,12 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn multi_vci_flows_deliver_in_both_drive_modes() {
+    fn multi_vci_flows_deliver() {
         let opts = MsgrateOpts {
             vcis: 2,
             ..quick(LockingMode::Fine, 2)
         };
-        assert!(msgrate_singlethread(&opts) > 0.0);
         assert!(msgrate_threaded(&opts) > 0.0);
     }
 

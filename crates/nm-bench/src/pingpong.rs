@@ -5,7 +5,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use nm_core::{CommCore, CoreBuilder, CoreConfig, GateId, LockingMode};
-use nm_fabric::{Fabric, WireModel};
+use nm_fabric::{Driver, Fabric, LoopbackDriver, WireModel};
 use nm_progress::ProgressEngine;
 use nm_sim::experiments::Series;
 use nm_sync::WaitStrategy;
@@ -120,44 +120,59 @@ pub fn pingpong_latency(opts: &PingpongOpts, size: usize) -> LatencyStats {
     LatencyStats::from_ns(samples)
 }
 
-/// Measures one-way latency with a **single thread driving both cores**.
+/// Builds two connected cores over zero-latency loopback drivers, so
+/// that measured time is pure software overhead.
+pub fn build_ideal_pair(locking: LockingMode) -> (Arc<CommCore>, Arc<CommCore>) {
+    let (da, db) = LoopbackDriver::pair(64);
+    let config = CoreConfig::default().locking(locking);
+    let a = CoreBuilder::new(config.clone())
+        .add_gate(vec![Arc::new(da) as Arc<dyn Driver>])
+        .build();
+    let b = CoreBuilder::new(config)
+        .add_gate(vec![Arc::new(db) as Arc<dyn Driver>])
+        .build();
+    (a, b)
+}
+
+/// One co-polled roundtrip: A sends to B, B echoes, the calling thread
+/// polls both cores throughout.
 ///
 /// The threaded [`pingpong_latency`] needs two busy-waiting threads; on
 /// a host with fewer cores than threads its timings are dominated by
-/// preemption (one side always holds the CPU while the other owes a
-/// reply). Here one thread posts both sides' operations and polls both
-/// cores' progress until each half round trip completes, so the
-/// measurement stays on-CPU end to end. This is the configuration the
-/// committed `BENCH_PINGPONG.json` baselines use — stable enough for a
-/// tolerance-based regression gate even on a single-core box.
-pub fn pingpong_singlethread(opts: &PingpongOpts, size: usize) -> LatencyStats {
-    let (a, b) = build_pair(opts);
-    let payload = Bytes::from(vec![0x42u8; size]);
-    let total = opts.warmup + opts.iters;
-    let mut samples = Vec::with_capacity(opts.iters);
-    for i in 0..total {
-        let t0 = std::time::Instant::now();
-        // a -> b
-        let r = b.irecv(GateId(0), 0).expect("irecv");
-        let s = a.isend(GateId(0), 0, payload.clone()).expect("isend");
-        while !(r.is_complete() && s.is_complete()) {
-            a.progress();
-            b.progress();
-        }
-        // b -> a (echo)
-        let data = r.take_data().expect("payload");
-        let r = a.irecv(GateId(0), 0).expect("irecv");
-        let s = b.isend(GateId(0), 0, data).expect("isend");
-        while !(r.is_complete() && s.is_complete()) {
-            a.progress();
-            b.progress();
-        }
-        let _ = r.take_data();
-        if i >= opts.warmup {
-            samples.push(t0.elapsed().as_nanos() as u64 / 2); // one-way
-        }
+/// preemption. Here a roundtrip measures the real software path (locks,
+/// strategy, wire format, matching) without any thread scheduling noise
+/// — the baseline the figure benches use. Panics if the roundtrip does
+/// not finish within a progress-pass budget (broken protocol rather
+/// than hang).
+pub fn co_polled_roundtrip(a: &Arc<CommCore>, b: &Arc<CommCore>, payload: &Bytes) {
+    const MAX_PASSES: usize = 1_000_000;
+    let send = a.isend(GateId(0), 0, payload.clone()).expect("isend");
+    let recv_b = b.irecv(GateId(0), 0).expect("irecv");
+    let mut passes = 0;
+    while !recv_b.is_complete() {
+        a.progress();
+        b.progress();
+        passes += 1;
+        assert!(passes < MAX_PASSES, "ping never arrived");
     }
-    LatencyStats::from_ns(samples)
+    let data = recv_b.take_data().expect("payload");
+    let echo = b.isend(GateId(0), 0, data).expect("echo isend");
+    let recv_a = a.irecv(GateId(0), 0).expect("irecv");
+    while !recv_a.is_complete() {
+        b.progress();
+        a.progress();
+        passes += 1;
+        assert!(passes < MAX_PASSES, "pong never arrived");
+    }
+    // Local completions follow from the progression above.
+    debug_assert!(send.is_complete());
+    debug_assert!(echo.is_complete());
+    let _ = recv_a.take_data();
+}
+
+/// The small-message sizes the figure benches sweep.
+pub fn bench_sizes() -> [usize; 3] {
+    [4, 256, 2048]
 }
 
 /// Produces one [`Series`] (median one-way latency per size).
@@ -210,13 +225,25 @@ mod tests {
     }
 
     #[test]
-    fn singlethread_matches_threaded_protocol() {
-        let stats = pingpong_singlethread(&quick(LockingMode::Fine, false), 64);
-        assert_eq!(stats.count(), 10);
-        assert!(stats.min_ns() > 0);
-        // Rendezvous path too (size above the default eager threshold).
-        let stats = pingpong_singlethread(&quick(LockingMode::Coarse, false), 64 * 1024);
-        assert_eq!(stats.count(), 10);
+    fn co_polled_roundtrip_all_modes() {
+        for mode in LockingMode::ALL {
+            let (a, b) = build_ideal_pair(mode);
+            let payload = Bytes::from_static(b"co-polled");
+            for _ in 0..10 {
+                co_polled_roundtrip(&a, &b, &payload);
+            }
+            assert_eq!(a.stats().sends_posted.get(), 10);
+            assert_eq!(b.stats().recvs_posted.get(), 10);
+        }
+    }
+
+    #[test]
+    fn co_polled_over_wire_pair() {
+        let (a, b) = build_pair(&quick(LockingMode::Fine, false));
+        // Eager, then rendezvous (above the default eager threshold).
+        for size in [2048, 64 * 1024] {
+            co_polled_roundtrip(&a, &b, &Bytes::from(vec![7u8; size]));
+        }
     }
 
     #[test]

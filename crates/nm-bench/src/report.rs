@@ -1,9 +1,9 @@
-//! Machine-readable benchmark reports (`BENCH_*.json`).
+//! Machine-readable benchmark report (`BENCH_FIGURES.json`).
 //!
-//! The `figures bench --json` subcommand renders benchmark results as a
-//! flat list of records and writes them to the repo root, where `cargo
-//! xtask bench-check` compares fresh runs against the committed
-//! baselines (docs/METRICS.md describes the refresh procedure). The
+//! The `figures bench --json` subcommand renders the simulator's results
+//! as a flat list of records and writes them to the repo root, where
+//! `cargo xtask bench-check` compares a fresh run against the committed
+//! baseline (docs/METRICS.md describes the refresh procedure). The
 //! schema is deliberately tiny so the dep-free parser in `xtask` stays
 //! tiny too:
 //!
@@ -17,9 +17,9 @@
 //! }
 //! ```
 //!
-//! `kind` is `"sim"` for deterministic virtual-clock results (compared
-//! exactly) or `"real"` for wall-clock measurements (compared within a
-//! tolerance band).
+//! Every record is a deterministic virtual-clock result, compared
+//! exactly; schema 1 keeps the constant `p50`/`p99`/`kind` keys so the
+//! committed baseline stays byte-identical.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -33,37 +33,15 @@ pub struct BenchRecord {
     pub unit: String,
     /// The headline value (median for latency records).
     pub value: f64,
-    /// Median, when a distribution was measured.
-    pub p50: Option<f64>,
-    /// 99th percentile, when a distribution was measured.
-    pub p99: Option<f64>,
-    /// `"sim"` (deterministic, compared exactly) or `"real"`
-    /// (wall-clock, compared within tolerance).
-    pub kind: &'static str,
 }
 
 impl BenchRecord {
-    /// A deterministic simulator record (no distribution).
+    /// A deterministic simulator record.
     pub fn sim(name: impl Into<String>, unit: &str, value: f64) -> Self {
         BenchRecord {
             name: name.into(),
             unit: unit.to_string(),
             value,
-            p50: None,
-            p99: None,
-            kind: "sim",
-        }
-    }
-
-    /// A wall-clock record with distribution percentiles.
-    pub fn real(name: impl Into<String>, unit: &str, value: f64, p50: f64, p99: f64) -> Self {
-        BenchRecord {
-            name: name.into(),
-            unit: unit.to_string(),
-            value,
-            p50: Some(p50),
-            p99: Some(p99),
-            kind: "real",
         }
     }
 }
@@ -97,19 +75,15 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Renders records as the `BENCH_*.json` document.
+/// Renders records as the `BENCH_FIGURES.json` document.
 pub fn to_json(records: &[BenchRecord]) -> String {
     let mut out = String::from("{\n  \"schema\": 1,\n  \"records\": [\n");
     for (i, r) in records.iter().enumerate() {
-        let opt = |v: Option<f64>| v.map_or("null".to_string(), fmt_f64);
         out.push_str(&format!(
-            "    {{\"name\": {}, \"unit\": {}, \"value\": {}, \"p50\": {}, \"p99\": {}, \"kind\": {}}}{}\n",
+            "    {{\"name\": {}, \"unit\": {}, \"value\": {}, \"p50\": null, \"p99\": null, \"kind\": \"sim\"}}{}\n",
             json_str(&r.name),
             json_str(&r.unit),
             fmt_f64(r.value),
-            opt(r.p50),
-            opt(r.p99),
-            json_str(r.kind),
             if i + 1 < records.len() { "," } else { "" },
         ));
     }
@@ -123,32 +97,6 @@ pub fn write_json(path: &Path, records: &[BenchRecord]) -> std::io::Result<()> {
     f.write_all(to_json(records).as_bytes())
 }
 
-/// Measures the cost of one histogram `record` call, in nanoseconds —
-/// the metric layer's per-op budget (docs/METRICS.md: ≤ 25 ns on the
-/// reference host, release build).
-///
-/// Runs several timed passes over a pre-resolved handle and returns the
-/// fastest pass (minimum over passes filters scheduler noise; within a
-/// pass the loop amortizes the two timestamps over `iters` records).
-pub fn measure_hist_record_ns() -> f64 {
-    let h = nm_metrics::metrics().histogram("bench.micro.record_cost");
-    h.record(0); // warm this thread's stripe assignment
-    let iters: u64 = 1_000_000;
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t0 = std::time::Instant::now();
-        for i in 0..iters {
-            // Vary the value so the bucket computation is exercised
-            // across linear and log-linear ranges.
-            h.record(std::hint::black_box(i % 65_536));
-        }
-        let per_op = t0.elapsed().as_nanos() as f64 / iters as f64;
-        best = best.min(per_op);
-    }
-    h.reset();
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,13 +105,13 @@ mod tests {
     fn json_shape_and_roundtrip() {
         let records = vec![
             BenchRecord::sim("fig3/coarse/size=4", "us", 5.4),
-            BenchRecord::real("pingpong/size=4", "us", 2.25, 2.25, 3.5),
+            BenchRecord::sim("fig3/fine/size=4", "us", 2.25),
         ];
         let json = to_json(&records);
         assert!(json.contains("\"schema\": 1"));
         assert!(json.contains("\"name\": \"fig3/coarse/size=4\""));
         assert!(json.contains("\"kind\": \"sim\""));
-        assert!(json.contains("\"p99\": 3.5"));
+        assert!(json.contains("\"value\": 2.25"));
         assert!(json.contains("\"p50\": null"));
         // Exactly one comma-separated record pair.
         assert_eq!(json.matches("{\"name\"").count(), 2);
@@ -187,13 +135,5 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body, to_json(&records));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn record_cost_is_measurable() {
-        // Debug-build sanity only: the ≤ 25 ns budget is asserted by the
-        // release-mode criterion bench and bench-check baselines.
-        let ns = measure_hist_record_ns();
-        assert!(ns.is_finite() && ns > 0.0);
     }
 }

@@ -6,13 +6,14 @@
 //! perturbs its traffic according to a [`FaultPlan`]: packet loss,
 //! duplication, single-byte corruption, delay/jitter (packets held for a
 //! number of polls), transient NIC stalls (injection refused for a
-//! window) and within-rail reordering (absorbing the old
-//! `ReorderDriver`). All perturbations draw from **one** seeded
-//! linear-congruential sequence, so a run is a pure function of the seed
-//! and the call sequence: every fault scenario is a reproducible test.
+//! window) and within-rail reordering. All perturbations draw from
+//! **one** seeded linear-congruential sequence, so a run is a pure
+//! function of the seed and the call sequence: every fault scenario is a
+//! reproducible test.
 //!
-//! Faults are injected on the receive side (`poll`), modelling the wire,
-//! except stalls, which model the local NIC and gate `can_post`/`post`.
+//! Faults are injected on the receive side (`poll_vci`), modelling the
+//! wire, except stalls, which model the local NIC and gate
+//! `can_post_vci`/`post_vci`.
 //! Every injected fault increments a global `fabric.chaos_*` counter in
 //! `nm-metrics`, a per-driver [`ChaosStats`] counter, and emits a trace
 //! event (`FaultLoss`, `FaultDup`, `FaultCorrupt`, `FaultDelay`,
@@ -40,7 +41,7 @@ pub enum FaultKind {
     Delay,
     /// Transient NIC stall: injection refused for a window.
     Stall,
-    /// Within-rail reordering (the old `ReorderDriver` behaviour).
+    /// Within-rail reordering: packets released out of arrival order.
     Reorder,
 }
 
@@ -126,8 +127,9 @@ impl FaultPlan {
     }
 
     /// Stalls the NIC after every `period` accepted posts: the next
-    /// `len` injection attempts are refused (`can_post` false, `post`
-    /// returns [`PostError::WouldBlock`]). `period = 0` disables stalls.
+    /// `len` injection attempts are refused (`can_post_vci` false,
+    /// `post_vci` returns [`PostError::WouldBlock`]). `period = 0`
+    /// disables stalls.
     pub fn stall(mut self, period: u64, len: u32) -> Self {
         self.stall_period = period;
         self.stall_len = len;
@@ -145,7 +147,7 @@ impl FaultPlan {
         self
     }
 
-    /// The reorder-only plan the deprecated `ReorderDriver` maps to.
+    /// A plan whose only fault is reordering within `depth` packets.
     pub fn reorder_only(depth: usize, seed: u64) -> Self {
         FaultPlan::new(seed).reorder(depth)
     }
@@ -222,11 +224,11 @@ impl ChaosState {
 /// `ChaosDriver` (e.g. independent loss and reorder seeds per layer).
 ///
 /// A chaos driver always exposes **one** VCI context (the trait
-/// defaults), whatever the inner driver reports: every fault decision
-/// draws from one seeded sequence, and splitting that stream across
-/// concurrently polled contexts would make replay depend on thread
-/// interleaving. Wrap per-VCI drivers individually if per-context
-/// chaos is needed.
+/// default), whatever the inner driver reports, and carries its traffic
+/// on the inner driver's context 0: every fault decision draws from one
+/// seeded sequence, and splitting that stream across concurrently
+/// polled contexts would make replay depend on thread interleaving.
+/// Wrap per-VCI drivers individually if per-context chaos is needed.
 pub struct ChaosDriver<D> {
     inner: D,
     plan: FaultPlan,
@@ -241,8 +243,8 @@ impl<D: Driver> ChaosDriver<D> {
             inner,
             plan,
             // Unclassed, like every driver-internal lock: drivers are
-            // leaves of the lock hierarchy (`poll`/`post` are called
-            // under `core.driver`) and take no classed locks.
+            // leaves of the lock hierarchy (`poll_vci`/`post_vci` are
+            // called under `core.driver`) and take no classed locks.
             chaos: SpinLock::new(ChaosState {
                 lcg: seed,
                 held: VecDeque::new(),
@@ -275,7 +277,7 @@ impl<D: Driver> ChaosDriver<D> {
     /// (loss, duplicate, corrupt, delay) so a seed replays exactly.
     fn fill(&self, st: &mut ChaosState) {
         while st.held.len() < self.plan.reorder_depth {
-            let Some(data) = self.inner.poll() else {
+            let Some(data) = self.inner.poll_vci(0) else {
                 break;
             };
             if st.roll(self.plan.loss_ppm) {
@@ -329,17 +331,19 @@ impl<D: Driver> Driver for ChaosDriver<D> {
         self.inner.caps()
     }
 
-    fn can_post(&self) -> bool {
+    fn can_post_vci(&self, vci: usize) -> bool {
+        debug_assert_eq!(vci, 0);
         if self.plan.stall_period > 0 {
             let st = self.chaos.lock();
             if st.stall_left > 0 {
                 return false;
             }
         }
-        self.inner.can_post()
+        self.inner.can_post_vci(0)
     }
 
-    fn post(&self, data: Bytes) -> Result<(), PostError> {
+    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError> {
+        debug_assert_eq!(vci, 0);
         if self.plan.stall_period > 0 {
             let mut st = self.chaos.lock();
             if st.stall_left > 0 {
@@ -355,10 +359,11 @@ impl<D: Driver> Driver for ChaosDriver<D> {
                 trace_event!(FaultStall, self.plan.stall_len);
             }
         }
-        self.inner.post(data)
+        self.inner.post_vci(0, data)
     }
 
-    fn poll(&self) -> Option<Bytes> {
+    fn poll_vci(&self, vci: usize) -> Option<Bytes> {
+        debug_assert_eq!(vci, 0);
         let mut st = self.chaos.lock();
         self.fill(&mut st);
         if st.held.is_empty() {
@@ -396,9 +401,10 @@ impl<D: Driver> Driver for ChaosDriver<D> {
         Some(held.data)
     }
 
-    fn next_event_ns(&self) -> Option<u64> {
+    fn next_event_ns_vci(&self, vci: usize) -> Option<u64> {
+        debug_assert_eq!(vci, 0);
         if self.chaos.lock().held.is_empty() {
-            self.inner.next_event_ns()
+            self.inner.next_event_ns_vci(0)
         } else {
             Some(0)
         }
@@ -416,7 +422,7 @@ mod tests {
         // Delayed packets return None while aging; keep polling until the
         // buffer stays empty.
         while idle < 64 {
-            match d.poll() {
+            match d.poll_vci(0) {
                 Some(p) => {
                     out.push(p[0]);
                     idle = 0;
@@ -429,7 +435,7 @@ mod tests {
 
     fn send<D: Driver>(tx: &D, n: u8) {
         for i in 0..n {
-            tx.post(Bytes::copy_from_slice(&[i])).unwrap();
+            tx.post_vci(0, Bytes::copy_from_slice(&[i])).unwrap();
         }
     }
 
@@ -470,8 +476,8 @@ mod tests {
     fn corruption_flips_exactly_one_byte() {
         let (tx, rx) = LoopbackDriver::pair(16);
         let rx = ChaosDriver::new(rx, FaultPlan::new(5).corrupt(1.0));
-        tx.post(Bytes::from_static(b"hello world")).unwrap();
-        let got = rx.poll().unwrap();
+        tx.post_vci(0, Bytes::from_static(b"hello world")).unwrap();
+        let got = rx.poll_vci(0).unwrap();
         let diff: Vec<usize> = got
             .iter()
             .zip(b"hello world".iter())
@@ -487,10 +493,10 @@ mod tests {
     fn delay_holds_packets_across_polls() {
         let (tx, rx) = LoopbackDriver::pair(16);
         let rx = ChaosDriver::new(rx, FaultPlan::new(9).delay(1.0, 3));
-        tx.post(Bytes::from_static(b"x")).unwrap();
-        assert_eq!(rx.poll(), None);
-        assert_eq!(rx.poll(), None);
-        assert_eq!(rx.poll(), Some(Bytes::from_static(b"x")));
+        tx.post_vci(0, Bytes::from_static(b"x")).unwrap();
+        assert_eq!(rx.poll_vci(0), None);
+        assert_eq!(rx.poll_vci(0), None);
+        assert_eq!(rx.poll_vci(0), Some(Bytes::from_static(b"x")));
         assert_eq!(rx.stats().delayed, 1);
     }
 
@@ -499,24 +505,24 @@ mod tests {
         let (tx, rx) = LoopbackDriver::pair(64);
         let tx = ChaosDriver::new(tx, FaultPlan::new(2).stall(4, 2));
         for i in 0..4u8 {
-            tx.post(Bytes::copy_from_slice(&[i])).unwrap();
+            tx.post_vci(0, Bytes::copy_from_slice(&[i])).unwrap();
         }
         // The 4th accepted post opened a stall window of 2 attempts.
-        assert!(!tx.can_post());
+        assert!(!tx.can_post_vci(0));
         assert_eq!(
-            tx.post(Bytes::from_static(b"x")),
+            tx.post_vci(0, Bytes::from_static(b"x")),
             Err(PostError::WouldBlock)
         );
         assert_eq!(
-            tx.post(Bytes::from_static(b"x")),
+            tx.post_vci(0, Bytes::from_static(b"x")),
             Err(PostError::WouldBlock)
         );
         // Window exhausted; injection works again.
-        assert!(tx.can_post());
-        tx.post(Bytes::from_static(&[4])).unwrap();
+        assert!(tx.can_post_vci(0));
+        tx.post_vci(0, Bytes::from_static(&[4])).unwrap();
         assert_eq!(tx.stats().stalls, 1);
         let mut got = Vec::new();
-        while let Some(p) = rx.poll() {
+        while let Some(p) = rx.poll_vci(0) {
             got.push(p[0]);
         }
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
@@ -577,14 +583,14 @@ mod tests {
         let (tx, rx) = LoopbackDriver::pair(2);
         let tx = ChaosDriver::new(tx, FaultPlan::new(1));
         assert!(tx.caps().thread_safe);
-        assert!(tx.can_post());
-        tx.post(Bytes::from_static(b"a")).unwrap();
-        tx.post(Bytes::from_static(b"b")).unwrap();
+        assert!(tx.can_post_vci(0));
+        tx.post_vci(0, Bytes::from_static(b"a")).unwrap();
+        tx.post_vci(0, Bytes::from_static(b"b")).unwrap();
         assert_eq!(
-            tx.post(Bytes::from_static(b"c")),
+            tx.post_vci(0, Bytes::from_static(b"c")),
             Err(PostError::WouldBlock)
         );
-        assert!(rx.poll().is_some());
+        assert!(rx.poll_vci(0).is_some());
     }
 
     #[test]

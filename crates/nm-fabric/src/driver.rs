@@ -45,45 +45,24 @@ impl std::error::Error for PostError {}
 pub trait Driver: Send + Sync {
     /// Driver capabilities.
     fn caps(&self) -> &DriverCaps;
-    /// `true` when another packet can be injected (the NIC is idle).
-    fn can_post(&self) -> bool;
-    /// Injects one packet (must fit the MTU).
-    fn post(&self, data: Bytes) -> Result<(), PostError>;
-    /// Polls for one inbound packet.
-    fn poll(&self) -> Option<Bytes>;
-    /// Earliest pending inbound delivery timestamp (virtual-clock runs).
-    fn next_event_ns(&self) -> Option<u64> {
-        None
-    }
-
     /// Number of independent VCI contexts this driver exposes. The
     /// transfer layer may drive different contexts from different
-    /// threads without mutual serialization. The defaults below make
-    /// every single-context driver VCI-addressable: callers must pass
-    /// `vci < num_vcis()`, and a driver that does not override this
-    /// family routes everything through its base methods.
+    /// threads without mutual serialization. Every other method takes a
+    /// context index; callers must pass `vci < num_vcis()`.
     fn num_vcis(&self) -> usize {
         1
     }
-    /// [`Driver::can_post`] for one VCI context.
-    fn can_post_vci(&self, vci: usize) -> bool {
-        debug_assert!(vci < self.num_vcis());
-        self.can_post()
-    }
-    /// [`Driver::post`] on one VCI context.
-    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError> {
-        debug_assert!(vci < self.num_vcis());
-        self.post(data)
-    }
-    /// [`Driver::poll`] on one VCI context.
-    fn poll_vci(&self, vci: usize) -> Option<Bytes> {
-        debug_assert!(vci < self.num_vcis());
-        self.poll()
-    }
-    /// [`Driver::next_event_ns`] for one VCI context.
-    fn next_event_ns_vci(&self, vci: usize) -> Option<u64> {
-        debug_assert!(vci < self.num_vcis());
-        self.next_event_ns()
+    /// `true` when another packet can be injected on this context (the
+    /// NIC is idle).
+    fn can_post_vci(&self, vci: usize) -> bool;
+    /// Injects one packet (must fit the MTU) on one VCI context.
+    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError>;
+    /// Polls one VCI context for one inbound packet.
+    fn poll_vci(&self, vci: usize) -> Option<Bytes>;
+    /// Earliest pending inbound delivery timestamp on one VCI context
+    /// (virtual-clock runs).
+    fn next_event_ns_vci(&self, _vci: usize) -> Option<u64> {
+        None
     }
 }
 
@@ -119,22 +98,6 @@ impl SimNicDriver {
 impl Driver for SimNicDriver {
     fn caps(&self) -> &DriverCaps {
         &self.caps
-    }
-
-    fn can_post(&self) -> bool {
-        self.nic.can_post()
-    }
-
-    fn post(&self, data: Bytes) -> Result<(), PostError> {
-        self.nic.post_send(data).map_err(|_| PostError::WouldBlock)
-    }
-
-    fn poll(&self) -> Option<Bytes> {
-        self.nic.poll_recv()
-    }
-
-    fn next_event_ns(&self) -> Option<u64> {
-        self.nic.next_delivery_ns()
     }
 
     fn num_vcis(&self) -> usize {
@@ -198,15 +161,18 @@ impl Driver for LoopbackDriver {
         &self.caps
     }
 
-    fn can_post(&self) -> bool {
+    fn can_post_vci(&self, vci: usize) -> bool {
+        debug_assert_eq!(vci, 0);
         !self.tx.is_full()
     }
 
-    fn post(&self, data: Bytes) -> Result<(), PostError> {
+    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError> {
+        debug_assert_eq!(vci, 0);
         self.tx.push(data).map_err(|_| PostError::WouldBlock)
     }
 
-    fn poll(&self) -> Option<Bytes> {
+    fn poll_vci(&self, vci: usize) -> Option<Bytes> {
+        debug_assert_eq!(vci, 0);
         self.rx.pop()
     }
 }
@@ -214,27 +180,86 @@ impl Driver for LoopbackDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClockSource, WireModel};
+    use crate::{ChaosDriver, ClockSource, FaultPlan, WireModel};
 
-    #[test]
-    fn loopback_round_trip() {
-        let (a, b) = LoopbackDriver::pair(8);
-        a.post(Bytes::from_static(b"ping")).unwrap();
-        assert_eq!(b.poll(), Some(Bytes::from_static(b"ping")));
-        b.post(Bytes::from_static(b"pong")).unwrap();
-        assert_eq!(a.poll(), Some(Bytes::from_static(b"pong")));
-        assert_eq!(a.poll(), None);
+    /// Injection depth every driver under [`conforms`] is built with.
+    const DEPTH: usize = 4;
+
+    fn tagged(vci: usize, n: usize) -> Bytes {
+        Bytes::from(vec![vci as u8, n as u8])
+    }
+
+    /// What the transfer layer relies on from any connected driver pair:
+    /// a round trip on every context, `WouldBlock` on a full injection
+    /// ring with recovery after one peer poll, and no leakage between
+    /// contexts.
+    fn conforms<D: Driver>(a: &D, b: &D) {
+        assert_eq!(a.num_vcis(), b.num_vcis());
+        for v in 0..a.num_vcis() {
+            a.post_vci(v, tagged(v, 0)).unwrap();
+            assert_eq!(b.poll_vci(v), Some(tagged(v, 0)));
+            b.post_vci(v, tagged(v, 1)).unwrap();
+            assert_eq!(a.poll_vci(v), Some(tagged(v, 1)));
+            assert_eq!(a.poll_vci(v), None);
+
+            for n in 0..DEPTH {
+                assert!(a.can_post_vci(v), "vci {v} refused packet {n}");
+                a.post_vci(v, tagged(v, n)).unwrap();
+            }
+            assert!(!a.can_post_vci(v));
+            assert_eq!(a.post_vci(v, tagged(v, DEPTH)), Err(PostError::WouldBlock));
+            for other in (0..a.num_vcis()).filter(|&o| o != v) {
+                assert!(a.can_post_vci(other), "vci {v} full blocks vci {other}");
+                assert_eq!(b.poll_vci(other), None, "vci {v} visible on {other}");
+            }
+            assert_eq!(b.poll_vci(v), Some(tagged(v, 0)));
+            assert!(a.can_post_vci(v), "one poll must free one slot");
+            a.post_vci(v, tagged(v, DEPTH)).unwrap();
+            for n in 1..=DEPTH {
+                assert_eq!(b.poll_vci(v), Some(tagged(v, n)));
+            }
+            assert_eq!(b.poll_vci(v), None);
+        }
+    }
+
+    fn simnic_pair(n_vcis: usize) -> (SimNicDriver, SimNicDriver) {
+        let model = WireModel {
+            tx_depth: DEPTH,
+            ..WireModel::ideal()
+        };
+        let (na, nb) = SimNic::pair_vcis("conf", model, ClockSource::manual(), n_vcis);
+        (SimNicDriver::new(na, true), SimNicDriver::new(nb, true))
+    }
+
+    fn transparent<D: Driver>(d: D) -> ChaosDriver<D> {
+        ChaosDriver::new(d, FaultPlan::new(1))
     }
 
     #[test]
-    fn loopback_backpressure() {
-        let (a, b) = LoopbackDriver::pair(2);
-        a.post(Bytes::from_static(b"1")).unwrap();
-        a.post(Bytes::from_static(b"2")).unwrap();
-        assert!(!a.can_post());
-        assert_eq!(a.post(Bytes::from_static(b"3")), Err(PostError::WouldBlock));
-        b.poll().unwrap();
-        assert!(a.can_post());
+    fn every_driver_conforms() {
+        let (a, b) = LoopbackDriver::pair(DEPTH);
+        conforms(&a, &b);
+        let (a, b) = LoopbackDriver::pair(DEPTH);
+        conforms(&transparent(a), &transparent(b));
+        for n_vcis in [1, 4] {
+            let (a, b) = simnic_pair(n_vcis);
+            assert_eq!(a.num_vcis(), n_vcis);
+            conforms(&a, &b);
+            let (a, b) = simnic_pair(n_vcis);
+            conforms(&transparent(a), &transparent(b));
+        }
+    }
+
+    #[test]
+    fn chaos_exposes_one_context_on_inner_vci_0() {
+        let (a, b) = simnic_pair(4);
+        let a = transparent(a);
+        assert_eq!(a.num_vcis(), 1);
+        a.post_vci(0, Bytes::from_static(b"c")).unwrap();
+        for v in 1..4 {
+            assert_eq!(b.poll_vci(v), None);
+        }
+        assert_eq!(b.poll_vci(0), Some(Bytes::from_static(b"c")));
     }
 
     #[test]
@@ -248,34 +273,13 @@ mod tests {
     }
 
     #[test]
-    fn default_vci_surface_routes_to_base_methods() {
-        let (a, b) = LoopbackDriver::pair(8);
-        assert_eq!(a.num_vcis(), 1);
-        assert!(a.can_post_vci(0));
-        a.post_vci(0, Bytes::from_static(b"v0")).unwrap();
-        assert_eq!(b.poll_vci(0), Some(Bytes::from_static(b"v0")));
-        assert_eq!(b.next_event_ns_vci(0), None);
-    }
-
-    #[test]
-    fn simnic_driver_exposes_multi_vci_contexts() {
-        let clock = ClockSource::manual();
-        let (na, nb) = SimNic::pair_vcis("mx", WireModel::ideal(), clock, 4);
-        let (da, db) = (SimNicDriver::new(na, true), SimNicDriver::new(nb, true));
-        assert_eq!(da.num_vcis(), 4);
-        da.post_vci(3, Bytes::from_static(b"hi")).unwrap();
-        assert_eq!(db.poll_vci(0), None);
-        assert_eq!(db.poll_vci(3), Some(Bytes::from_static(b"hi")));
-    }
-
-    #[test]
     fn simnic_driver_post_and_poll() {
         let clock = ClockSource::manual();
         let (na, nb) = SimNic::pair("mx", WireModel::myri_10g(), clock.clone());
         let (da, db) = (SimNicDriver::new(na, true), SimNicDriver::new(nb, true));
-        da.post(Bytes::from_static(b"data")).unwrap();
-        assert_eq!(db.poll(), None);
-        clock.advance_to(db.next_event_ns().unwrap());
-        assert_eq!(db.poll(), Some(Bytes::from_static(b"data")));
+        da.post_vci(0, Bytes::from_static(b"data")).unwrap();
+        assert_eq!(db.poll_vci(0), None);
+        clock.advance_to(db.next_event_ns_vci(0).unwrap());
+        assert_eq!(db.poll_vci(0), Some(Bytes::from_static(b"data")));
     }
 }

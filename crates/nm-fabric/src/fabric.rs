@@ -127,11 +127,15 @@ mod tests {
         let (fabric, clock) = Fabric::virtual_time();
         let (a, b) = fabric.pair(&[WireModel::ideal()], true);
         assert_eq!(a.num_rails(), 1);
-        a.drivers()[0].post(Bytes::from_static(b"hi")).unwrap();
+        a.drivers()[0]
+            .post_vci(0, Bytes::from_static(b"hi"))
+            .unwrap();
         clock.advance(1);
-        assert_eq!(b.drivers()[0].poll(), Some(Bytes::from_static(b"hi")));
-        b.drivers()[0].post(Bytes::from_static(b"yo")).unwrap();
-        assert_eq!(a.drivers()[0].poll(), Some(Bytes::from_static(b"yo")));
+        assert_eq!(b.drivers()[0].poll_vci(0), Some(Bytes::from_static(b"hi")));
+        b.drivers()[0]
+            .post_vci(0, Bytes::from_static(b"yo"))
+            .unwrap();
+        assert_eq!(a.drivers()[0].poll_vci(0), Some(Bytes::from_static(b"yo")));
     }
 
     #[test]
@@ -140,10 +144,14 @@ mod tests {
         let models = [WireModel::ideal(), WireModel::ideal()];
         let (a, b) = fabric.pair(&models, true);
         assert_eq!(a.num_rails(), 2);
-        a.drivers()[0].post(Bytes::from_static(b"r0")).unwrap();
-        a.drivers()[1].post(Bytes::from_static(b"r1")).unwrap();
-        assert_eq!(b.drivers()[0].poll(), Some(Bytes::from_static(b"r0")));
-        assert_eq!(b.drivers()[1].poll(), Some(Bytes::from_static(b"r1")));
+        a.drivers()[0]
+            .post_vci(0, Bytes::from_static(b"r0"))
+            .unwrap();
+        a.drivers()[1]
+            .post_vci(0, Bytes::from_static(b"r1"))
+            .unwrap();
+        assert_eq!(b.drivers()[0].poll_vci(0), Some(Bytes::from_static(b"r0")));
+        assert_eq!(b.drivers()[1].poll_vci(0), Some(Bytes::from_static(b"r1")));
     }
 
     #[test]
@@ -172,10 +180,13 @@ mod tests {
                 }
                 let msg = Bytes::from(format!("{i}->{j}"));
                 ports[i][j].as_ref().unwrap().drivers()[0]
-                    .post(msg.clone())
+                    .post_vci(0, msg.clone())
                     .unwrap();
                 clock.advance(1);
-                assert_eq!(ports[j][i].as_ref().unwrap().drivers()[0].poll(), Some(msg));
+                assert_eq!(
+                    ports[j][i].as_ref().unwrap().drivers()[0].poll_vci(0),
+                    Some(msg)
+                );
             }
         }
     }

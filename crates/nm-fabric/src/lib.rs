@@ -34,7 +34,6 @@ pub mod metrics;
 mod model;
 mod mpmc;
 mod nic;
-mod reorder;
 
 pub use chaos::{ChaosDriver, ChaosStats, FaultKind, FaultPlan};
 pub use clock::ClockSource;
@@ -43,5 +42,3 @@ pub use fabric::{Fabric, NodePorts};
 pub use model::WireModel;
 pub use mpmc::MpmcRing;
 pub use nic::{NicCounters, SimNic};
-#[allow(deprecated)]
-pub use reorder::ReorderDriver;

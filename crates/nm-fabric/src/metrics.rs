@@ -4,8 +4,8 @@
 //! [`nm_metrics::metrics`]. The packet/byte counters yield wire rates on
 //! snapshot (`fabric.tx_bytes.per_sec` is the injected bandwidth); the
 //! in-flight gauge is the stack-wide wire occupancy — bytes injected but
-//! not yet delivered, summed over all links. Per-NIC occupancy is
-//! queryable directly through [`crate::SimNic::inflight_bytes`].
+//! not yet delivered, summed over all links. Per-context occupancy is
+//! queryable directly through [`crate::SimNic::inflight_bytes_vci`].
 
 use std::sync::{Arc, OnceLock};
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use nm_sync::stats::Counter;
+use nm_metrics::Counter;
 use nm_sync::SpinLock;
 
 use crate::{ClockSource, MpmcRing, WireModel};
@@ -84,15 +84,14 @@ struct VciCtx {
 /// One endpoint of a simulated point-to-point link.
 ///
 /// Completion is **polling-based**, like MX or Verbs: nothing happens
-/// unless someone calls [`SimNic::poll_recv`]. A packet becomes visible to
-/// the receiver only once the clock passes its computed delivery time.
+/// unless someone calls [`SimNic::poll_recv_vci`]. A packet becomes
+/// visible to the receiver only once the clock passes its computed
+/// delivery time.
 ///
 /// A NIC owns one or more VCI contexts ([`SimNic::pair_vcis`]); every
 /// context has its own injection ring, wire serialization and completion
 /// stash, so two threads driving different VCIs never touch shared
-/// state. The VCI-less methods address context 0 (injection) or scan all
-/// contexts (completion), which on a single-VCI NIC is exactly the
-/// pre-VCI behaviour.
+/// state.
 pub struct SimNic {
     name: String,
     model: WireModel,
@@ -182,32 +181,22 @@ impl SimNic {
         self.vcis.len()
     }
 
-    /// `true` when the injection queue can accept another packet — the
-    /// paper's "the NIC becomes idle" condition that triggers the
-    /// optimization layer. Addresses VCI context 0.
-    pub fn can_post(&self) -> bool {
-        self.can_post_vci(0)
-    }
-
-    /// [`SimNic::can_post`] for one VCI context: each context has its own
+    /// `true` when the injection queue of one VCI context can accept
+    /// another packet — the paper's "the NIC becomes idle" condition that
+    /// triggers the optimization layer. Each context has its own
     /// injection ring, so one context's saturation says nothing about
     /// another's.
     pub fn can_post_vci(&self, vci: usize) -> bool {
         self.vcis[vci].tx.ring.len() < self.model.tx_depth
     }
 
-    /// Injects a packet on VCI context 0.
+    /// Injects a packet on one VCI context. Contexts serialize their own
+    /// wires independently — no shared lock, ring or wire clock is
+    /// touched on this path.
     ///
     /// The payload must fit in the wire MTU (enforced; the transfer layer
     /// is responsible for splitting). Returns [`TxQueueFull`] when the
     /// injection queue is saturated.
-    pub fn post_send(&self, payload: Bytes) -> Result<(), TxQueueFull> {
-        self.post_send_vci(0, payload)
-    }
-
-    /// Injects a packet on one VCI context. Contexts serialize their own
-    /// wires independently — no shared lock, ring or wire clock is
-    /// touched on this path.
     pub fn post_send_vci(&self, vci: usize, payload: Bytes) -> Result<(), TxQueueFull> {
         assert!(
             payload.len() <= self.model.mtu,
@@ -257,16 +246,10 @@ impl SimNic {
         Ok(())
     }
 
-    /// Polls for a delivered packet; `None` if nothing is deliverable yet.
-    /// Scans every VCI context in order (context 0 first), so on a
-    /// single-VCI NIC this is exactly the pre-VCI behaviour.
-    pub fn poll_recv(&self) -> Option<Bytes> {
-        (0..self.vcis.len()).find_map(|v| self.poll_recv_vci(v))
-    }
-
-    /// Polls one VCI context for a delivered packet. Completion state
-    /// (ring + stash) is per-context, so concurrent pollers on different
-    /// VCIs do not contend.
+    /// Polls one VCI context for a delivered packet; `None` if nothing
+    /// is deliverable yet. Completion state (ring + stash) is
+    /// per-context, so concurrent pollers on different VCIs do not
+    /// contend.
     pub fn poll_recv_vci(&self, vci: usize) -> Option<Bytes> {
         let ctx = &self.vcis[vci];
         let now = self.clock.now_ns();
@@ -305,17 +288,9 @@ impl SimNic {
         }
     }
 
-    /// Earliest pending delivery time, if any packet is in flight toward
-    /// this endpoint (across all VCI contexts). The discrete-event
-    /// simulator uses this to know how far it may advance the virtual
-    /// clock.
-    pub fn next_delivery_ns(&self) -> Option<u64> {
-        (0..self.vcis.len())
-            .filter_map(|v| self.next_delivery_ns_vci(v))
-            .min()
-    }
-
-    /// Earliest pending delivery time on one VCI context.
+    /// Earliest pending delivery time on one VCI context, if any packet
+    /// is in flight toward it. A discrete-event simulator uses this to
+    /// know how far it may advance the virtual clock.
     pub fn next_delivery_ns_vci(&self, vci: usize) -> Option<u64> {
         let ctx = &self.vcis[vci];
         let mut stash = ctx.stash.lock();
@@ -326,27 +301,15 @@ impl SimNic {
     }
 
     /// `true` if any packet (deliverable or in flight) is queued toward
-    /// this endpoint on any VCI context.
-    pub fn has_inbound(&self) -> bool {
-        (0..self.vcis.len()).any(|v| self.has_inbound_vci(v))
-    }
-
-    /// [`SimNic::has_inbound`] for one VCI context.
+    /// one VCI context of this endpoint.
     pub fn has_inbound_vci(&self, vci: usize) -> bool {
         let ctx = &self.vcis[vci];
         ctx.stash.lock().is_some() || !ctx.rx.ring.is_empty()
     }
 
-    /// Payload bytes this endpoint has injected that the peer has not
-    /// yet delivered — this NIC's outbound wire occupancy, summed over
-    /// all VCI contexts.
-    pub fn inflight_bytes(&self) -> u64 {
-        (0..self.vcis.len())
-            .map(|v| self.inflight_bytes_vci(v))
-            .sum()
-    }
-
-    /// Outbound wire occupancy of one VCI context.
+    /// Payload bytes this endpoint has injected on one VCI context that
+    /// the peer has not yet delivered — the context's outbound wire
+    /// occupancy.
     pub fn inflight_bytes_vci(&self, vci: usize) -> u64 {
         // relaxed: advisory snapshot of a diagnostic aggregate.
         self.vcis[vci].tx.occupancy_bytes.load(Ordering::Relaxed)
@@ -357,7 +320,7 @@ impl std::fmt::Debug for SimNic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimNic")
             .field("name", &self.name)
-            .field("can_post", &self.can_post())
+            .field("can_post", &self.can_post_vci(0))
             .finish()
     }
 }
@@ -375,32 +338,32 @@ mod tests {
     #[test]
     fn packet_not_visible_before_delivery_time() {
         let (a, b, clock) = manual_pair(WireModel::myri_10g());
-        a.post_send(Bytes::from_static(b"x")).unwrap();
-        assert_eq!(b.poll_recv(), None, "visible too early");
+        a.post_send_vci(0, Bytes::from_static(b"x")).unwrap();
+        assert_eq!(b.poll_recv_vci(0), None, "visible too early");
         clock.advance(2_000); // still short of latency + tx time
-        assert_eq!(b.poll_recv(), None);
+        assert_eq!(b.poll_recv_vci(0), None);
         clock.advance(200); // past 2_000 + 100 + 0.8 ns
-        assert_eq!(b.poll_recv(), Some(Bytes::from_static(b"x")));
+        assert_eq!(b.poll_recv_vci(0), Some(Bytes::from_static(b"x")));
     }
 
     #[test]
     fn ideal_wire_delivers_immediately() {
         let (a, b, _clock) = manual_pair(WireModel::ideal());
-        a.post_send(Bytes::from_static(b"now")).unwrap();
-        assert_eq!(b.poll_recv(), Some(Bytes::from_static(b"now")));
+        a.post_send_vci(0, Bytes::from_static(b"now")).unwrap();
+        assert_eq!(b.poll_recv_vci(0), Some(Bytes::from_static(b"now")));
     }
 
     #[test]
     fn fifo_order_preserved() {
         let (a, b, clock) = manual_pair(WireModel::myri_10g());
         for i in 0..5u8 {
-            a.post_send(Bytes::copy_from_slice(&[i])).unwrap();
+            a.post_send_vci(0, Bytes::copy_from_slice(&[i])).unwrap();
         }
         clock.advance(1_000_000);
         for i in 0..5u8 {
-            assert_eq!(b.poll_recv().unwrap()[0], i);
+            assert_eq!(b.poll_recv_vci(0).unwrap()[0], i);
         }
-        assert_eq!(b.poll_recv(), None);
+        assert_eq!(b.poll_recv_vci(0), None);
     }
 
     #[test]
@@ -415,15 +378,15 @@ mod tests {
         let (a, b, clock) = manual_pair(model);
         // Two 1000-byte packets injected at t=0: the second waits for the
         // first to leave the wire, so it lands at 1000(tx)+1000(tx)+1000(lat).
-        a.post_send(Bytes::from(vec![0u8; 1000])).unwrap();
-        a.post_send(Bytes::from(vec![1u8; 1000])).unwrap();
+        a.post_send_vci(0, Bytes::from(vec![0u8; 1000])).unwrap();
+        a.post_send_vci(0, Bytes::from(vec![1u8; 1000])).unwrap();
         clock.advance(2_000);
-        assert!(b.poll_recv().is_some(), "first packet at 2 µs");
-        assert!(b.poll_recv().is_none(), "second not yet");
+        assert!(b.poll_recv_vci(0).is_some(), "first packet at 2 µs");
+        assert!(b.poll_recv_vci(0).is_none(), "second not yet");
         clock.advance(999);
-        assert!(b.poll_recv().is_none());
+        assert!(b.poll_recv_vci(0).is_none());
         clock.advance(1);
-        assert!(b.poll_recv().is_some(), "second packet at 3 µs");
+        assert!(b.poll_recv_vci(0).is_some(), "second packet at 3 µs");
     }
 
     #[test]
@@ -433,11 +396,14 @@ mod tests {
             ..WireModel::myri_10g()
         };
         let (a, _b, _clock) = manual_pair(model);
-        assert!(a.can_post());
-        a.post_send(Bytes::from_static(b"1")).unwrap();
-        a.post_send(Bytes::from_static(b"2")).unwrap();
-        assert!(!a.can_post());
-        assert_eq!(a.post_send(Bytes::from_static(b"3")), Err(TxQueueFull));
+        assert!(a.can_post_vci(0));
+        a.post_send_vci(0, Bytes::from_static(b"1")).unwrap();
+        a.post_send_vci(0, Bytes::from_static(b"2")).unwrap();
+        assert!(!a.can_post_vci(0));
+        assert_eq!(
+            a.post_send_vci(0, Bytes::from_static(b"3")),
+            Err(TxQueueFull)
+        );
     }
 
     #[test]
@@ -447,12 +413,12 @@ mod tests {
             ..WireModel::ideal()
         };
         let (a, b, _clock) = manual_pair(model);
-        a.post_send(Bytes::from_static(b"1")).unwrap();
-        assert!(!a.can_post());
-        assert!(b.poll_recv().is_some());
-        assert!(a.can_post());
-        a.post_send(Bytes::from_static(b"2")).unwrap();
-        assert!(b.poll_recv().is_some());
+        a.post_send_vci(0, Bytes::from_static(b"1")).unwrap();
+        assert!(!a.can_post_vci(0));
+        assert!(b.poll_recv_vci(0).is_some());
+        assert!(a.can_post_vci(0));
+        a.post_send_vci(0, Bytes::from_static(b"2")).unwrap();
+        assert!(b.poll_recv_vci(0).is_some());
     }
 
     #[test]
@@ -463,15 +429,15 @@ mod tests {
             ..WireModel::ideal()
         };
         let (a, _b, _c) = manual_pair(model);
-        let _ = a.post_send(Bytes::from(vec![0u8; 9]));
+        let _ = a.post_send_vci(0, Bytes::from(vec![0u8; 9]));
     }
 
     #[test]
     fn counters_track_traffic() {
         let (a, b, clock) = manual_pair(WireModel::myri_10g());
-        a.post_send(Bytes::from(vec![0u8; 100])).unwrap();
+        a.post_send_vci(0, Bytes::from(vec![0u8; 100])).unwrap();
         clock.advance(10_000_000);
-        b.poll_recv().unwrap();
+        b.poll_recv_vci(0).unwrap();
         assert_eq!(a.counters().tx_packets.get(), 1);
         assert_eq!(a.counters().tx_bytes.get(), 100);
         assert_eq!(b.counters().rx_packets.get(), 1);
@@ -481,15 +447,15 @@ mod tests {
     #[test]
     fn inflight_bytes_track_wire_occupancy() {
         let (a, b, clock) = manual_pair(WireModel::myri_10g());
-        assert_eq!(a.inflight_bytes(), 0);
-        a.post_send(Bytes::from(vec![0u8; 64])).unwrap();
-        a.post_send(Bytes::from(vec![0u8; 36])).unwrap();
-        assert_eq!(a.inflight_bytes(), 100);
+        assert_eq!(a.inflight_bytes_vci(0), 0);
+        a.post_send_vci(0, Bytes::from(vec![0u8; 64])).unwrap();
+        a.post_send_vci(0, Bytes::from(vec![0u8; 36])).unwrap();
+        assert_eq!(a.inflight_bytes_vci(0), 100);
         clock.advance(10_000_000);
-        b.poll_recv().unwrap();
-        assert_eq!(a.inflight_bytes(), 36);
-        b.poll_recv().unwrap();
-        assert_eq!(a.inflight_bytes(), 0);
+        b.poll_recv_vci(0).unwrap();
+        assert_eq!(a.inflight_bytes_vci(0), 36);
+        b.poll_recv_vci(0).unwrap();
+        assert_eq!(a.inflight_bytes_vci(0), 0);
     }
 
     #[test]
@@ -537,34 +503,34 @@ mod tests {
     }
 
     #[test]
-    fn base_methods_aggregate_over_vcis() {
+    fn occupancy_and_inbound_are_per_vci() {
         let clock = ClockSource::manual();
-        let (a, b) = SimNic::pair_vcis("agg", WireModel::ideal(), clock, 3);
-        assert_eq!(a.inflight_bytes(), 0);
-        assert!(!b.has_inbound());
+        let (a, b) = SimNic::pair_vcis("occ", WireModel::ideal(), clock, 3);
         a.post_send_vci(1, Bytes::from(vec![0u8; 10])).unwrap();
         a.post_send_vci(2, Bytes::from(vec![0u8; 30])).unwrap();
-        assert_eq!(a.inflight_bytes(), 40);
+        assert_eq!(a.inflight_bytes_vci(0), 0);
         assert_eq!(a.inflight_bytes_vci(1), 10);
         assert_eq!(a.inflight_bytes_vci(2), 30);
-        assert!(b.has_inbound());
-        assert!(b.next_delivery_ns().is_some());
-        // The VCI-less poll scans every context.
-        assert!(b.poll_recv().is_some());
-        assert!(b.poll_recv().is_some());
-        assert_eq!(b.poll_recv(), None);
-        assert_eq!(a.inflight_bytes(), 0);
+        assert!(!b.has_inbound_vci(0));
+        assert_eq!(b.next_delivery_ns_vci(0), None);
+        for v in [1usize, 2] {
+            assert!(b.has_inbound_vci(v));
+            assert!(b.next_delivery_ns_vci(v).is_some());
+            assert!(b.poll_recv_vci(v).is_some());
+            assert!(!b.has_inbound_vci(v));
+            assert_eq!(a.inflight_bytes_vci(v), 0);
+        }
     }
 
     #[test]
     fn next_delivery_reports_earliest_packet() {
         let (a, b, clock) = manual_pair(WireModel::myri_10g());
-        assert_eq!(b.next_delivery_ns(), None);
-        a.post_send(Bytes::from_static(b"x")).unwrap();
-        let t = b.next_delivery_ns().expect("in-flight packet visible");
+        assert_eq!(b.next_delivery_ns_vci(0), None);
+        a.post_send_vci(0, Bytes::from_static(b"x")).unwrap();
+        let t = b.next_delivery_ns_vci(0).expect("in-flight packet visible");
         assert!(t >= 2_000);
         clock.advance_to(t);
-        assert!(b.poll_recv().is_some());
+        assert!(b.poll_recv_vci(0).is_some());
     }
 
     #[test]
@@ -579,11 +545,11 @@ mod tests {
             ..WireModel::ideal()
         };
         let (a, b) = SimNic::pair("real", model, clock);
-        a.post_send(Bytes::from_static(b"ping")).unwrap();
-        assert_eq!(b.poll_recv(), None, "should not arrive instantly");
+        a.post_send_vci(0, Bytes::from_static(b"ping")).unwrap();
+        assert_eq!(b.poll_recv_vci(0), None, "should not arrive instantly");
         let t0 = std::time::Instant::now();
         loop {
-            if let Some(p) = b.poll_recv() {
+            if let Some(p) = b.poll_recv_vci(0) {
                 assert_eq!(&p[..], b"ping");
                 break;
             }

@@ -17,7 +17,7 @@ fn drain<D: Driver>(d: &D) -> usize {
     let mut n = 0;
     let mut idle = 0;
     while idle < 64 {
-        match d.poll() {
+        match d.poll_vci(0) {
             Some(_) => {
                 n += 1;
                 idle = 0;
@@ -43,7 +43,7 @@ fn chaos_stats_match_fault_trace_event_counts() {
             .delay(0.15, 3),
     );
     for i in 0..200u8 {
-        tx.post(Bytes::copy_from_slice(&[i])).unwrap();
+        tx.post_vci(0, Bytes::copy_from_slice(&[i])).unwrap();
     }
     drain(&rx);
     let rx_stats = rx.stats();
@@ -56,7 +56,7 @@ fn chaos_stats_match_fault_trace_event_counts() {
     while posted < 16 {
         attempts += 1;
         assert!(attempts < 256, "stall windows never close");
-        match stx.post(Bytes::copy_from_slice(&[posted])) {
+        match stx.post_vci(0, Bytes::copy_from_slice(&[posted])) {
             Ok(()) => posted += 1,
             Err(PostError::WouldBlock) => continue,
             Err(e) => panic!("unexpected post error: {e:?}"),
@@ -69,7 +69,7 @@ fn chaos_stats_match_fault_trace_event_counts() {
     let (rtx, rrx) = LoopbackDriver::pair(64);
     let rrx = ChaosDriver::new(rrx, FaultPlan::reorder_only(4, 7));
     for i in 0..32u8 {
-        rtx.post(Bytes::copy_from_slice(&[i])).unwrap();
+        rtx.post_vci(0, Bytes::copy_from_slice(&[i])).unwrap();
     }
     drain(&rrx);
     let reorder_stats = rrx.stats();

@@ -43,13 +43,13 @@ proptest! {
             if do_send {
                 let len = amount.min(model.mtu);
                 let payload: Vec<u8> = (0..len).map(|j| seq ^ (j as u8)).collect();
-                if a.post_send(Bytes::from(payload.clone())).is_ok() {
+                if a.post_send_vci(0, Bytes::from(payload.clone())).is_ok() {
                     sent.push_back(payload);
                     seq = seq.wrapping_add(1);
                 }
             } else {
                 clock.advance(amount as u64 * 1_000);
-                while let Some(got) = b.poll_recv() {
+                while let Some(got) = b.poll_recv_vci(0) {
                     let expect = sent.pop_front().expect("received more than sent");
                     prop_assert_eq!(&got[..], &expect[..]);
                     received += 1;
@@ -58,7 +58,7 @@ proptest! {
         }
         // Drain everything still in flight.
         clock.advance(u32::MAX as u64);
-        while let Some(got) = b.poll_recv() {
+        while let Some(got) = b.poll_recv_vci(0) {
             let expect = sent.pop_front().expect("received more than sent");
             prop_assert_eq!(&got[..], &expect[..]);
             received += 1;
@@ -76,14 +76,14 @@ proptest! {
         let len = len.min(model.mtu);
         let clock = ClockSource::manual();
         let (a, b) = SimNic::pair("early", model, clock.clone());
-        a.post_send(Bytes::from(vec![1u8; len])).unwrap();
+        a.post_send_vci(0, Bytes::from(vec![1u8; len])).unwrap();
         let min_time = model.one_way_ns(len);
         if min_time > 0 {
             clock.advance_to(min_time - 1);
-            prop_assert_eq!(b.poll_recv(), None, "delivered before {} ns", min_time);
+            prop_assert_eq!(b.poll_recv_vci(0), None, "delivered before {} ns", min_time);
         }
         clock.advance_to(min_time);
-        prop_assert!(b.poll_recv().is_some());
+        prop_assert!(b.poll_recv_vci(0).is_some());
     }
 
     /// One-way time is monotone in message size.

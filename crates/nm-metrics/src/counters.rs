@@ -7,11 +7,9 @@
 //! costs: how many lock operations sit on the critical path of one
 //! pingpong iteration, and how often they were contended.
 //!
-//! [`Counter`] and [`LockStats`] originally lived in `nm_sync::stats`,
-//! then moved to `nm_trace::counters`; they now live here so the
-//! always-on metrics layer owns the one registry every layer shares
-//! (`nm_trace::counters` and `nm_sync::stats` re-export this module).
-//! Unlike the ring-buffer tracer, nothing in this file is behind a
+//! [`Counter`] and [`LockStats`] live here so the always-on metrics
+//! layer owns the one registry every layer shares; every crate imports
+//! them from `nm_metrics`. Unlike the ring-buffer tracer, nothing in this file is behind a
 //! cargo feature: the global lock aggregates are maintained
 //! unconditionally, through sharded counters so concurrent lock traffic
 //! does not bounce one shared cache line.

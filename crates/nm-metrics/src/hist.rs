@@ -25,7 +25,8 @@
 //! summing. The record path is: one branch-free bucket-index
 //! computation plus **one relaxed `fetch_add`** — no locks, no
 //! allocation, measured at well under 25 ns (see
-//! `benches/metrics_overhead.rs` and `BENCH_PINGPONG.json`).
+//! `benches/metrics_overhead.rs` in `nm-bench` and the benchmark's
+//! `metrics.hist_record_ns` probe).
 //!
 //! All atomics in this file are monotonic statistics counters; `Relaxed`
 //! is the module-wide discipline (no ordering is ever inferred from

@@ -14,7 +14,7 @@
 //! One relaxed atomic add — or one log-linear histogram record, which
 //! is one bucket-index computation plus one relaxed add — per
 //! operation. No locks, no allocation, no cargo feature on the record
-//! path (`benches/metrics_overhead.rs` in `nm-benches` measures it;
+//! path (`benches/metrics_overhead.rs` in `nm-bench` measures it;
 //! the gate is ≤ 25 ns).
 //!
 //! ## Surfaces
@@ -23,8 +23,7 @@
 //!   sub-buckets per power-of-two, ≤ 1.6 % relative bucket width),
 //!   per-thread shards merged on [`Histogram::snapshot`].
 //! * [`Counter`] / [`ShardedCounter`] / [`LockStats`] — the counters
-//!   surface, shared by every layer (historically `nm_sync::stats`,
-//!   then `nm_trace::counters`; both re-export this crate now).
+//!   surface, shared by every layer.
 //! * [`Gauge`] — instantaneous values: queue depths, backlogs, streaks.
 //! * [`metrics`] — the process-wide registry;
 //!   [`MetricsRegistry::snapshot`] → [`export::to_openmetrics`] /

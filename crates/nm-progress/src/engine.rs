@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use nm_sync::stats::Counter;
+use nm_metrics::Counter;
 use nm_sync::SpinLock;
 
 /// Result of one polling pass over a source.

@@ -54,7 +54,7 @@ pub struct Offloader {
     mode: OffloadMode,
     queue: Arc<SegQueue<Job>>,
     tasklet: Option<(Arc<TaskletEngine>, Arc<Tasklet>)>,
-    deferred: nm_sync::stats::Counter,
+    deferred: nm_metrics::Counter,
 }
 
 impl Offloader {
@@ -64,7 +64,7 @@ impl Offloader {
             mode: OffloadMode::Inline,
             queue: Arc::new(SegQueue::new()),
             tasklet: None,
-            deferred: nm_sync::stats::Counter::new(),
+            deferred: nm_metrics::Counter::new(),
         }
     }
 
@@ -76,7 +76,7 @@ impl Offloader {
             mode: OffloadMode::IdleCore,
             queue: Arc::new(SegQueue::new()),
             tasklet: None,
-            deferred: nm_sync::stats::Counter::new(),
+            deferred: nm_metrics::Counter::new(),
         }
     }
 
@@ -93,7 +93,7 @@ impl Offloader {
             mode: OffloadMode::Tasklet,
             queue,
             tasklet: Some((engine, tasklet)),
-            deferred: nm_sync::stats::Counter::new(),
+            deferred: nm_metrics::Counter::new(),
         }
     }
 

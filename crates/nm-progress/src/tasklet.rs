@@ -32,7 +32,7 @@ pub struct Tasklet {
     name: String,
     state: AtomicU32,
     func: Box<dyn Fn() + Send + Sync>,
-    runs: nm_sync::stats::Counter,
+    runs: nm_metrics::Counter,
 }
 
 impl Tasklet {
@@ -42,7 +42,7 @@ impl Tasklet {
             name: name.into(),
             state: AtomicU32::new(IDLE),
             func: Box::new(func),
-            runs: nm_sync::stats::Counter::new(),
+            runs: nm_metrics::Counter::new(),
         })
     }
 

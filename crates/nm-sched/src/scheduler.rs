@@ -8,7 +8,7 @@ use std::time::Duration;
 use crossbeam_deque::{Injector, Stealer, Worker as Deque};
 use parking_lot::{Condvar, Mutex};
 
-use nm_sync::stats::Counter;
+use nm_metrics::Counter;
 
 use crate::handle::TaskHandle;
 use crate::hooks::{HookEvent, HookRegistry};

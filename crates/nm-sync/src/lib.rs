@@ -17,9 +17,10 @@
 //!   every communication request in `nm-core` completes through one of
 //!   these.
 //! * [`Backoff`] — bounded exponential backoff for contended spin loops.
-//! * [`stats`] — lightweight instrumentation (acquisition/contention
-//!   counters) used by the calibration benches to reproduce the paper's
-//!   in-text constants (70 ns per lock cycle, etc.).
+//! * [`stats`] — the contended-wait histogram; per-lock
+//!   acquisition/contention counters are `nm_metrics::LockStats`, which
+//!   the calibration benches read to reproduce the paper's in-text
+//!   constants (70 ns per lock cycle, etc.).
 //!
 //! Memory-ordering discipline follows *Rust Atomics and Locks* (Bos):
 //! acquire on lock, release on unlock, and mutex-protected condition

@@ -11,8 +11,8 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-use crate::stats::LockStats;
 use crate::Backoff;
+use nm_metrics::LockStats;
 
 /// A raw spinlock: just the lock word, no protected data.
 ///

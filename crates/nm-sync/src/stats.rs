@@ -1,15 +1,6 @@
-//! Lock/event instrumentation — re-exported from [`nm_trace::counters`]
-//! (which itself re-exports the always-on `nm-metrics` crate).
-//!
-//! [`LockStats`] and [`Counter`] used to be defined here; they moved
-//! down the stack so every layer shares one counter registry
-//! ([`nm_trace::counters::registry`], the same object as
-//! `nm_metrics::metrics().counters()`) instead of bespoke per-crate
-//! stats structs. This module remains the `nm-sync`-facing path.
+//! Lock instrumentation fed by the contended acquisition paths.
 
 use std::sync::{Arc, OnceLock};
-
-pub use nm_trace::counters::{registry, Counter, CounterRegistry, LockStats, ShardedCounter};
 
 /// Stack-wide histogram of contended lock wait times, in nanoseconds.
 ///

@@ -4,8 +4,7 @@
 //! pass, 750 ns context switch, 400 ns–3.1 µs offload placement) were
 //! obtained by instrumenting the stack, not by end-to-end timing. This
 //! crate is that instrument: an FxT-style tracer writing fixed-size
-//! records lock-free into per-thread ring buffers, plus a global named
-//! counters registry shared by every layer.
+//! records lock-free into per-thread ring buffers.
 //!
 //! ## Usage
 //!
@@ -38,8 +37,6 @@
 //! bit-deterministic across hosts.
 
 #![warn(missing_docs)]
-
-pub mod counters;
 
 mod clock;
 mod events;

@@ -18,11 +18,13 @@
 //! * [`core`] — the 3-layer communication library itself.
 //! * [`mpi`] — a Mad-MPI-style façade (communicators, tags, thread levels).
 //! * [`sim`] — discrete-event deterministic twin.
-//! * [`bench`] — benchmark harness used to regenerate the paper's figures.
-//! * [`trace`] — low-overhead event tracing and the counters registry
-//!   (records only with the `trace` cargo feature; see `docs/TRACING.md`).
-//! * [`metrics`] — always-on latency histograms, gauges and rate counters
-//!   with OpenMetrics/JSON export (see `docs/METRICS.md`).
+//! * [`bench`] — the one bench crate: harness library, `figures` binary
+//!   and criterion benches that regenerate the paper's figures.
+//! * [`trace`] — low-overhead event tracing (records only with the
+//!   `trace` cargo feature; see `docs/TRACING.md`).
+//! * [`metrics`] — always-on latency histograms, gauges, rate counters
+//!   and the one counters registry, with OpenMetrics/JSON export (see
+//!   `docs/METRICS.md`).
 //!
 //! ## Quickstart
 //!

@@ -1,20 +1,13 @@
-//! `cargo xtask bench-check` — benchmark-regression gate.
+//! `cargo xtask bench-check` — benchmark-regression gate for the
+//! simulator's figures.
 //!
 //! Reruns `figures bench --json` into a temp directory and compares the
-//! fresh `BENCH_FIGURES.json` / `BENCH_PINGPONG.json` against the
-//! baselines committed at the repo root:
-//!
-//! * `kind: "sim"` records come from the deterministic virtual-clock
-//!   simulator and must match the baseline **exactly** — any drift means
-//!   the model changed and the baseline must be consciously refreshed
-//!   (see docs/METRICS.md).
-//! * `kind: "real"` records are wall-clock measurements; the headline
-//!   `value` must stay within ±15% of the baseline. `p50`/`p99` are
-//!   informational (tail percentiles are too noisy to gate on).
-//!
-//! `--sim-only` restricts both the rerun and the comparison to sim
-//! records, which is what CI uses (shared runners make the ±15% real
-//! band meaningless there).
+//! fresh `BENCH_FIGURES.json` against the baseline committed at the repo
+//! root. Every record comes from the deterministic virtual-clock
+//! simulator and must match the baseline **exactly** — any drift means
+//! the model changed and the baseline must be consciously refreshed (see
+//! docs/METRICS.md). Wall-clock numbers of the real stack are gated by
+//! the stand-alone `benchmark/` package (`benchmark/README.md`).
 //!
 //! xtask is dependency-free; the JSON reader lives in [`crate::json`]
 //! and covers the subset the bench schema uses.
@@ -24,22 +17,13 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::{Command, ExitCode};
 
-/// Relative tolerance for `kind: "real"` records.
-const REAL_TOLERANCE: f64 = 0.15;
-
-/// The two benchmark report files, relative to the repo root.
-const BENCH_FILES: &[&str] = &["BENCH_FIGURES.json", "BENCH_PINGPONG.json"];
+/// The benchmark report file, relative to the repo root.
+const BENCH_FILE: &str = "BENCH_FIGURES.json";
 
 pub fn run(root: &Path, args: &[String]) -> ExitCode {
-    let mut sim_only = false;
-    for a in args {
-        match a.as_str() {
-            "--sim-only" => sim_only = true,
-            other => {
-                eprintln!("bench-check: unknown flag {other}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(other) = args.first() {
+        eprintln!("bench-check: unknown flag {other}");
+        return ExitCode::FAILURE;
     }
 
     let fresh_dir = std::env::temp_dir().join(format!("nm-bench-check-{}", std::process::id()));
@@ -59,16 +43,13 @@ pub fn run(root: &Path, args: &[String]) -> ExitCode {
             "--release",
             "-q",
             "-p",
-            "nm-benches",
+            "nm-bench",
             "--bin",
             "figures",
             "--",
         ])
         .args(["bench", "--json", "--out"])
         .arg(&fresh_dir);
-    if sim_only {
-        cmd.arg("--sim-only");
-    }
     match cmd.status() {
         Ok(s) if s.success() => {}
         Ok(s) => {
@@ -81,37 +62,20 @@ pub fn run(root: &Path, args: &[String]) -> ExitCode {
         }
     }
 
-    let mut failures = Vec::new();
-    for file in BENCH_FILES {
-        if sim_only && *file == "BENCH_PINGPONG.json" {
-            continue; // real-mode file is not produced under --sim-only
+    let failures = match (
+        load_records(&root.join(BENCH_FILE)),
+        load_records(&fresh_dir.join(BENCH_FILE)),
+    ) {
+        (Err(e), _) => vec![format!("baseline unreadable: {e}")],
+        (_, Err(e)) => vec![format!("fresh run unreadable: {e}")],
+        (Ok(baseline), Ok(fresh)) => {
+            eprintln!(
+                "bench-check: {BENCH_FILE}: {} baseline records compared",
+                baseline.len()
+            );
+            compare(&baseline, &fresh)
         }
-        let base_path = root.join(file);
-        let fresh_path = fresh_dir.join(file);
-        let baseline = match load_records(&base_path) {
-            Ok(r) => r,
-            Err(e) => {
-                failures.push(format!("{file}: baseline unreadable: {e}"));
-                continue;
-            }
-        };
-        let fresh = match load_records(&fresh_path) {
-            Ok(r) => r,
-            Err(e) => {
-                failures.push(format!("{file}: fresh run unreadable: {e}"));
-                continue;
-            }
-        };
-        failures.extend(
-            compare(&baseline, &fresh, sim_only)
-                .into_iter()
-                .map(|m| format!("{file}: {m}")),
-        );
-        eprintln!(
-            "bench-check: {file}: {} baseline records compared",
-            baseline.len()
-        );
-    }
+    };
     let _ = std::fs::remove_dir_all(&fresh_dir);
 
     if failures.is_empty() {
@@ -120,30 +84,24 @@ pub fn run(root: &Path, args: &[String]) -> ExitCode {
     } else {
         eprintln!("bench-check: {} failure(s):", failures.len());
         for f in &failures {
-            eprintln!("  {f}");
+            eprintln!("  {BENCH_FILE}: {f}");
         }
         eprintln!(
-            "bench-check: if the change is intentional, refresh the baselines\n  \
-             (cargo run --release -p nm-benches --bin figures -- bench --json)\n  \
-             and commit the new BENCH_*.json — see docs/METRICS.md."
+            "bench-check: if the change is intentional, refresh the baseline\n  \
+             (cargo run --release -p nm-bench --bin figures -- bench --json)\n  \
+             and commit the new {BENCH_FILE} — see docs/METRICS.md."
         );
         ExitCode::FAILURE
     }
 }
 
-/// One parsed benchmark record (the fields bench-check gates on).
-#[derive(Debug, Clone, PartialEq)]
-struct Record {
-    value: f64,
-    kind: String,
-}
-
-fn load_records(path: &Path) -> Result<BTreeMap<String, Record>, String> {
+/// Parses the report into record name → headline value.
+fn load_records(path: &Path) -> Result<BTreeMap<String, f64>, String> {
     let body = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     parse_records(&body)
 }
 
-fn parse_records(body: &str) -> Result<BTreeMap<String, Record>, String> {
+fn parse_records(body: &str) -> Result<BTreeMap<String, f64>, String> {
     let doc = Json::parse(body)?;
     let Json::Object(top) = doc else {
         return Err("top level is not an object".into());
@@ -168,11 +126,11 @@ fn parse_records(body: &str) -> Result<BTreeMap<String, Record>, String> {
             Some(Json::Number(n)) => *n,
             _ => return Err(format!("record {name} missing numeric value")),
         };
-        let kind = match r.get("kind") {
-            Some(Json::String(s)) if s == "sim" || s == "real" => s.clone(),
+        match r.get("kind") {
+            Some(Json::String(s)) if s == "sim" => {}
             _ => return Err(format!("record {name} has bad kind")),
-        };
-        if out.insert(name.clone(), Record { value, kind }).is_some() {
+        }
+        if out.insert(name.clone(), value).is_some() {
             return Err(format!("duplicate record name {name}"));
         }
     }
@@ -181,55 +139,22 @@ fn parse_records(body: &str) -> Result<BTreeMap<String, Record>, String> {
 
 /// Compares fresh records against the baseline; returns human-readable
 /// failure messages (empty = pass).
-fn compare(
-    baseline: &BTreeMap<String, Record>,
-    fresh: &BTreeMap<String, Record>,
-    sim_only: bool,
-) -> Vec<String> {
+fn compare(baseline: &BTreeMap<String, f64>, fresh: &BTreeMap<String, f64>) -> Vec<String> {
     let mut failures = Vec::new();
     for (name, base) in baseline {
-        if sim_only && base.kind != "sim" {
-            continue;
-        }
-        let Some(new) = fresh.get(name) else {
-            failures.push(format!("record {name} missing from fresh run"));
-            continue;
-        };
-        if new.kind != base.kind {
-            failures.push(format!(
-                "record {name} changed kind: {} -> {}",
-                base.kind, new.kind
-            ));
-            continue;
-        }
-        match base.kind.as_str() {
-            "sim" => {
-                // Deterministic virtual-clock result: exact match.
-                if new.value != base.value {
-                    failures.push(format!(
-                        "sim record {name} drifted: baseline {} != fresh {}",
-                        base.value, new.value
-                    ));
-                }
-            }
-            _ => {
-                let rel = (new.value - base.value).abs() / base.value.abs().max(f64::MIN_POSITIVE);
-                if rel > REAL_TOLERANCE {
-                    failures.push(format!(
-                        "real record {name} outside ±{:.0}%: baseline {} vs fresh {} ({:+.1}%)",
-                        REAL_TOLERANCE * 100.0,
-                        base.value,
-                        new.value,
-                        (new.value / base.value - 1.0) * 100.0,
-                    ));
-                }
-            }
+        match fresh.get(name) {
+            None => failures.push(format!("record {name} missing from fresh run")),
+            // Deterministic virtual-clock result: exact match.
+            Some(new) if new != base => failures.push(format!(
+                "sim record {name} drifted: baseline {base} != fresh {new}"
+            )),
+            Some(_) => {}
         }
     }
     for name in fresh.keys() {
         if !baseline.contains_key(name) {
             failures.push(format!(
-                "record {name} is new (not in baseline) — refresh the committed BENCH_*.json"
+                "record {name} is new (not in baseline) — refresh the committed {BENCH_FILE}"
             ));
         }
     }
@@ -244,7 +169,7 @@ mod tests {
   "schema": 1,
   "records": [
     {"name": "fig3/fine locking/size=4", "unit": "us", "value": 5.4, "p50": null, "p99": null, "kind": "sim"},
-    {"name": "pingpong/singlethread/myri10g/size=4", "unit": "us", "value": 3.36, "p50": 3.36, "p99": 5.58, "kind": "real"}
+    {"name": "fig3/coarse locking/size=4", "unit": "us", "value": 5.31, "p50": null, "p99": null, "kind": "sim"}
   ]
 }
 "#;
@@ -253,9 +178,8 @@ mod tests {
     fn parses_the_bench_schema() {
         let records = parse_records(SAMPLE).unwrap();
         assert_eq!(records.len(), 2);
-        assert_eq!(records["fig3/fine locking/size=4"].value, 5.4);
-        assert_eq!(records["fig3/fine locking/size=4"].kind, "sim");
-        assert_eq!(records["pingpong/singlethread/myri10g/size=4"].kind, "real");
+        assert_eq!(records["fig3/fine locking/size=4"], 5.4);
+        assert!(parse_records(&SAMPLE.replace("\"sim\"}", "\"real\"}")).is_err());
     }
 
     #[test]
@@ -266,8 +190,7 @@ mod tests {
     #[test]
     fn identical_runs_pass() {
         let base = parse_records(SAMPLE).unwrap();
-        assert!(compare(&base, &base, false).is_empty());
-        assert!(compare(&base, &base, true).is_empty());
+        assert!(compare(&base, &base).is_empty());
     }
 
     #[test]
@@ -275,28 +198,10 @@ mod tests {
         let base = parse_records(SAMPLE).unwrap();
         let mut fresh = base.clone();
         // Even a tiny drift in a deterministic result must fail.
-        fresh.get_mut("fig3/fine locking/size=4").unwrap().value = 5.400001;
-        let failures = compare(&base, &fresh, false);
+        *fresh.get_mut("fig3/fine locking/size=4").unwrap() = 5.400001;
+        let failures = compare(&base, &fresh);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("sim record"), "{failures:?}");
-    }
-
-    #[test]
-    fn real_records_get_a_tolerance_band() {
-        let base = parse_records(SAMPLE).unwrap();
-        let name = "pingpong/singlethread/myri10g/size=4";
-
-        let mut fresh = base.clone();
-        fresh.get_mut(name).unwrap().value = 3.36 * 1.14; // within ±15%
-        assert!(compare(&base, &fresh, false).is_empty());
-
-        fresh.get_mut(name).unwrap().value = 3.36 * 1.20; // outside
-        let failures = compare(&base, &fresh, false);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("±15%"), "{failures:?}");
-
-        // --sim-only ignores real records entirely.
-        assert!(compare(&base, &fresh, true).is_empty());
     }
 
     #[test]
@@ -304,14 +209,8 @@ mod tests {
         let base = parse_records(SAMPLE).unwrap();
         let mut fresh = base.clone();
         fresh.remove("fig3/fine locking/size=4");
-        fresh.insert(
-            "fig3/brand-new".to_string(),
-            Record {
-                value: 1.0,
-                kind: "sim".to_string(),
-            },
-        );
-        let failures = compare(&base, &fresh, false);
+        fresh.insert("fig3/brand-new".to_string(), 1.0);
+        let failures = compare(&base, &fresh);
         assert_eq!(failures.len(), 2, "{failures:?}");
     }
 }

@@ -201,14 +201,14 @@ mod tests {
 
     #[test]
     fn parse_extracts_output_flags() {
-        let args: Vec<String> = ["--sim-only", "--json", "--out", "x.json", "--foo"]
+        let args: Vec<String> = ["--static-only", "--json", "--out", "x.json", "--foo"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let (opts, rest) = OutputOpts::parse(&args).unwrap();
         assert!(opts.json);
         assert_eq!(opts.out.as_deref(), Some(std::path::Path::new("x.json")));
-        assert_eq!(rest, ["--sim-only", "--foo"]);
+        assert_eq!(rest, ["--static-only", "--foo"]);
         assert!(OutputOpts::parse(&["--out".to_string()]).is_err());
     }
 }

@@ -48,10 +48,8 @@ use std::process::ExitCode;
 /// Files allowed to use `Ordering::Relaxed` without per-site justification.
 /// Keep this list short and justified:
 const RELAXED_ALLOW_LIST: &[&str] = &[
-    // Monotonic statistics counters; module docs state the discipline once.
-    "crates/nm-sync/src/stats.rs",
-    // Same discipline, current home: the metrics layer's counters,
-    // gauges and histogram buckets are all independent monotonic (or
+    // Monotonic statistics: the metrics layer's counters, gauges and
+    // histogram buckets are all independent monotonic (or
     // last-writer-wins) cells read only by snapshots that tolerate
     // tearing; each module's docs state this once.
     "crates/nm-metrics/src/counters.rs",
@@ -105,25 +103,7 @@ pub fn run(root: &Path, args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let mut files = Vec::new();
-    super::collect_rs_files(root, &mut files);
-    files.sort();
-
-    let mut violations = Vec::new();
-    let mut checked = 0usize;
-    for path in &files {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            continue;
-        };
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        checked += 1;
-        lint_file(&rel, &text, &mut violations);
-    }
-
+    let (checked, violations) = lint_tree(root);
     if !opts.emit("lint-concurrency", &violations) {
         return ExitCode::FAILURE;
     }
@@ -146,6 +126,30 @@ pub fn run(root: &Path, args: &[String]) -> ExitCode {
         );
         ExitCode::FAILURE
     }
+}
+
+/// Lints every `.rs` file under `root`; returns the number of files
+/// checked and the violations found.
+pub fn lint_tree(root: &Path) -> (usize, Vec<Finding>) {
+    let mut files = Vec::new();
+    super::collect_rs_files(root, &mut files);
+    files.sort();
+
+    let mut violations = Vec::new();
+    let mut checked = 0usize;
+    for path in &files {
+        let Ok(text) = std::fs::read_to_string(path) else {
+            continue;
+        };
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        checked += 1;
+        lint_file(&rel, &text, &mut violations);
+    }
+    (checked, violations)
 }
 
 /// Call patterns that install a completion handler; the closure argument

@@ -9,7 +9,7 @@
 //!   `EventId` schema, and every registered event must be emitted
 //!   somewhere (see `docs/TRACING.md`).
 //! * `bench-check` — reruns `figures bench --json` and compares the
-//!   fresh results against the committed `BENCH_*.json` baselines
+//!   fresh results against the committed `BENCH_FIGURES.json` baseline
 //!   (see `docs/METRICS.md`).
 //! * `analyze-locks` — whole-program static lock-order analysis:
 //!   extracts every classed acquisition site, builds a conservative
@@ -74,8 +74,7 @@ fn print_usage() {
          EventId schema (and that no event is dead)\n                     \
          (--json / --out <path>)\n  \
          bench-check        rerun `figures bench --json` and compare against\n                     \
-         the committed BENCH_*.json baselines (--sim-only to\n                     \
-         skip wall-clock records)\n  \
+         the committed BENCH_FIGURES.json baseline\n  \
          analyze-locks      static lock-order analysis over the workspace:\n                     \
          cycle detection, runtime lockcheck cross-check and\n                     \
          docs/CONCURRENCY.md hierarchy drift check\n                     \
@@ -84,7 +83,9 @@ fn print_usage() {
     );
 }
 
-/// Recursively collects `.rs` files under `dir`, skipping `target/`.
+/// Recursively collects `.rs` files under `dir`, skipping `target/` and
+/// `benchmark/`: the benchmark of record is a stand-alone package outside
+/// the workspace, so none of the lints applies to it.
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -94,12 +95,28 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
+            if name == "target" || name == "benchmark" || name.starts_with('.') {
                 continue;
             }
             collect_rs_files(&path, out);
         } else if name.ends_with(".rs") {
             out.push(path);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn walker_skips_the_benchmark_package_and_the_workspace_lints_clean() {
+        let root = workspace_root();
+        let mut files = Vec::new();
+        collect_rs_files(&root, &mut files);
+        assert!(files.iter().any(|p| p.starts_with(root.join("crates"))));
+        assert!(!files.iter().any(|p| p.starts_with(root.join("benchmark"))));
+        let (_, violations) = lint_concurrency::lint_tree(&root);
+        assert!(violations.is_empty(), "{violations:?}");
     }
 }
