@@ -6,8 +6,9 @@
 //! reimplements exactly the surface the nomad stack uses:
 //!
 //! * [`Bytes`] — cheaply clonable, sliceable immutable buffer
-//!   (`Arc<[u8]>` + range),
-//! * [`BytesMut`] — growable write buffer that [`freeze`]s into [`Bytes`],
+//!   (`Arc<Vec<u8>>` + range),
+//! * [`BytesMut`] — growable write buffer that [`freeze`]s into [`Bytes`]
+//!   without copying: the allocation moves, as in the real crate,
 //! * [`Buf`] / [`BufMut`] — big-endian cursor read/write traits.
 //!
 //! Semantics (big-endian integer encoding, `split_to`, `slice`) match the
@@ -27,7 +28,7 @@ use std::sync::Arc;
 /// A cheaply clonable immutable contiguous slice of memory.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -49,10 +50,12 @@ impl Bytes {
         Bytes::from_vec(data.to_vec())
     }
 
+    /// Takes ownership of `v`'s allocation (`Arc<[u8]>::from(Vec)` would
+    /// copy it into a new one).
     fn from_vec(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -224,7 +227,8 @@ impl BytesMut {
         BytesMut { buf: vec![0; len] }
     }
 
-    /// Converts the accumulated bytes into an immutable [`Bytes`].
+    /// Converts the accumulated bytes into an immutable [`Bytes`]; the
+    /// buffer is moved, not copied.
     pub fn freeze(self) -> Bytes {
         Bytes::from_vec(self.buf)
     }
@@ -388,6 +392,27 @@ mod tests {
         assert_eq!(&head[..], &[0, 1]);
         assert_eq!(&rest[..], &[2, 3, 4, 5]);
         assert_eq!(b.len(), 6);
+    }
+
+    #[test]
+    fn freeze_and_from_vec_move_the_allocation() {
+        let v = vec![7u8; 4096];
+        let addr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), addr);
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.put_slice(&[9u8; 4096]);
+        let addr = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), addr);
+
+        // Views share the buffer instead of copying out of it.
+        assert_eq!(b.clone().as_ptr(), addr);
+        assert_eq!(b.slice(16..32).as_ptr(), addr.wrapping_add(16));
+        let mut rest = b.clone();
+        let head = rest.split_to(100);
+        assert_eq!(head.as_ptr(), addr);
+        assert_eq!(rest.as_ptr(), addr.wrapping_add(100));
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::request::{Request, RequestKind};
 use crate::stats::CoreStats;
 use crate::strategy::{SendItem, SendItemKind, Strategy};
 use crate::wire::{
-    decode_frame, decode_packet, encode_frame, encode_packet, Entry, Frame, WireError,
+    decode_frame, decode_packet, encode_frame, encode_packet_frame, Entry, Frame, WireError,
     ENTRY_HEADER, FRAME_ACK_ONLY, FRAME_HEADER, FRAME_RELIABLE, FRAME_SPAN_BYTES, PACKET_HEADER,
 };
 
@@ -1069,12 +1069,11 @@ impl CommCore {
                 offset: offset as u32,
                 data: rdv.data.slice(offset..end),
             };
-            let packet = encode_packet(&[entry]);
             let lane = lanes[(start_lane + i) % lanes.len()];
             let s = self.policy.enter(SectionKind::Vci(g.driver_base + lane));
             g.xfer[lane].with(&s, |q| {
                 q.push_back(XferItem {
-                    packet,
+                    entries: vec![entry],
                     complete_on_post: Vec::new(),
                     rdv_done: Some(Arc::clone(&done)),
                     span,
@@ -1085,66 +1084,72 @@ impl CommCore {
         self.pump_gate(g);
     }
 
-    /// Frames `packet` and injects it on `lane`.
+    /// Encodes `entries` into one frame and injects it on `lane`. This
+    /// is the only place a data frame is encoded and summed, and it runs
+    /// only once the frame can leave: first posts, `WouldBlock` requeues
+    /// and failed-over packets all arrive here as entries.
     ///
     /// With reliability disabled the frame only adds the checksum. With
-    /// it enabled the frame is sequenced on the lane, recorded in the
+    /// it enabled the frame is sequenced on the lane, carries the
+    /// piggybacked cumulative ack, and its entries move into the
     /// retransmit window (a full window reports `WouldBlock` like a busy
-    /// NIC), and carries the piggybacked cumulative ack. Lock order: the
-    /// lane's `Retrans` section encloses its `Driver` section
+    /// NIC, before anything is encoded). `Err` is `WouldBlock` and hands
+    /// the entries back for requeueing. Lock order: the lane's `Retrans`
+    /// section encloses its `Driver` section
     /// (`core.retrans.N → core.driver.N`), never the reverse.
     fn post_packet(
         &self,
         g: &Gate,
         lane: usize,
-        packet: &Bytes,
+        entries: Vec<Entry>,
         span: u64,
-    ) -> Result<(), nm_fabric::PostError> {
+    ) -> Result<(), Vec<Entry>> {
         let r = &self.config.reliability;
         let (rail, vci) = g.lane_rail_vci(lane);
         if !r.enabled {
-            let frame = encode_frame(0, 0, 0, span, packet);
+            let frame = encode_packet_frame(0, 0, 0, span, &entries);
             let s = self.policy.enter(SectionKind::Driver(g.driver_base + lane));
             let posted = g.drivers[rail].post_vci(vci, frame);
             drop(s);
             if posted.is_ok() && span != 0 {
                 nm_trace::trace_event!(SpanWireTx, span, 0);
             }
-            return posted;
+            return posted.map_err(|nm_fabric::PostError::WouldBlock| entries);
         }
         let s = self
             .policy
             .enter(SectionKind::Retrans(g.driver_base + lane));
         let posted = g.rel[lane].with(&s, |rel| {
             if rel.unacked.len() >= r.window {
-                return Err(nm_fabric::PostError::WouldBlock);
+                return Err(entries);
             }
             let wseq = rel.next_tx_wseq;
-            let frame = encode_frame(wseq, rel.rx_expected, FRAME_RELIABLE, span, packet);
+            let frame = encode_packet_frame(wseq, rel.rx_expected, FRAME_RELIABLE, span, &entries);
             let d = self.policy.enter(SectionKind::Driver(g.driver_base + lane));
             let posted = g.drivers[rail].post_vci(vci, frame);
             drop(d);
-            if posted.is_ok() {
-                if span != 0 {
-                    nm_trace::trace_event!(SpanWireTx, span, wseq);
-                }
-                rel.next_tx_wseq = wseq.wrapping_add(1);
-                rel.ack_pending = false; // the frame piggybacked the ack
-                let now = now_ns();
-                rel.unacked.push_back(UnackedFrame {
-                    wseq,
-                    packet: packet.clone(),
-                    span,
-                    attempts: 0,
-                    retx_at_ns: now + r.rto_base_ns,
-                });
-                if !rel.timer_armed {
-                    rel.timer_armed = true;
-                    self.timers
-                        .schedule(now + r.rto_base_ns, TimerItem::Retx { gate: g.id.0, lane });
-                }
+            if let Err(nm_fabric::PostError::WouldBlock) = posted {
+                return Err(entries);
             }
-            posted
+            if span != 0 {
+                nm_trace::trace_event!(SpanWireTx, span, wseq);
+            }
+            rel.next_tx_wseq = wseq.wrapping_add(1);
+            rel.ack_pending = false; // the frame piggybacked the ack
+            let now = now_ns();
+            rel.unacked.push_back(UnackedFrame {
+                wseq,
+                entries,
+                span,
+                attempts: 0,
+                retx_at_ns: now + r.rto_base_ns,
+            });
+            if !rel.timer_armed {
+                rel.timer_armed = true;
+                self.timers
+                    .schedule(now + r.rto_base_ns, TimerItem::Retx { gate: g.id.0, lane });
+            }
+            Ok(())
         });
         drop(s);
         posted
@@ -1183,13 +1188,12 @@ impl CommCore {
                 self.stats.aggregated_packets.incr();
             }
             let entries: Vec<Entry> = items.iter().map(SendItem::to_entry).collect();
-            let packet = encode_packet(&entries);
             // The frame header carries one span: the first spanned item
             // aboard. Aggregated passengers keep their submit/collect/
             // complete events but ride the carrier's wire attribution.
             let span = items.iter().map(|i| i.span).find(|&s| s != 0).unwrap_or(0);
             nm_trace::trace_event!(TransmitBegin, g.id.0, lane);
-            let posted = self.post_packet(g, lane, &packet, span);
+            let posted = self.post_packet(g, lane, entries, span);
             nm_trace::trace_event!(TransmitEnd, g.id.0, posted.is_ok());
             match posted {
                 Ok(()) => {
@@ -1201,7 +1205,7 @@ impl CommCore {
                         }
                     }
                 }
-                Err(nm_fabric::PostError::WouldBlock) => {
+                Err(_) => {
                     // NIC (or retransmit window) filled up between the
                     // idle check and the post: restore the items at the
                     // head of the queue.
@@ -1254,11 +1258,12 @@ impl CommCore {
                 drop(s);
                 item
             };
-            let Some(item) = item else { break };
+            let Some(mut item) = item else { break };
             nm_trace::trace_event!(TransmitBegin, g.id.0, lane);
-            let res = self.post_packet(g, lane, &item.packet, item.span);
+            let res = self.post_packet(g, lane, std::mem::take(&mut item.entries), item.span);
             nm_trace::trace_event!(TransmitEnd, g.id.0, res.is_ok());
-            if res.is_err() {
+            if let Err(entries) = res {
+                item.entries = entries;
                 let s = self.policy.enter(SectionKind::Vci(g.driver_base + lane));
                 g.xfer[lane].with(&s, |q| q.push_front(item));
                 drop(s);
@@ -1355,12 +1360,12 @@ impl CommCore {
                 if head.span != 0 {
                     nm_trace::trace_event!(SpanRetx, head.span, head.wseq);
                 }
-                let frame = encode_frame(
+                let frame = encode_packet_frame(
                     head.wseq,
                     rel.rx_expected,
                     FRAME_RELIABLE,
                     head.span,
-                    &head.packet,
+                    &head.entries,
                 );
                 rel.ack_pending = false;
                 let d = self.policy.enter(SectionKind::Driver(g.driver_base + lane));
@@ -1389,15 +1394,15 @@ impl CommCore {
         }
         self.stats.rails_failed.incr();
         nm_trace::trace_event!(RailDead, g.id.0, g.driver_base + lane);
-        // Unacknowledged frames go back to packet form: a surviving lane
-        // re-frames them under its own sequence space. Spans ride along
+        // Unacknowledged frames are still entries: a surviving lane
+        // encodes them under its own sequence space. Spans ride along
         // so the restriped retry tail stays attributable.
-        let packets: Vec<(Bytes, u64)> = {
+        let packets: Vec<(Vec<Entry>, u64)> = {
             let s = self
                 .policy
                 .enter(SectionKind::Retrans(g.driver_base + lane));
             let packets = g.rel[lane].with(&s, |rel| {
-                rel.unacked.drain(..).map(|f| (f.packet, f.span)).collect()
+                rel.unacked.drain(..).map(|f| (f.entries, f.span)).collect()
             });
             drop(s);
             packets
@@ -1408,12 +1413,12 @@ impl CommCore {
             nm_obs::flight::record_failure("rail-dead", 0, 0);
             return 1;
         }
-        for (i, (packet, span)) in packets.into_iter().enumerate() {
+        for (i, (entries, span)) in packets.into_iter().enumerate() {
             let to = live[i % live.len()];
             let s = self.policy.enter(SectionKind::Vci(g.driver_base + to));
             g.xfer[to].with(&s, |q| {
                 q.push_back(XferItem {
-                    packet,
+                    entries,
                     complete_on_post: Vec::new(),
                     rdv_done: None,
                     span,
@@ -1497,7 +1502,8 @@ impl CommCore {
 pub struct PendingCounts {
     /// Send items waiting in collect-layer queues.
     pub collect_items: usize,
-    /// Pre-encoded packets waiting in transfer-layer lists.
+    /// Packets (as entries, not yet encoded) waiting in transfer-layer
+    /// lists.
     pub xfer_items: usize,
     /// Outbound rendezvous waiting for their CTS.
     pub rdv_awaiting_cts: usize,

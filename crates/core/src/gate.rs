@@ -11,6 +11,7 @@ use nm_fabric::Driver;
 use crate::locking::{Protected, SectionKind};
 use crate::request::Request;
 use crate::strategy::SendItem;
+use crate::wire::Entry;
 
 /// Identifies a peer connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,9 +128,11 @@ impl RdvSendDone {
     }
 }
 
-/// A pre-encoded packet queued in a transfer-layer list.
+/// A packet queued in a transfer-layer list, still as its entries: the
+/// payloads are slices of the caller's buffer, and nothing is encoded
+/// or summed until `post_packet` knows the frame can leave.
 pub(crate) struct XferItem {
-    pub packet: Bytes,
+    pub entries: Vec<Entry>,
     /// Eager requests completed when this packet is injected.
     pub complete_on_post: Vec<Request>,
     /// Rendezvous chunk bookkeeping.
@@ -140,12 +143,13 @@ pub(crate) struct XferItem {
     pub span: u64,
 }
 
-/// One frame in a lane's retransmit window: the un-framed packet plus its
-/// backoff clock. The packet is kept pre-framing so a failover can
-/// re-sequence it on a surviving lane.
+/// One frame in a lane's retransmit window: its entries plus its backoff
+/// clock. The window pins the caller's buffers rather than a copy of the
+/// encoded bytes; a retransmit re-encodes under the same `wseq`, a
+/// failover re-sequences the entries on a surviving lane.
 pub(crate) struct UnackedFrame {
     pub wseq: u32,
-    pub packet: Bytes,
+    pub entries: Vec<Entry>,
     /// Observability span of the frame (0 = none); retransmits and
     /// failover re-stripes re-attach it so the retry tail of a message
     /// stays attributable.

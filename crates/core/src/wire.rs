@@ -236,33 +236,63 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), table-driven.
-///
-/// Computed in software so the integrity layer has no dependencies; the
-/// table is built at compile time.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing tables for [`crc32`], built at compile time. `T[0]` is the
+/// classic byte-at-a-time table; `T[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight lookups advance the register
+/// over eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB88320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB88320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), slicing-by-8.
+///
+/// Computed in portable software so the integrity layer has no
+/// dependencies and one code path on every target; eight bytes per
+/// step, the tail byte by byte.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut blocks = data.chunks_exact(8);
+    for c in &mut blocks {
+        let a = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let b = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(a & 0xFF) as usize]
+            ^ t[6][((a >> 8) & 0xFF) as usize]
+            ^ t[5][((a >> 16) & 0xFF) as usize]
+            ^ t[4][(a >> 24) as usize]
+            ^ t[3][(b & 0xFF) as usize]
+            ^ t[2][((b >> 8) & 0xFF) as usize]
+            ^ t[1][((b >> 16) & 0xFF) as usize]
+            ^ t[0][(b >> 24) as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -295,30 +325,66 @@ impl Frame {
     }
 }
 
+/// Size of a frame header carrying `span` (0 = no span word).
+fn frame_header_size(span: u64) -> usize {
+    FRAME_HEADER + if span != 0 { FRAME_SPAN_BYTES } else { 0 }
+}
+
+/// Writes a frame header with a zero checksum; [`seal`] fills it in once
+/// the body is complete. `span == 0` clears [`FRAME_SPAN`] whatever the
+/// caller passed, any other value sets it.
+fn put_frame_header(buf: &mut BytesMut, wseq: u32, ack: u32, flags: u8, span: u64) {
+    buf.put_u32(0);
+    buf.put_u32(wseq);
+    buf.put_u32(ack);
+    if span != 0 {
+        buf.put_u8(flags | FRAME_SPAN);
+        buf.put_u64(span);
+    } else {
+        buf.put_u8(flags & !FRAME_SPAN);
+    }
+}
+
+/// Sums everything after the checksum field (the frame's one CRC pass
+/// on the send side), stores the checksum, and freezes the frame.
+fn seal(mut buf: BytesMut) -> Bytes {
+    let crc = crc32(&buf[4..]);
+    buf[0..4].copy_from_slice(&crc.to_be_bytes());
+    buf.freeze()
+}
+
 /// Wraps an encoded packet in a checksummed frame.
 ///
 /// `span` is the observability span id of the first message aboard;
 /// `0` ("no span", the value in every trace-off build) clears
 /// [`FRAME_SPAN`] and the frame carries no span bytes at all.
 pub fn encode_frame(wseq: u32, ack: u32, flags: u8, span: u64, payload: &[u8]) -> Bytes {
-    let span_bytes = if span != 0 { FRAME_SPAN_BYTES } else { 0 };
-    let flags = if span != 0 {
-        flags | FRAME_SPAN
-    } else {
-        flags & !FRAME_SPAN
-    };
-    let mut buf = BytesMut::with_capacity(FRAME_HEADER + span_bytes + payload.len());
-    buf.put_u32(0); // crc placeholder
-    buf.put_u32(wseq);
-    buf.put_u32(ack);
-    buf.put_u8(flags);
-    if span != 0 {
-        buf.put_u64(span);
-    }
+    let mut buf = BytesMut::with_capacity(frame_header_size(span) + payload.len());
+    put_frame_header(&mut buf, wseq, ack, flags, span);
     buf.put_slice(payload);
-    let crc = crc32(&buf[4..]);
-    buf[0..4].copy_from_slice(&crc.to_be_bytes());
-    buf.freeze()
+    seal(buf)
+}
+
+/// Frames `entries` in one pass: frame header, packet header and entries
+/// are written into one exactly-sized buffer, summed once and frozen.
+/// Byte for byte what `encode_frame(.., &encode_packet(entries))`
+/// produces, without the intermediate packet.
+///
+/// # Panics
+/// As [`encode_packet`].
+pub(crate) fn encode_packet_frame(
+    wseq: u32,
+    ack: u32,
+    flags: u8,
+    span: u64,
+    entries: &[Entry],
+) -> Bytes {
+    let size = frame_header_size(span) + packet_size(entries);
+    let mut buf = BytesMut::with_capacity(size);
+    put_frame_header(&mut buf, wseq, ack, flags, span);
+    put_packet(&mut buf, entries);
+    debug_assert_eq!(buf.len(), size);
+    seal(buf)
 }
 
 /// Verifies and strips a frame header.
@@ -361,19 +427,29 @@ pub fn decode_frame(mut frame: Bytes) -> Result<Frame, WireError> {
     })
 }
 
+/// Encoded size of a packet holding `entries`.
+fn packet_size(entries: &[Entry]) -> usize {
+    PACKET_HEADER + entries.iter().map(Entry::wire_size).sum::<usize>()
+}
+
+/// Writes the packet header and every entry.
+fn put_packet(buf: &mut BytesMut, entries: &[Entry]) {
+    assert!(!entries.is_empty(), "cannot encode an empty packet");
+    assert!(entries.len() <= u16::MAX as usize, "too many entries");
+    buf.put_u16(entries.len() as u16);
+    for e in entries {
+        e.encode_into(buf);
+    }
+}
+
 /// Encodes a container of entries into one wire packet.
 ///
 /// # Panics
 /// Panics if `entries` is empty or longer than `u16::MAX`.
 pub fn encode_packet(entries: &[Entry]) -> Bytes {
-    assert!(!entries.is_empty(), "cannot encode an empty packet");
-    assert!(entries.len() <= u16::MAX as usize, "too many entries");
-    let size = PACKET_HEADER + entries.iter().map(Entry::wire_size).sum::<usize>();
+    let size = packet_size(entries);
     let mut buf = BytesMut::with_capacity(size);
-    buf.put_u16(entries.len() as u16);
-    for e in entries {
-        e.encode_into(&mut buf);
-    }
+    put_packet(&mut buf, entries);
     debug_assert_eq!(buf.len(), size);
     buf.freeze()
 }
@@ -387,7 +463,9 @@ pub fn decode_packet(mut packet: Bytes) -> Result<Vec<Entry>, WireError> {
     if count == 0 {
         return Err(WireError::Malformed("empty container"));
     }
-    let mut entries = Vec::with_capacity(count);
+    // `count` is the peer's claim: reserve no more than the bytes that
+    // actually arrived could hold.
+    let mut entries = Vec::with_capacity(count.min(packet.remaining() / ENTRY_HEADER));
     for _ in 0..count {
         entries.push(Entry::decode_from(&mut packet)?);
     }
@@ -537,6 +615,122 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414FA339
         );
+    }
+
+    /// Bit-at-a-time CRC-32: the definition the table kernel must match.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB88320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_matches_bitwise_for_every_short_length() {
+        // 0..=96 covers the empty input, every tail length 0..7, and up
+        // to twelve full 8-byte blocks before each of them.
+        let data: Vec<u8> = (0..96u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bitwise(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    /// `n` entries cycling through all four kinds, payload sizes varied.
+    fn mixed_entries(n: usize) -> Vec<Entry> {
+        (0..n)
+            .map(|i| {
+                let (tag, seq) = (0x1000 + i as u64, 7 * i as u32);
+                let data = Bytes::from(vec![i as u8 ^ 0x5A; 3 * i + (i % 2)]);
+                match i % 4 {
+                    0 => Entry::Eager { tag, seq, data },
+                    1 => Entry::Rts {
+                        tag,
+                        seq,
+                        total: 1 << 20,
+                    },
+                    2 => Entry::Data {
+                        tag,
+                        seq,
+                        offset: 4096,
+                        data,
+                    },
+                    _ => Entry::Cts { tag, seq },
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_encoder_matches_packet_then_frame() {
+        for n in 1..=8 {
+            let entries = mixed_entries(n);
+            for span in [0, 0x0123_4567_89AB_CDEF] {
+                for flags in [0, FRAME_RELIABLE] {
+                    let one_pass = encode_packet_frame(9, 4, flags, span, &entries);
+                    let two_step = encode_frame(9, 4, flags, span, &encode_packet(&entries));
+                    assert_eq!(one_pass, two_step, "{n} entries, span {span:#x}");
+                    let frame = decode_frame(one_pass).expect("decode");
+                    assert_eq!(decode_packet(frame.payload).expect("packet"), entries);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn golden_frame_bytes() {
+        // The format, pinned byte for byte: a change here is a wire
+        // break, not a refactor.
+        let entries = [
+            Entry::Eager {
+                tag: 0x0102_0304_0506_0708,
+                seq: 0x0A0B_0C0D,
+                data: Bytes::from_static(b"hi"),
+            },
+            Entry::Rts {
+                tag: 2,
+                seq: 3,
+                total: 0x0010_0000,
+            },
+        ];
+        #[rustfmt::skip]
+        let packet = [
+            0x00, 0x02, // count
+            0x01, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, // EAGER, tag
+            0x0A, 0x0B, 0x0C, 0x0D, 0x00, 0x00, 0x00, 0x00, // seq, aux
+            0x00, 0x00, 0x00, 0x02, b'h', b'i', // len, payload
+            0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, // RTS, tag
+            0x00, 0x00, 0x00, 0x03, 0x00, 0x10, 0x00, 0x00, // seq, total
+            0x00, 0x00, 0x00, 0x00, // len
+        ];
+        // Checksums from an independent implementation (zlib's crc32).
+        #[rustfmt::skip]
+        let plain = [
+            0x20, 0x76, 0x0E, 0x2D, // crc
+            0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x03, 0x01, // wseq, ack, flags
+        ];
+        #[rustfmt::skip]
+        let spanned = [
+            0xC0, 0xE1, 0x47, 0x93, // crc
+            0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x03, 0x05, // wseq, ack, flags
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xBE, 0xEF, // span
+        ];
+        for (header, span) in [(&plain[..], 0), (&spanned[..], 0xBEEF)] {
+            let want = [header, &packet[..]].concat();
+            let got = encode_packet_frame(5, 3, FRAME_RELIABLE, span, &entries);
+            assert_eq!(&got[..], &want[..], "span {span:#x}");
+        }
     }
 
     #[test]

@@ -3,16 +3,18 @@
 //! / reordering, retransmit timeouts, rail failover, deadlines and
 //! cancellation hygiene.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
 
+use nm_core::wire::{decode_frame, decode_packet, Entry};
 use nm_core::{
     CommCore, CommError, CoreBuilder, CoreConfig, GateId, LockingMode, ReliabilityConfig,
     StrategyKind,
 };
-use nm_fabric::{ChaosDriver, Driver, FaultPlan, LoopbackDriver};
+use nm_fabric::{ChaosDriver, Driver, DriverCaps, FaultPlan, LoopbackDriver, PostError};
 use nm_sync::WaitStrategy;
 
 const G: GateId = GateId(0);
@@ -207,6 +209,150 @@ fn failover_moves_unacked_traffic_to_surviving_rail() {
         a.stats().rails_failed.get(),
         1,
         "the black-holed rail must be declared dead exactly once"
+    );
+}
+
+/// Records every frame posted and swallows those whose post index falls
+/// in `swallow` (accepted by the "NIC", never delivered).
+struct TapDriver {
+    caps: DriverCaps,
+    inner: LoopbackDriver,
+    log: Arc<Mutex<Vec<Bytes>>>,
+    swallow: std::ops::Range<usize>,
+    posted: AtomicUsize,
+}
+
+impl TapDriver {
+    fn new(
+        inner: LoopbackDriver,
+        swallow: std::ops::Range<usize>,
+    ) -> (Self, Arc<Mutex<Vec<Bytes>>>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let tap = TapDriver {
+            caps: inner.caps().clone(),
+            inner,
+            log: Arc::clone(&log),
+            swallow,
+            posted: AtomicUsize::new(0),
+        };
+        (tap, log)
+    }
+}
+
+impl Driver for TapDriver {
+    fn caps(&self) -> &DriverCaps {
+        &self.caps
+    }
+    fn can_post_vci(&self, vci: usize) -> bool {
+        self.inner.can_post_vci(vci)
+    }
+    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError> {
+        self.log.lock().unwrap().push(data.clone());
+        // relaxed: a post counter, publishes nothing.
+        let nth = self.posted.fetch_add(1, Ordering::Relaxed);
+        if self.swallow.contains(&nth) {
+            return Ok(());
+        }
+        self.inner.post_vci(vci, data)
+    }
+    fn poll_vci(&self, vci: usize) -> Option<Bytes> {
+        self.inner.poll_vci(vci)
+    }
+}
+
+/// The data frames in `log` as (wseq, entries); every recorded frame
+/// must pass its checksum.
+fn data_frames(log: &Mutex<Vec<Bytes>>) -> Vec<(u32, Vec<Entry>)> {
+    log.lock()
+        .unwrap()
+        .iter()
+        .map(|raw| decode_frame(raw.clone()).expect("posted frame passes its checksum"))
+        .filter(|f| !f.ack_only())
+        .map(|f| (f.wseq, decode_packet(f.payload).expect("packet decodes")))
+        .collect()
+}
+
+#[test]
+fn retransmitted_and_failed_over_frames_carry_the_entries_first_sent() {
+    // The retransmit window holds entries and re-encodes them; whatever
+    // leaves on a retry or on a surviving rail must decode to exactly
+    // what the first transmission carried.
+    let config = CoreConfig::default()
+        .strategy(StrategyKind::Fifo)
+        .eager_threshold(64)
+        .rdv_chunk(256)
+        .reliability(fast_reliability());
+
+    // Retransmit: the first frame a posts is swallowed once.
+    let (da, db) = LoopbackDriver::pair(256);
+    let (tap, log) = TapDriver::new(da, 0..1);
+    let a = CoreBuilder::new(config.clone())
+        .add_gate(vec![Arc::new(tap) as Arc<dyn Driver>])
+        .build();
+    let b = CoreBuilder::new(config.clone())
+        .add_gate(vec![Arc::new(db) as Arc<dyn Driver>])
+        .build();
+    stream_and_verify(&a, &b, 4);
+    assert!(a.stats().retransmits.get() >= 1);
+    let frames = data_frames(&log);
+    let (first_wseq, first) = &frames[0];
+    let retry = frames[1..]
+        .iter()
+        .find(|(wseq, _)| wseq == first_wseq)
+        .expect("the swallowed frame was retransmitted under its wseq");
+    assert_eq!(&retry.1, first);
+
+    // Failover: rail 0 lets the RTS through and swallows everything
+    // after it, rail 1 is clean. The 1 KiB rendezvous stripes its DATA
+    // chunks (slices of the caller's buffer) over both rails, so rail
+    // 0's window dies holding payload-carrying entries.
+    let (da0, db0) = LoopbackDriver::pair(256);
+    let (da1, db1) = LoopbackDriver::pair(256);
+    let config = config.reliability(ReliabilityConfig {
+        max_retries: 2,
+        rail_dead_threshold: 1,
+        ..fast_reliability()
+    });
+    let (tap0, log0) = TapDriver::new(da0, 1..usize::MAX);
+    let (tap1, log1) = TapDriver::new(da1, 0..0);
+    let a = CoreBuilder::new(config.clone())
+        .add_gate(vec![
+            Arc::new(tap0) as Arc<dyn Driver>,
+            Arc::new(tap1) as Arc<dyn Driver>,
+        ])
+        .build();
+    let b = CoreBuilder::new(config)
+        .add_gate(vec![
+            Arc::new(db0) as Arc<dyn Driver>,
+            Arc::new(db1) as Arc<dyn Driver>,
+        ])
+        .build();
+    let payload = Bytes::from((0..1024u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+    let recv = b.irecv(G, 5).unwrap();
+    let send = a.isend(G, 5, payload.clone()).unwrap();
+    while !recv.is_complete() || !send.is_complete() {
+        a.progress();
+        b.progress();
+    }
+    assert_eq!(recv.take_data().unwrap(), payload);
+    assert_eq!(a.stats().rails_failed.get(), 1);
+    let survivors = data_frames(&log1);
+    // wseq 0 is the RTS, which got through and was acknowledged.
+    let stranded: Vec<_> = data_frames(&log0)
+        .into_iter()
+        .filter(|(wseq, _)| *wseq != 0)
+        .collect();
+    for (wseq, entries) in &stranded {
+        assert!(
+            survivors.iter().any(|(_, e)| e == entries),
+            "rail 0 frame {wseq} never reappeared intact on rail 1"
+        );
+    }
+    assert!(
+        stranded
+            .iter()
+            .any(|(_, e)| matches!(e[0], Entry::Data { .. })),
+        "the failover must have covered a payload-carrying frame"
     );
 }
 

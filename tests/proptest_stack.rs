@@ -190,6 +190,41 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 64,
+        .. ProptestConfig::default()
+    })]
+
+    /// The sliced CRC-32 kernel equals the bit-at-a-time definition for
+    /// any length (block loop and tail) at any start alignment.
+    #[test]
+    fn sliced_crc32_matches_bitwise(
+        len in 0usize..70_001,
+        start in 0usize..64,
+        seed in any::<u64>(),
+    ) {
+        let mut x = seed | 1;
+        let buf: Vec<u8> = (0..start + len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        let data = &buf[start..];
+        let mut want = !0u32;
+        for &b in data {
+            want ^= b as u32;
+            for _ in 0..8 {
+                want = if want & 1 != 0 { 0xEDB88320 ^ (want >> 1) } else { want >> 1 };
+            }
+        }
+        prop_assert_eq!(nomad::core::wire::crc32(data), !want, "len {} start {}", len, start);
+    }
+}
+
 /// Pinned regression: the legacy proptest regression file recorded a
 /// shrunk failure `entries = [(3, 140814840257324742, 0, 1489)]` for
 /// `wire_format_roundtrip` (a single `Entry::Data` whose 1489-byte payload

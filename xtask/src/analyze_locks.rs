@@ -40,6 +40,9 @@
 //!   type inference): `self.f()` prefers the same impl block, `T::f()`
 //!   prefers `impl T`, everything else matches any function named `f`.
 //!   Over-approximation only creates extra (info-level) edges.
+//! * A bare `f(..)` whose `f` is bound by `let` in the enclosing body is
+//!   a local closure call, not a workspace function: it is not resolved
+//!   (the closure's body is scanned in place, where it is written).
 //! * The `_vci` method calls of `dyn Driver` (`.poll_vci()`,
 //!   `.post_vci()`, `.can_post_vci()`, …) are assumed leaf: they are NIC
 //!   operations whose implementations take no classed locks. Their
@@ -315,6 +318,9 @@ struct CurFn {
     info: FnInfo,
     body_depth: usize,
     held: Vec<HeldEntry>,
+    /// Names bound by `let` in this body. `name(..)` on one of them
+    /// calls a local closure or fn value, never a workspace function.
+    locals: BTreeSet<String>,
 }
 
 /// Walks one file's (test-stripped) tokens, collecting per-function
@@ -357,6 +363,7 @@ fn scan_fns(
                         },
                         body_depth: depth,
                         held: Vec::new(),
+                        locals: BTreeSet::new(),
                     });
                 }
             }
@@ -408,6 +415,17 @@ fn scan_fns(
             i += 1;
             continue;
         };
+        if name == "let" {
+            let bound = match toks.get(i + 1).and_then(Tok::ident) {
+                Some("mut") => toks.get(i + 2).and_then(Tok::ident),
+                other => other,
+            };
+            if let Some(bound) = bound {
+                c.locals.insert(bound.to_string());
+            }
+            i += 1;
+            continue;
+        }
         let is_call_shape = toks.get(i + 1).is_some_and(|t| t.is('('));
         if !is_call_shape {
             i += 1;
@@ -491,6 +509,11 @@ fn scan_fns(
             && toks[i - 3].ident().is_some()
         {
             CallKind::TypePath(toks[i - 3].ident().unwrap().to_string())
+        } else if c.locals.contains(name) {
+            // A let-bound closure: its body was scanned in place, and
+            // its name must not resolve to a same-named workspace fn.
+            i += 1;
+            continue;
         } else {
             CallKind::Free
         };
@@ -1382,6 +1405,42 @@ mod tests {
             !g.edges.contains_key(&("t.outer".into(), "t.inner".into())),
             "leaf-assumed .poll_vci() must not pull in a same-named impl"
         );
+    }
+
+    #[test]
+    fn let_bound_closures_do_not_resolve_to_workspace_fns() {
+        // `build` is a local closure here and `Builder::build` elsewhere:
+        // calling the closure under `outer` must not inherit what the
+        // same-named method acquires.
+        let src = format!(
+            "{DEFS}
+            impl Builder {{
+                fn build(&self, s: &S) {{
+                    let h = s.inner.lock();
+                }}
+            }}
+            impl S {{
+                fn post(&self) {{
+                    let build = |n: u32| n + 1;
+                    let mut seal = move |n: u32| n ^ 1;
+                    let g = self.outer.lock();
+                    let frame = seal(build(7));
+                }}
+                fn direct(&self, b: &Builder) {{
+                    let g = self.outer.lock();
+                    build(b);
+                }}
+            }}"
+        );
+        let (a, g) = analyze(&src);
+        let post = a.fns.iter().find(|f| f.name == "post").unwrap();
+        assert!(post.calls.is_empty(), "{:?}", post.calls);
+        // A bare call of a name that is *not* let-bound still resolves.
+        let w = g
+            .edges
+            .get(&("t.outer".into(), "t.inner".into()))
+            .expect("free call resolves by name");
+        assert_eq!(w.held_site.func, "S::direct");
     }
 
     #[test]
