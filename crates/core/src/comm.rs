@@ -244,7 +244,7 @@ impl CommCore {
                     req: req.clone(),
                 };
                 let s = self.policy.enter(SectionKind::CollectTx(gate.0));
-                g.tx.with(&s, |tx| tx.rdv_out_insert(rdv));
+                g.with_tx(&s, |tx| tx.rdv_out_insert(rdv));
                 drop(s);
                 SendItem {
                     tag,
@@ -255,7 +255,7 @@ impl CommCore {
                 }
             };
             let s = self.policy.enter(SectionKind::CollectTx(gate.0));
-            let depth = g.tx.with(&s, |tx| {
+            let depth = g.with_tx(&s, |tx| {
                 tx.queue.push_back(item);
                 tx.queue.len()
             });
@@ -386,7 +386,7 @@ impl CommCore {
             // held together (no nesting in the sharded lock order).
             if let &Then::PumpCts(tag, seq) = &then {
                 let s = self.policy.enter(SectionKind::CollectTx(gate.0));
-                g.tx.with(&s, |tx| {
+                g.with_tx(&s, |tx| {
                     tx.queue.push_back(SendItem {
                         tag,
                         seq,
@@ -658,7 +658,7 @@ impl CommCore {
         let mut counts = PendingCounts::default();
         for g in &self.gates {
             let s = self.policy.enter(SectionKind::CollectTx(g.id.0));
-            g.tx.with(&s, |tx| {
+            g.with_tx(&s, |tx| {
                 counts.collect_items += tx.queue.len();
                 counts.rdv_awaiting_cts += tx.rdv_out.len();
             });
@@ -684,7 +684,7 @@ impl CommCore {
             }
             for lane in 0..g.num_lanes() {
                 let s = self.policy.enter(SectionKind::Vci(g.driver_base + lane));
-                g.xfer[lane].with(&s, |q| counts.xfer_items += q.len());
+                g.with_xfer(lane, &s, |q| counts.xfer_items += q.len());
                 drop(s);
             }
         }
@@ -1000,7 +1000,7 @@ impl CommCore {
         let queued_cts = !cts_out.is_empty();
         if queued_cts || !cts_in.is_empty() {
             let s = self.policy.enter(SectionKind::CollectTx(g.id.0));
-            g.tx.with(&s, |tx| {
+            g.with_tx(&s, |tx| {
                 for &(tag, seq, span) in &cts_out {
                     tx.queue.push_back(SendItem {
                         tag,
@@ -1071,7 +1071,7 @@ impl CommCore {
             };
             let lane = lanes[(start_lane + i) % lanes.len()];
             let s = self.policy.enter(SectionKind::Vci(g.driver_base + lane));
-            g.xfer[lane].with(&s, |q| {
+            g.with_xfer(lane, &s, |q| {
                 q.push_back(XferItem {
                     entries: vec![entry],
                     complete_on_post: Vec::new(),
@@ -1157,6 +1157,12 @@ impl CommCore {
 
     /// Pushes queued work toward the NICs: flushes transfer lists, then
     /// invokes the optimization layer for every idle lane.
+    ///
+    /// With nothing queued this takes no section and writes nothing: the
+    /// length hints say so. Every push onto a hinted list is followed by
+    /// a pump from the pushing thread (which sees its own hint), and a
+    /// requeue after `WouldBlock` leaves the hint non-zero for the next
+    /// pass, so skipping on a zero hint strands nothing.
     fn pump_gate(&self, g: &Gate) -> usize {
         let mut events = 0;
         for lane in 0..g.num_lanes() {
@@ -1165,13 +1171,15 @@ impl CommCore {
         // Optimization layer: fill idle lanes from the collect queue.
         // relaxed: round-robin cursor, see above.
         let mut lane_cursor = g.rr_lane.load(std::sync::atomic::Ordering::Relaxed);
-        while let Some(lane) = self.pick_idle_lane(g, lane_cursor) {
+        while g.tx_len_hint() != 0 {
+            let Some(lane) = self.pick_idle_lane(g, lane_cursor) else {
+                break;
+            };
             lane_cursor = lane + 1;
             let budget = self.packet_budget(g);
             let items = {
                 let s = self.policy.enter(SectionKind::CollectTx(g.id.0));
-                let items =
-                    g.tx.with(&s, |tx| self.strategy.next_packet(&mut tx.queue, budget));
+                let items = g.with_tx(&s, |tx| self.strategy.next_packet(&mut tx.queue, budget));
                 drop(s);
                 items
             };
@@ -1210,7 +1218,7 @@ impl CommCore {
                     // idle check and the post: restore the items at the
                     // head of the queue.
                     let s = self.policy.enter(SectionKind::CollectTx(g.id.0));
-                    g.tx.with(&s, |tx| {
+                    g.with_tx(&s, |tx| {
                         for item in items.into_iter().rev() {
                             tx.queue.push_front(item);
                         }
@@ -1241,7 +1249,13 @@ impl CommCore {
     /// queued. Neither strands anything permanently: every progression
     /// pass re-runs `flush_xfer` on every lane, so a queue left
     /// non-empty by a stale hint is re-flushed on the next poll.
+    ///
+    /// An empty list (by its length hint) is left without taking the
+    /// `Vci` section; see [`CommCore::pump_gate`].
     fn flush_xfer(&self, g: &Gate, lane: usize) -> usize {
+        if g.xfer_len_hint(lane) == 0 {
+            return 0;
+        }
         if self.config.reliability.enabled && g.lane_is_dead(lane) {
             return self.migrate_stranded(g, lane);
         }
@@ -1251,7 +1265,7 @@ impl CommCore {
             let item = {
                 let s = self.policy.enter(SectionKind::Vci(g.driver_base + lane));
                 let item = if g.drivers[rail].can_post_vci(vci) {
-                    g.xfer[lane].with(&s, |q| q.pop_front())
+                    g.with_xfer(lane, &s, |q| q.pop_front())
                 } else {
                     None
                 };
@@ -1265,7 +1279,7 @@ impl CommCore {
             if let Err(entries) = res {
                 item.entries = entries;
                 let s = self.policy.enter(SectionKind::Vci(g.driver_base + lane));
-                g.xfer[lane].with(&s, |q| q.push_front(item));
+                g.with_xfer(lane, &s, |q| q.push_front(item));
                 drop(s);
                 break;
             }
@@ -1416,7 +1430,7 @@ impl CommCore {
         for (i, (entries, span)) in packets.into_iter().enumerate() {
             let to = live[i % live.len()];
             let s = self.policy.enter(SectionKind::Vci(g.driver_base + to));
-            g.xfer[to].with(&s, |q| {
+            g.with_xfer(to, &s, |q| {
                 q.push_back(XferItem {
                     entries,
                     complete_on_post: Vec::new(),
@@ -1442,7 +1456,7 @@ impl CommCore {
     fn migrate_stranded(&self, g: &Gate, lane: usize) -> usize {
         let stranded: Vec<XferItem> = {
             let s = self.policy.enter(SectionKind::Vci(g.driver_base + lane));
-            let items = g.xfer[lane].with(&s, |q| q.drain(..).collect());
+            let items = g.with_xfer(lane, &s, |q| q.drain(..).collect());
             drop(s);
             items
         };
@@ -1464,7 +1478,7 @@ impl CommCore {
         for (i, item) in stranded.into_iter().enumerate() {
             let to = live[i % live.len()];
             let s = self.policy.enter(SectionKind::Vci(g.driver_base + to));
-            g.xfer[to].with(&s, |q| q.push_back(item));
+            g.with_xfer(to, &s, |q| q.push_back(item));
             drop(s);
         }
         1
@@ -1475,7 +1489,7 @@ impl CommCore {
     fn fail_gate(&self, g: &Gate) {
         let (items, rdvs) = {
             let s = self.policy.enter(SectionKind::CollectTx(g.id.0));
-            let out = g.tx.with(&s, |tx| {
+            let out = g.with_tx(&s, |tx| {
                 let items: Vec<SendItem> = tx.queue.drain(..).collect();
                 let rdvs: Vec<RdvSend> = tx.rdv_out.drain().map(|(_, rdv)| rdv).collect();
                 (items, rdvs)

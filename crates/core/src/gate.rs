@@ -8,7 +8,7 @@ use bytes::{Bytes, BytesMut};
 
 use nm_fabric::Driver;
 
-use crate::locking::{Protected, SectionKind};
+use crate::locking::{Protected, Section, SectionKind};
 use crate::request::Request;
 use crate::strategy::SendItem;
 use crate::wire::Entry;
@@ -182,6 +182,19 @@ pub(crate) struct RelState {
     pub exhaustions: u32,
     /// A retransmit timer is scheduled for this lane.
     pub timer_armed: bool,
+}
+
+/// Publishes `len` as a list's length hint. Called with the list's
+/// section held, so writers are serialized; the store is skipped when
+/// nothing changed so that an access which leaves the length alone
+/// does not dirty the line idle passes read.
+fn publish_len(hint: &AtomicUsize, len: usize) {
+    // relaxed: (load and store) the hint publishes no data — readers
+    // take the section before touching the list — and the section's
+    // release orders it for the next holder.
+    if hint.load(Ordering::Relaxed) != len {
+        hint.store(len, Ordering::Relaxed);
+    }
 }
 
 /// Inserts `item` into a per-tag bin kept ascending by `seq`.
@@ -541,12 +554,22 @@ pub(crate) struct Gate {
     /// overtaken by a later rendezvous (or vice versa) when the two ride
     /// different lanes.
     pub next_seq: AtomicU32,
-    /// Collect-layer send state (gate's own CollectTx section).
-    pub tx: Protected<TxState>,
+    /// Collect-layer send state (gate's own CollectTx section); reached
+    /// through [`Gate::with_tx`], which keeps `tx_len` in step.
+    tx: Protected<TxState>,
+    /// Length hint of `tx.queue`: what a progression pass reads instead
+    /// of taking the CollectTx section to find the queue empty. Written
+    /// only under that section and only when the length changes, so at
+    /// every release of the section it equals `tx.queue.len()`.
+    tx_len: AtomicUsize,
     /// Collect-layer receive state (gate's own CollectRx section).
     pub rx: Protected<RxState>,
-    /// Transfer-layer outgoing lists, one per lane (`Vci` sections).
-    pub xfer: Vec<Protected<VecDeque<XferItem>>>,
+    /// Transfer-layer outgoing lists, one per lane (`Vci` sections);
+    /// reached through [`Gate::with_xfer`].
+    xfer: Vec<Protected<VecDeque<XferItem>>>,
+    /// Length hint of each lane's `xfer` list, same protocol as
+    /// `tx_len` under the lane's `Vci` section.
+    xfer_len: Vec<AtomicUsize>,
     /// Reliability-protocol state, one per lane (`Retrans` sections).
     pub rel: Vec<Protected<RelState>>,
     /// Lanes declared dead by failover (relaxed: a racy hint is fine,
@@ -575,6 +598,7 @@ impl Gate {
                 )
             })
             .collect();
+        let xfer_len = (0..lanes.len()).map(|_| AtomicUsize::new(0)).collect();
         let lane_dead = (0..lanes.len()).map(|_| AtomicBool::new(false)).collect();
         Gate {
             id,
@@ -583,12 +607,58 @@ impl Gate {
             driver_base,
             next_seq: AtomicU32::new(0),
             tx: Protected::new(SectionKind::CollectTx(id.0), TxState::default()),
+            tx_len: AtomicUsize::new(0),
             rx: Protected::new(SectionKind::CollectRx(id.0), RxState::default()),
             xfer,
+            xfer_len,
             rel,
             lane_dead,
             rr_lane: AtomicUsize::new(0),
         }
+    }
+
+    /// Accesses the collect-layer send state under its section and
+    /// republishes the queue-length hint before the section is released.
+    pub fn with_tx<R>(&self, s: &Section<'_>, f: impl FnOnce(&mut TxState) -> R) -> R {
+        self.tx.with(s, |tx| {
+            debug_assert_eq!(self.tx_len_hint(), tx.queue.len(), "stale collect hint");
+            let out = f(tx);
+            publish_len(&self.tx_len, tx.queue.len());
+            out
+        })
+    }
+
+    /// Accesses lane `lane`'s transfer list under its `Vci` section and
+    /// republishes its length hint before the section is released.
+    pub fn with_xfer<R>(
+        &self,
+        lane: usize,
+        s: &Section<'_>,
+        f: impl FnOnce(&mut VecDeque<XferItem>) -> R,
+    ) -> R {
+        self.xfer[lane].with(s, |q| {
+            debug_assert_eq!(self.xfer_len_hint(lane), q.len(), "stale xfer hint");
+            let out = f(q);
+            publish_len(&self.xfer_len[lane], q.len());
+            out
+        })
+    }
+
+    /// Collect-queue length as last published — no section taken. Zero
+    /// means the queue was empty at some release of the CollectTx
+    /// section; whoever pushes afterwards pumps afterwards, so a pass
+    /// that skips on zero strands nothing (DESIGN.md, "Idle passes are
+    /// read-only").
+    pub fn tx_len_hint(&self) -> usize {
+        // relaxed: advisory; the queue is only touched under its section.
+        self.tx_len.load(Ordering::Relaxed)
+    }
+
+    /// Lane `lane`'s transfer-list length as last published — no section
+    /// taken. Same contract as [`Gate::tx_len_hint`].
+    pub fn xfer_len_hint(&self, lane: usize) -> usize {
+        // relaxed: advisory; the list is only touched under its section.
+        self.xfer_len[lane].load(Ordering::Relaxed)
     }
 
     /// Number of lanes (sum of all rails' VCI counts).

@@ -412,6 +412,11 @@ impl LockPolicy {
         self.vci[i].stats()
     }
 
+    /// Statistics of lane `i`'s driver lock.
+    pub fn driver_stats(&self, i: usize) -> &nm_metrics::LockStats {
+        self.drivers[i].stats()
+    }
+
     /// Total lock acquisitions across all locks of this policy.
     pub fn total_acquisitions(&self) -> u64 {
         self.global.stats().acquisitions()

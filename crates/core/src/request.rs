@@ -12,9 +12,38 @@ use crate::completion::{Completion, CompletionEvent};
 use crate::error::CommError;
 use crate::metrics;
 
-/// Next request id; process-global so completion-queue events and the
-/// async waker table can key on it across communicators.
+/// Next unallocated request id; process-global so completion-queue
+/// events and the async waker table can key on it across communicators.
+/// Threads draw ids from it a block at a time (see [`next_id`]).
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Ids a thread takes from [`NEXT_ID`] at once.
+const ID_BLOCK: u64 = 1024;
+
+/// Allocates a request id: unique for the life of the process, never 0,
+/// never reused. Each thread hands out a private block of [`ID_BLOCK`]
+/// consecutive ids and returns to the shared counter only when the block
+/// is spent, so two threads posting on disjoint gates do not bounce the
+/// counter's line on every request. Ids are therefore unique but not
+/// ordered across threads; nothing keys on their order.
+fn next_id() -> u64 {
+    use std::cell::Cell;
+    thread_local! {
+        /// `(next, end)` of this thread's block; empty at first use.
+        static BLOCK: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+    BLOCK.with(|block| {
+        let (mut next, mut end) = block.get();
+        if next == end {
+            // relaxed: a unique-id counter; only uniqueness matters,
+            // nothing is ordered against the increment.
+            next = NEXT_ID.fetch_add(ID_BLOCK, Ordering::Relaxed);
+            end = next + ID_BLOCK;
+        }
+        block.set((next + 1, end));
+        next
+    })
+}
 
 /// Send or receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,9 +98,7 @@ impl Request {
     pub(crate) fn new_with(kind: RequestKind, completion: Completion) -> Self {
         Request {
             inner: Arc::new(Inner {
-                // relaxed: a unique-id counter; only uniqueness matters,
-                // nothing is ordered against the increment.
-                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+                id: next_id(),
                 span: nm_trace::next_span_id(),
                 kind,
                 completion,

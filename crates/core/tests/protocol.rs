@@ -617,3 +617,139 @@ fn flush_local_drains_send_queues() {
     assert_eq!(a.pending().xfer_items, 0);
     drainer.join().unwrap();
 }
+
+#[test]
+fn length_hints_strand_nothing_fine_grain() {
+    length_hints_strand_nothing(LockingMode::Fine);
+}
+
+#[test]
+fn length_hints_strand_nothing_coarse_grain() {
+    length_hints_strand_nothing(LockingMode::Coarse);
+}
+
+/// A driver whose "NIC idle" hint is always stale: `can_post_vci` says
+/// yes, `post_vci` says what the ring says. `can_post_vci` is documented
+/// as a racy hint, so this is within contract, and it turns every post
+/// on a full ring into a `WouldBlock` and a `push_front` requeue.
+struct StaleIdle(LoopbackDriver);
+
+impl Driver for StaleIdle {
+    fn caps(&self) -> &nm_fabric::DriverCaps {
+        self.0.caps()
+    }
+    fn can_post_vci(&self, _vci: usize) -> bool {
+        true
+    }
+    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), nm_fabric::PostError> {
+        self.0.post_vci(vci, data)
+    }
+    fn poll_vci(&self, vci: usize) -> Option<Bytes> {
+        self.0.poll_vci(vci)
+    }
+}
+
+/// A pass that reads a zero length hint skips the collect queue and the
+/// transfer lists without their sections. Here everything that can leave
+/// an item behind a hint happens at once: a two-slot ring behind a
+/// driver that always claims to be idle, so most posts are refused and
+/// requeued with `push_front`; two threads running passes on both cores
+/// while a third submits; rendezvous chunks waiting in a transfer list
+/// between eager bursts. Every request must complete from passes alone,
+/// and at quiesce every queue is empty — `pending()` also checks, in
+/// debug builds, that each hint equals its list's length.
+fn length_hints_strand_nothing(mode: LockingMode) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
+
+    const EAGER: u64 = 240;
+    const RDV_EVERY: u64 = 75;
+    const RDV_TAG: u64 = 1 << 32;
+
+    let (da, db) = LoopbackDriver::pair(1);
+    let config = CoreConfig::default().locking(mode);
+    let a = CoreBuilder::new(config.clone())
+        .add_gate(vec![Arc::new(StaleIdle(da)) as Arc<dyn Driver>])
+        .build();
+    let b = CoreBuilder::new(config)
+        .add_gate(vec![Arc::new(StaleIdle(db)) as Arc<dyn Driver>])
+        .build();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(Barrier::new(3));
+    let pollers: Vec<_> = (0..2)
+        .map(|_| {
+            let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+            let (stop, start) = (Arc::clone(&stop), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                while !stop.load(Ordering::Acquire) {
+                    a.progress();
+                    b.progress();
+                }
+            })
+        })
+        .collect();
+
+    let small = |i: u64| Bytes::from(i.to_le_bytes().to_vec());
+    let big = Bytes::from(
+        (0..200_000u32)
+            .map(|i| (i % 241) as u8)
+            .collect::<Vec<u8>>(),
+    );
+    let mut sends = Vec::new();
+    let mut recvs = Vec::new();
+    start.wait();
+    for i in 0..EAGER {
+        // Every other receive is posted after its send: both matching
+        // paths run, and the CTS of a late-matched RTS is queued from
+        // `irecv` rather than from a pass.
+        let early = i % 2 == 0;
+        if early {
+            recvs.push((b.irecv(G, i).unwrap(), small(i)));
+        }
+        sends.push(a.isend(G, i, small(i)).unwrap());
+        if !early {
+            recvs.push((b.irecv(G, i).unwrap(), small(i)));
+        }
+        if i % RDV_EVERY == 0 {
+            let tag = RDV_TAG + i;
+            if early {
+                recvs.push((b.irecv(G, tag).unwrap(), big.clone()));
+            }
+            sends.push(a.isend(G, tag, big.clone()).unwrap());
+            // An echo the other way shares b's collect queue with the
+            // CTS and a's lane with the chunks.
+            recvs.push((a.irecv(G, i).unwrap(), small(i)));
+            sends.push(b.isend(G, i, small(i)).unwrap());
+            if !early {
+                recvs.push((b.irecv(G, tag).unwrap(), big.clone()));
+            }
+        }
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let all_done = |sends: &[nm_core::Request], recvs: &[(nm_core::Request, Bytes)]| {
+        sends.iter().all(|r| r.is_complete()) && recvs.iter().all(|(r, _)| r.is_complete())
+    };
+    while !all_done(&sends, &recvs) {
+        assert!(
+            Instant::now() < deadline,
+            "stranded under {mode:?}: a {:?}, b {:?}",
+            a.pending(),
+            b.pending()
+        );
+        std::thread::yield_now();
+    }
+    stop.store(true, Ordering::Release);
+    for p in pollers {
+        p.join().unwrap();
+    }
+    for (recv, expected) in &recvs {
+        assert_eq!(recv.take_data().as_ref(), Some(expected));
+    }
+    assert_eq!(a.progress() + b.progress(), 0, "quiet after the last pass");
+    assert_eq!(a.pending(), nm_core::PendingCounts::default());
+    assert_eq!(b.pending(), nm_core::PendingCounts::default());
+}

@@ -14,9 +14,14 @@ pub struct DriverCaps {
     /// Largest payload one packet may carry.
     pub mtu: usize,
     /// `false` for drivers that, like Myrinet MX in the paper, must never
-    /// be entered by two threads at once; the library then serializes all
-    /// access to this driver under a per-driver lock even in its most
-    /// parallel locking mode.
+    /// be entered by two threads at once. It is a declaration, not a
+    /// switch: `nm-core` does not read it. Every `poll_vci`/`post_vci`
+    /// of every driver runs inside that lane's `Driver` section — a
+    /// per-lane spinlock in fine-grain mode, the library-wide lock in
+    /// coarse mode, the single-caller check in single-thread mode — so a
+    /// thread-unsafe driver is safe under all three. The section is kept
+    /// for thread-safe drivers too: it is the paper's Fig 4 per-driver
+    /// lock, and the only section an idle fine-grain pass still takes.
     pub thread_safe: bool,
 }
 
@@ -73,8 +78,9 @@ pub struct SimNicDriver {
 }
 
 impl SimNicDriver {
-    /// Wraps a NIC endpoint. `thread_safe = false` reproduces MX-style
-    /// drivers that require external serialization.
+    /// Wraps a NIC endpoint. `thread_safe = false` labels it an MX-style
+    /// driver that requires external serialization (which `nm-core`
+    /// provides for every driver; see [`DriverCaps::thread_safe`]).
     pub fn new(nic: SimNic, thread_safe: bool) -> Self {
         let caps = DriverCaps {
             name: nic.name().to_string(),

@@ -64,8 +64,9 @@ impl Fabric {
 
     /// Connects two nodes with one rail per wire model.
     ///
-    /// `thread_safe_drivers = false` reproduces the paper's MX situation:
-    /// the library must serialize all access to each driver.
+    /// `thread_safe_drivers = false` declares the paper's MX situation;
+    /// the library serializes access to each driver context either way
+    /// (see [`crate::DriverCaps::thread_safe`]).
     pub fn pair(&self, models: &[WireModel], thread_safe_drivers: bool) -> (NodePorts, NodePorts) {
         self.pair_vcis(models, thread_safe_drivers, 1)
     }

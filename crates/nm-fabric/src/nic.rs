@@ -1,6 +1,6 @@
 //! Simulated NIC endpoints.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -79,6 +79,44 @@ struct VciCtx {
     /// Head-of-line packet popped from `rx` but not yet deliverable.
     /// Keeping it here preserves wire FIFO order across pollers.
     stash: SpinLock<Option<WirePacket>>,
+    /// `stash.is_some()`, readable without the stash lock. Written only
+    /// under that lock and only when it changes, so at every release of
+    /// the lock it says what the stash holds.
+    stashed: AtomicBool,
+}
+
+impl VciCtx {
+    fn new(tx: Arc<Wire>, rx: Arc<Wire>) -> Self {
+        VciCtx {
+            tx,
+            rx,
+            stash: SpinLock::new(None),
+            stashed: AtomicBool::new(false),
+        }
+    }
+
+    /// Records what the stash holds. The caller holds the stash lock.
+    fn set_stashed(&self, stashed: bool) {
+        // relaxed: (load and store) the flag publishes no data — the
+        // stash is only read under its lock — and the lock's release
+        // orders it for the next holder. The store is skipped when
+        // nothing changed so that re-stashing an in-flight packet does
+        // not dirty the line idle polls read.
+        if self.stashed.load(Ordering::Relaxed) != stashed {
+            self.stashed.store(stashed, Ordering::Relaxed);
+        }
+    }
+
+    /// `true` if a packet may be waiting: one is stashed, or the rx ring
+    /// is not empty. Takes no lock and reads no clock. A packet is in
+    /// the ring, in the stash, or in the hands of a poller that holds
+    /// the stash lock and will deliver or stash it before releasing, so
+    /// `false` can only miss a packet whose poll is still in progress.
+    fn maybe_inbound(&self) -> bool {
+        // relaxed: advisory; the stash itself is only read under its
+        // lock, whose acquire orders it.
+        self.stashed.load(Ordering::Relaxed) || !self.rx.ring.is_empty()
+    }
 }
 
 /// One endpoint of a simulated point-to-point link.
@@ -128,16 +166,8 @@ impl SimNic {
         for _ in 0..n_vcis {
             let a_to_b = Arc::new(Wire::new(model.tx_depth));
             let b_to_a = Arc::new(Wire::new(model.tx_depth));
-            a_vcis.push(VciCtx {
-                tx: Arc::clone(&a_to_b),
-                rx: Arc::clone(&b_to_a),
-                stash: SpinLock::new(None),
-            });
-            b_vcis.push(VciCtx {
-                tx: b_to_a,
-                rx: a_to_b,
-                stash: SpinLock::new(None),
-            });
+            a_vcis.push(VciCtx::new(Arc::clone(&a_to_b), Arc::clone(&b_to_a)));
+            b_vcis.push(VciCtx::new(b_to_a, a_to_b));
         }
         let a = SimNic {
             name: format!("{name}.0"),
@@ -250,8 +280,15 @@ impl SimNic {
     /// is deliverable yet. Completion state (ring + stash) is
     /// per-context, so concurrent pollers on different VCIs do not
     /// contend.
+    ///
+    /// With nothing stashed and an empty rx ring this returns before
+    /// reading the clock or taking the stash lock: an idle poll writes
+    /// nothing.
     pub fn poll_recv_vci(&self, vci: usize) -> Option<Bytes> {
         let ctx = &self.vcis[vci];
+        if !ctx.maybe_inbound() {
+            return None;
+        }
         let now = self.clock.now_ns();
         let mut stash = ctx.stash.lock();
         let pkt = match stash.take() {
@@ -259,6 +296,7 @@ impl SimNic {
             None => ctx.rx.ring.pop()?,
         };
         if pkt.deliver_at_ns <= now {
+            ctx.set_stashed(false);
             self.counters.rx_packets.incr();
             self.counters.rx_bytes.add(pkt.payload.len() as u64);
             // relaxed: diagnostic aggregate, mirrors the tx-side add.
@@ -284,6 +322,7 @@ impl SimNic {
             Some(pkt.payload)
         } else {
             *stash = Some(pkt);
+            ctx.set_stashed(true);
             None
         }
     }
@@ -296,15 +335,16 @@ impl SimNic {
         let mut stash = ctx.stash.lock();
         if stash.is_none() {
             *stash = ctx.rx.ring.pop();
+            ctx.set_stashed(stash.is_some());
         }
         stash.as_ref().map(|p| p.deliver_at_ns)
     }
 
     /// `true` if any packet (deliverable or in flight) is queued toward
-    /// one VCI context of this endpoint.
+    /// one VCI context of this endpoint. Lock-free; while another thread
+    /// is inside a poll of this context the answer may lag that poll.
     pub fn has_inbound_vci(&self, vci: usize) -> bool {
-        let ctx = &self.vcis[vci];
-        ctx.stash.lock().is_some() || !ctx.rx.ring.is_empty()
+        self.vcis[vci].maybe_inbound()
     }
 
     /// Payload bytes this endpoint has injected on one VCI context that
@@ -531,6 +571,79 @@ mod tests {
         assert!(t >= 2_000);
         clock.advance_to(t);
         assert!(b.poll_recv_vci(0).is_some());
+    }
+
+    #[test]
+    fn inbound_queries_follow_the_packet_through_the_stash() {
+        let (a, b, clock) = manual_pair(WireModel::myri_10g());
+        assert!(!b.has_inbound_vci(0));
+        assert_eq!(b.next_delivery_ns_vci(0), None);
+        a.post_send_vci(0, Bytes::from_static(b"x")).unwrap();
+        // In the ring, nothing stashed yet.
+        assert!(b.has_inbound_vci(0));
+        // An early poll moves it to the stash: the ring is empty now, so
+        // only the flag can answer for it.
+        assert_eq!(b.poll_recv_vci(0), None);
+        assert!(b.vcis[0].rx.ring.is_empty());
+        assert!(b.has_inbound_vci(0));
+        let t = b.next_delivery_ns_vci(0).expect("the stashed packet");
+        assert_eq!(b.poll_recv_vci(0), None, "still early");
+        clock.advance_to(t);
+        assert_eq!(b.poll_recv_vci(0), Some(Bytes::from_static(b"x")));
+        assert!(!b.has_inbound_vci(0));
+        assert_eq!(b.next_delivery_ns_vci(0), None);
+        assert_eq!(b.poll_recv_vci(0), None);
+        // `next_delivery_ns_vci` stashes too; the next poll must look.
+        a.post_send_vci(0, Bytes::from_static(b"y")).unwrap();
+        let t = b.next_delivery_ns_vci(0).expect("in flight");
+        assert!(b.vcis[0].rx.ring.is_empty() && b.has_inbound_vci(0));
+        clock.advance_to(t);
+        assert_eq!(b.poll_recv_vci(0), Some(Bytes::from_static(b"y")));
+        assert!(!b.has_inbound_vci(0));
+    }
+
+    #[test]
+    fn stashed_packet_is_delivered_to_one_of_two_pollers() {
+        use std::sync::Barrier;
+        let (a, b, clock) = manual_pair(WireModel::myri_10g());
+        a.post_send_vci(0, Bytes::from_static(b"x")).unwrap();
+        let (start, polled, advanced) = (Barrier::new(3), Barrier::new(3), Barrier::new(3));
+        let delivered = AtomicBool::new(false);
+        let results: Vec<(Option<Bytes>, Option<Bytes>)> = std::thread::scope(|s| {
+            let pollers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        // Too early: one of the two polls stashes it.
+                        let early = b.poll_recv_vci(0);
+                        polled.wait();
+                        advanced.wait();
+                        let mut late = None;
+                        while late.is_none() && !delivered.load(Ordering::Acquire) {
+                            late = b.poll_recv_vci(0);
+                            if late.is_some() {
+                                delivered.store(true, Ordering::Release);
+                            }
+                        }
+                        (early, late)
+                    })
+                })
+                .collect();
+            start.wait();
+            polled.wait();
+            // Popped from the ring and not deliverable: it sits in the
+            // stash, and the lock-free empty check must not hide it.
+            assert!(b.vcis[0].rx.ring.is_empty());
+            assert!(b.has_inbound_vci(0));
+            clock.advance(1_000_000);
+            advanced.wait();
+            pollers.into_iter().map(|p| p.join().unwrap()).collect()
+        });
+        assert!(results.iter().all(|(early, _)| early.is_none()));
+        let late: Vec<_> = results.iter().filter_map(|(_, l)| l.as_ref()).collect();
+        assert_eq!(late, [&Bytes::from_static(b"x")], "delivered exactly once");
+        assert!(!b.has_inbound_vci(0));
+        assert_eq!(b.poll_recv_vci(0), None);
     }
 
     #[test]

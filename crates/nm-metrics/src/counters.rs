@@ -9,16 +9,20 @@
 //!
 //! [`Counter`] and [`LockStats`] live here so the always-on metrics
 //! layer owns the one registry every layer shares; every crate imports
-//! them from `nm_metrics`. Unlike the ring-buffer tracer, nothing in this file is behind a
-//! cargo feature: the global lock aggregates are maintained
-//! unconditionally, through sharded counters so concurrent lock traffic
-//! does not bounce one shared cache line.
+//! them from `nm_metrics`. Unlike the ring-buffer tracer, nothing in
+//! this file is behind a cargo feature: the global lock aggregates are
+//! maintained unconditionally. Every [`Counter`] is striped over
+//! cache-line-padded lanes, so threads that share nothing else (two
+//! flows on two gates bumping the same `CoreStats`) do not bounce a
+//! counter's line between them.
 //!
 //! All increments are `Relaxed` single atomic adds (module-wide
 //! discipline: these are monotonic statistics, never synchronization).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+use crate::hist::{stripe_index, STRIPES};
 
 /// Acquisition/contention counters attached to every lock in the stack.
 ///
@@ -44,7 +48,7 @@ impl LockStats {
     /// failed and the acquirer had to spin.
     ///
     /// Also feeds the registry's stack-wide `sync.lock.acquisitions` /
-    /// `sync.lock.contended` aggregates (always on, sharded), so
+    /// `sync.lock.contended` aggregates (always on), so
     /// cross-layer lock totals have one source of truth.
     #[inline]
     pub fn record_acquire(&self, contended: bool) {
@@ -86,63 +90,33 @@ impl LockStats {
     }
 }
 
-/// A general-purpose relaxed event counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+/// One cache line of a striped metric (padded to 64 bytes so the lanes
+/// of one [`Counter`] or gauge never share a line).
+#[derive(Debug)]
+#[repr(align(64))]
+pub(crate) struct Lane<A>(pub(crate) A);
+
+/// A general-purpose relaxed event counter, striped across
+/// cache-line-padded lanes.
+///
+/// Each thread adds to its own lane (round-robin assignment, cached
+/// thread-locally — the histograms' stripe index) and readers sum, so
+/// threads that share nothing else do not bounce a counter's cache line
+/// between them. An increment is still one relaxed atomic add.
+#[derive(Debug)]
+pub struct Counter {
+    lanes: [Lane<AtomicU64>; STRIPES],
+}
 
 impl Counter {
     /// Creates a zeroed counter.
     pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Resets to zero, returning the previous value.
-    pub fn take(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
-    }
-}
-
-/// A counter sharded across cache-line-padded lanes.
-///
-/// Same contract as [`Counter`], but concurrent writers on different
-/// cores do not contend on one cache line: each thread adds to its own
-/// lane (round-robin assignment, cached thread-locally by the histogram
-/// module's stripe index) and readers sum. Use for process-global
-/// aggregates that every thread bumps on hot paths; plain [`Counter`]
-/// is fine for per-instance statistics.
-#[derive(Debug)]
-pub struct ShardedCounter {
-    lanes: [Lane; crate::hist::STRIPES],
-}
-
-/// One cache line worth of counter (pad to 64 bytes so lanes of the
-/// same [`ShardedCounter`] never share a line).
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct Lane(AtomicU64);
-
-impl ShardedCounter {
-    /// Creates a zeroed sharded counter.
-    pub fn new() -> Self {
-        ShardedCounter {
-            lanes: Default::default(),
+        // A `const` item is the MSRV-compatible way to repeat a
+        // non-`Copy` initializer; every array element is a fresh atomic.
+        #[allow(clippy::declare_interior_mutable_const)]
+        const ZERO: Lane<AtomicU64> = Lane(AtomicU64::new(0));
+        Counter {
+            lanes: [ZERO; STRIPES],
         }
     }
 
@@ -155,12 +129,10 @@ impl ShardedCounter {
     /// Adds `n` (to the calling thread's lane).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.lanes[crate::hist::stripe_index()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        self.lanes[stripe_index()].0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Sum over all lanes.
+    /// Current value: the sum over all lanes.
     pub fn get(&self) -> u64 {
         self.lanes.iter().map(|l| l.0.load(Ordering::Relaxed)).sum()
     }
@@ -174,7 +146,7 @@ impl ShardedCounter {
     }
 }
 
-impl Default for ShardedCounter {
+impl Default for Counter {
     fn default() -> Self {
         Self::new()
     }
@@ -188,7 +160,6 @@ impl Default for ShardedCounter {
 #[derive(Debug, Default)]
 pub struct CounterRegistry {
     entries: Mutex<Vec<(&'static str, Arc<Counter>)>>,
-    sharded: Mutex<Vec<(&'static str, Arc<ShardedCounter>)>>,
 }
 
 impl CounterRegistry {
@@ -203,31 +174,12 @@ impl CounterRegistry {
         c
     }
 
-    /// Returns the sharded counter named `name`, creating it if needed.
-    /// Sharded and plain counters share the namespace of
-    /// [`CounterRegistry::snapshot`] but not storage: don't register the
-    /// same name as both.
-    pub fn sharded_counter(&self, name: &'static str) -> Arc<ShardedCounter> {
-        let mut entries = self.sharded.lock().unwrap();
-        if let Some((_, c)) = entries.iter().find(|(n, _)| *n == name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(ShardedCounter::new());
-        entries.push((name, Arc::clone(&c)));
-        c
-    }
-
-    /// Snapshot of every registered counter (plain and sharded), sorted
-    /// by name.
+    /// Snapshot of every registered counter, sorted by name.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
         let mut out: Vec<_> = {
             let entries = self.entries.lock().unwrap();
             entries.iter().map(|(n, c)| (*n, c.get())).collect()
         };
-        {
-            let sharded = self.sharded.lock().unwrap();
-            out.extend(sharded.iter().map(|(n, c)| (*n, c.get())));
-        }
         out.sort_unstable_by_key(|(n, _)| *n);
         out
     }
@@ -236,11 +188,6 @@ impl CounterRegistry {
     pub fn reset_all(&self) {
         let entries = self.entries.lock().unwrap();
         for (_, c) in entries.iter() {
-            c.take();
-        }
-        drop(entries);
-        let sharded = self.sharded.lock().unwrap();
-        for (_, c) in sharded.iter() {
             c.take();
         }
     }
@@ -253,12 +200,12 @@ pub fn registry() -> &'static CounterRegistry {
 }
 
 /// Stack-wide lock aggregates, registered once in [`registry`].
-fn global_lock_counters() -> &'static (Arc<ShardedCounter>, Arc<ShardedCounter>) {
-    static GLOBAL: OnceLock<(Arc<ShardedCounter>, Arc<ShardedCounter>)> = OnceLock::new();
+fn global_lock_counters() -> &'static (Arc<Counter>, Arc<Counter>) {
+    static GLOBAL: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
     GLOBAL.get_or_init(|| {
         (
-            registry().sharded_counter("sync.lock.acquisitions"),
-            registry().sharded_counter("sync.lock.contended"),
+            registry().counter("sync.lock.acquisitions"),
+            registry().counter("sync.lock.contended"),
         )
     })
 }
@@ -292,14 +239,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_counter_sums_lanes() {
-        use std::sync::Arc as StdArc;
-        let c = StdArc::new(ShardedCounter::new());
+    fn counter_sums_exactly_under_four_writers() {
+        let c = Arc::new(Counter::new());
+        let start = Arc::new(std::sync::Barrier::new(4));
         let threads: Vec<_> = (0..4)
             .map(|_| {
-                let c = StdArc::clone(&c);
+                let (c, start) = (Arc::clone(&c), Arc::clone(&start));
                 std::thread::spawn(move || {
-                    for _ in 0..1000 {
+                    start.wait();
+                    for _ in 0..10_000 {
                         c.incr();
                     }
                 })
@@ -309,9 +257,18 @@ mod tests {
             t.join().unwrap();
         }
         c.add(5);
-        assert_eq!(c.get(), 4005);
-        assert_eq!(c.take(), 4005);
+        assert_eq!(c.get(), 40_005);
+        assert_eq!(c.take(), 40_005);
         assert_eq!(c.get(), 0);
+    }
+
+    #[test]
+    fn counter_new_is_const_and_lanes_do_not_share_a_line() {
+        static C: Counter = Counter::new();
+        C.incr();
+        assert_eq!(C.get(), 1);
+        assert_eq!(std::mem::size_of::<Counter>(), 64 * STRIPES);
+        assert_eq!(std::mem::align_of::<Counter>(), 64);
     }
 
     #[test]
@@ -326,21 +283,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_registry_dedupes_and_snapshots() {
-        let a = registry().sharded_counter("test.registry.sharded");
-        let b = registry().sharded_counter("test.registry.sharded");
-        assert!(Arc::ptr_eq(&a, &b));
-        a.add(7);
-        let snap = registry().snapshot();
-        let entry = snap.iter().find(|(n, _)| *n == "test.registry.sharded");
-        assert_eq!(entry, Some(&("test.registry.sharded", 7)));
-    }
-
-    #[test]
     fn lock_stats_feed_global_aggregates_always_on() {
-        let acq = registry().sharded_counter("sync.lock.acquisitions");
+        let acq = registry().counter("sync.lock.acquisitions");
         let before = acq.get();
         LockStats::new().record_acquire(true);
         assert!(acq.get() > before);
+        // The benchmark reads both aggregates from the snapshot by name.
+        let snap = registry().snapshot();
+        for name in ["sync.lock.acquisitions", "sync.lock.contended"] {
+            assert!(snap.iter().any(|(n, _)| *n == name), "{name} not listed");
+        }
     }
 }

@@ -94,8 +94,8 @@ pub fn bucket_floor(idx: usize) -> u64 {
     (SUB as u64 + sub) << seg
 }
 
-/// Round-robin shard assignment, cached per thread (shared with
-/// [`crate::counters::ShardedCounter`] lanes).
+/// Round-robin shard assignment, cached per thread (shared with the
+/// [`crate::Counter`] and [`crate::Gauge`] lanes).
 #[inline]
 pub(crate) fn stripe_index() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);

@@ -22,9 +22,10 @@
 //! * [`Histogram`] — lock-free log-linear latency histogram (64
 //!   sub-buckets per power-of-two, ≤ 1.6 % relative bucket width),
 //!   per-thread shards merged on [`Histogram::snapshot`].
-//! * [`Counter`] / [`ShardedCounter`] / [`LockStats`] — the counters
-//!   surface, shared by every layer.
-//! * [`Gauge`] — instantaneous values: queue depths, backlogs, streaks.
+//! * [`Counter`] / [`LockStats`] — the counters surface, shared by
+//!   every layer; a counter is striped over cache-line-padded lanes.
+//! * [`Gauge`] — instantaneous values: queue depths, backlogs, streaks;
+//!   `add`/`sub` stripe like a counter.
 //! * [`metrics`] — the process-wide registry;
 //!   [`MetricsRegistry::snapshot`] → [`export::to_openmetrics`] /
 //!   [`export::to_json`].
@@ -40,7 +41,7 @@ mod gauge;
 mod hist;
 mod registry;
 
-pub use counters::{Counter, CounterRegistry, LockStats, ShardedCounter};
+pub use counters::{Counter, CounterRegistry, LockStats};
 pub use gauge::Gauge;
 pub use hist::{
     bucket_bound, bucket_floor, bucket_index, HistTimer, Histogram, HistogramSnapshot, BUCKETS,

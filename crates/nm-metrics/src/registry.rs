@@ -41,11 +41,6 @@ impl MetricsRegistry {
         self.counters.counter(name)
     }
 
-    /// Returns the sharded counter named `name`, creating it if needed.
-    pub fn sharded_counter(&self, name: &'static str) -> Arc<crate::counters::ShardedCounter> {
-        self.counters.sharded_counter(name)
-    }
-
     /// Returns the gauge named `name`, creating it if needed.
     pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
         let mut gauges = self.gauges.lock().unwrap();
@@ -148,7 +143,7 @@ impl MetricsRegistry {
 /// A point-in-time copy of every registered metric, sorted by name.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
-    /// `(name, value)` for every counter (plain and sharded).
+    /// `(name, value)` for every counter.
     pub counters: Vec<(String, u64)>,
     /// `(name, events/second)` over the window since the previous
     /// snapshot; empty on the first snapshot.

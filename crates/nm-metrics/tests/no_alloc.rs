@@ -45,7 +45,6 @@ fn record_path_does_not_allocate() {
     // allocate by design (cold path).
     let hist = nm_metrics::metrics().histogram("test.noalloc.hist");
     let ctr = nm_metrics::metrics().counter("test.noalloc.ctr");
-    let sharded = nm_metrics::metrics().sharded_counter("test.noalloc.sharded");
     let gauge = nm_metrics::metrics().gauge("test.noalloc.gauge");
     let stats = nm_metrics::LockStats::new();
 
@@ -53,7 +52,7 @@ fn record_path_does_not_allocate() {
     // first use must not allocate either, but warm it anyway so the
     // measured region is purely the record fast path). The first
     // record_acquire also lazily registers the global lock-aggregate
-    // sharded counters — a one-time cold-path allocation by design.
+    // counters — a one-time cold-path allocation by design.
     hist.record(0);
     stats.record_acquire(false);
 
@@ -67,8 +66,9 @@ fn record_path_does_not_allocate() {
         for i in 0..100_000u64 {
             hist.record(i % 4096);
             ctr.incr();
-            sharded.add(2);
+            ctr.add(2);
             gauge.set(i as i64);
+            gauge.add(1);
             stats.record_acquire(i % 7 == 0);
         }
         measured = allocs() - before;

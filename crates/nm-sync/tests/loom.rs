@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use nm_sync::sync_shim::atomic::{AtomicBool, Ordering};
+use nm_sync::sync_shim::atomic::{AtomicBool, AtomicUsize, Ordering};
 use nm_sync::sync_shim::{cell::UnsafeCell, thread};
 use nm_sync::{CompletionFlag, RawSpin, Semaphore, SpinLock, TicketLock, WaitStrategy};
 
@@ -503,5 +503,104 @@ fn cancel_vs_completion_race_resolves_to_exactly_one_outcome() {
             1,
             "completion must be delivered exactly once"
         );
+    });
+}
+
+/// The length-hint protocol of nm-core's collect queue and transfer
+/// lists (`Gate::with_tx` / `Gate::tx_len_hint`): the list lives under
+/// its section's lock; its length is republished, under that lock, to an
+/// atomic a progression pass reads *instead of* taking the lock. A pass
+/// that reads zero skips the list. What keeps a skipped item from being
+/// stranded is not the hint's ordering (both sides are `Relaxed`) but
+/// the pusher: it pumps after it pushes, and reads at least its own
+/// publication.
+struct HintedList {
+    lock: RawSpin,
+    items: UnsafeCell<Vec<u64>>,
+    len: AtomicUsize,
+}
+
+// SAFETY: `items` is only accessed while `lock` is held; model-checked.
+unsafe impl Sync for HintedList {}
+
+impl HintedList {
+    fn new() -> Self {
+        HintedList {
+            lock: RawSpin::new(),
+            items: UnsafeCell::new(Vec::new()),
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    /// `Gate::with_tx`: run `f` on the list under its lock, republish
+    /// the length before releasing.
+    fn with<R>(&self, f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
+        self.lock.lock();
+        let (out, len) = self.items.with_mut(|p| {
+            // SAFETY: lock held.
+            let items = unsafe { &mut *p };
+            let out = f(items);
+            (out, items.len())
+        });
+        if self.len.load(Ordering::Relaxed) != len {
+            self.len.store(len, Ordering::Relaxed);
+        }
+        self.lock.unlock();
+        out
+    }
+
+    /// `pump_gate` / `flush_xfer`: skip on a zero hint, else lock and pop.
+    fn pump(&self) -> Option<u64> {
+        if self.len.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        self.with(|items| items.pop())
+    }
+}
+
+/// One attempt to post a popped item. The first attempt of the run
+/// finds the NIC full (`WouldBlock`) and puts the item back, as
+/// `pump_gate` and `flush_xfer` do; any later one delivers it.
+fn try_post(list: &HintedList, attempts: &AtomicUsize, delivered: &AtomicUsize, v: u64) {
+    if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
+        list.with(|items| items.push(v));
+    } else {
+        delivered.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn length_hint_skip_strands_nothing() {
+    loom::model(|| {
+        let list = Arc::new(HintedList::new());
+        let attempts = Arc::new(AtomicUsize::new(0));
+        let delivered = Arc::new(AtomicUsize::new(0));
+        let (l, a, d) = (
+            Arc::clone(&list),
+            Arc::clone(&attempts),
+            Arc::clone(&delivered),
+        );
+        // The pusher: push under the lock, then pump (isend, dispatch's
+        // CTS and start_rdv_data all have this shape).
+        let pusher = thread::spawn(move || {
+            l.with(|items| items.push(7));
+            if let Some(v) = l.pump() {
+                try_post(&l, &a, &d, v);
+            }
+        });
+        // Another thread's progression passes, racing the push.
+        for _ in 0..2 {
+            if let Some(v) = list.pump() {
+                try_post(&list, &attempts, &delivered, v);
+            }
+        }
+        pusher.join().unwrap();
+        // "The next pass": a requeued item still shows in the hint.
+        while let Some(v) = list.pump() {
+            try_post(&list, &attempts, &delivered, v);
+        }
+        assert_eq!(delivered.load(Ordering::Relaxed), 1, "delivered once");
+        assert_eq!(list.len.load(Ordering::Relaxed), 0);
+        assert!(list.with(|items| items.is_empty()));
     });
 }
