@@ -36,8 +36,8 @@ use crate::completion::Completion;
 use crate::config::CoreConfig;
 use crate::error::CommError;
 use crate::gate::{
-    Gate, GateId, Parked, PendingRts, PostedRecv, RdvRecv, RdvSend, RdvSendDone, TagPattern,
-    UnackedFrame, UnexpectedMsg, XferItem,
+    Gate, GateId, Parked, PendingRts, PostedRecv, RdvRecv, RdvSend, RdvSendDone, RelState,
+    TagPattern, UnackedFrame, UnexpectedMsg, XferItem,
 };
 use crate::locking::{LockPolicy, SectionKind};
 use crate::request::{Request, RequestKind};
@@ -53,6 +53,12 @@ use crate::wire::{
 fn seq_lt(a: u32, b: u32) -> bool {
     a.wrapping_sub(b) > u32::MAX / 2
 }
+
+/// Fewest frames a gap report must count behind the hole before the
+/// sender resends it without waiting for its timer. Three is TCP's
+/// duplicate-ack threshold: a wire that merely displaces a frame by one
+/// or two positions provokes no resend.
+const FAST_RETX_MIN_OOO: u32 = 3;
 
 /// Work scheduled on the core's timer wheel, serviced by progression
 /// passes.
@@ -833,6 +839,10 @@ impl CommCore {
     /// out-of-order arrivals, and returns the packets released for
     /// dispatch (in wire order), each paired with the span its frame
     /// carried (0 = none).
+    ///
+    /// Kept out of line so that `poll_lane`'s loop, which every frame of
+    /// an unreliable wire runs too, does not carry the window code.
+    #[inline(never)]
     fn rel_receive(&self, g: &Gate, lane: usize, frame: Frame) -> Vec<(Bytes, u64)> {
         let r = &self.config.reliability;
         let s = self
@@ -859,6 +869,21 @@ impl CommCore {
                 }
             }
             if frame.ack_only() {
+                // Gap report: the peer holds `frame.wseq` frames behind a
+                // hole at `frame.ack`. If that hole is the head of the
+                // window, resend it now, once; a lost resend, and
+                // `attempts`, backoff and failover, stay with the timer.
+                let resend_owed = frame.wseq >= FAST_RETX_MIN_OOO
+                    && rel
+                        .unacked
+                        .front()
+                        .is_some_and(|h| h.wseq == frame.ack && !h.fast_retx);
+                if resend_owed && self.resend_head(g, lane, rel) {
+                    self.stats.fast_retransmits.incr();
+                    let head = rel.unacked.front_mut().expect("head just resent");
+                    head.fast_retx = true;
+                    head.retx_at_ns = now_ns() + r.rto_base_ns;
+                }
                 return Vec::new();
             }
             if seq_lt(frame.wseq, rel.rx_expected) || rel.rx_ooo.contains_key(&frame.wseq) {
@@ -887,9 +912,12 @@ impl CommCore {
         out
     }
 
-    /// Sends a bare cumulative acknowledgement if the lane owes one.
-    /// Ack-only frames are not sequenced and never retransmitted — a
-    /// lost ack is repaired by the peer's retransmit provoking a new one.
+    /// Sends a bare cumulative acknowledgement if the lane owes one. Its
+    /// `wseq` field reports how many frames sit out of order behind the
+    /// first hole (0 on an in-order stream), which is what lets the peer
+    /// resend the hole at once. Ack-only frames are not sequenced and
+    /// never retransmitted — a lost ack is repaired by the next one, or
+    /// by the peer's retransmit provoking a new one.
     fn flush_ack(&self, g: &Gate, lane: usize) -> usize {
         if g.lane_is_dead(lane) {
             return 0;
@@ -902,7 +930,9 @@ impl CommCore {
             if !rel.ack_pending {
                 return false;
             }
-            let frame = encode_frame(0, rel.rx_expected, FRAME_RELIABLE | FRAME_ACK_ONLY, 0, &[]);
+            let behind_hole = rel.rx_ooo.len() as u32;
+            let flags = FRAME_RELIABLE | FRAME_ACK_ONLY;
+            let frame = encode_frame(behind_hole, rel.rx_expected, flags, 0, &[]);
             let d = self.policy.enter(SectionKind::Driver(g.driver_base + lane));
             let posted = g.drivers[rail].post_vci(vci, frame);
             drop(d);
@@ -1135,7 +1165,7 @@ impl CommCore {
                 nm_trace::trace_event!(SpanWireTx, span, wseq);
             }
             rel.next_tx_wseq = wseq.wrapping_add(1);
-            rel.ack_pending = false; // the frame piggybacked the ack
+            rel.ack_piggybacked();
             let now = now_ns();
             rel.unacked.push_back(UnackedFrame {
                 wseq,
@@ -1143,6 +1173,7 @@ impl CommCore {
                 span,
                 attempts: 0,
                 retx_at_ns: now + r.rto_base_ns,
+                fast_retx: false,
             });
             if !rel.timer_armed {
                 rel.timer_armed = true;
@@ -1329,17 +1360,45 @@ impl CommCore {
 
     // ----- reliability: retransmit, failover ----------------------------
 
+    /// Re-encodes the head of `rel`'s window under its first `wseq` and
+    /// posts it: the one retransmit path, taken by the timer and by a
+    /// gap report alike. The caller holds the lane's `Retrans` section
+    /// (and has checked there is a head); the `Driver` section is taken
+    /// inside it. `false` is `WouldBlock`: nothing left, nothing counted.
+    fn resend_head(&self, g: &Gate, lane: usize, rel: &mut RelState) -> bool {
+        let (rail, vci) = g.lane_rail_vci(lane);
+        let head = rel.unacked.front().expect("caller checked the head");
+        let (wseq, span) = (head.wseq, head.span);
+        let frame = encode_packet_frame(wseq, rel.rx_expected, FRAME_RELIABLE, span, &head.entries);
+        let d = self.policy.enter(SectionKind::Driver(g.driver_base + lane));
+        let posted = g.drivers[rail].post_vci(vci, frame);
+        drop(d);
+        if posted.is_err() {
+            return false;
+        }
+        rel.ack_piggybacked();
+        self.stats.retransmits.incr();
+        nm_trace::trace_event!(Retransmit, g.driver_base + lane, wseq);
+        if span != 0 {
+            nm_trace::trace_event!(SpanRetx, span, wseq);
+        }
+        true
+    }
+
     /// Acts on a fired retransmit timer for one lane: resends the head of
     /// the window with exponential backoff, counts retry exhaustions, and
     /// triggers failover at the configured threshold. Exhaustion kills
     /// the *lane* — a single VCI context can die while its rail's other
     /// contexts stay live; a physical rail death simply exhausts every
     /// lane it carries.
+    ///
+    /// A resend the NIC refused (`WouldBlock`) never left, so it costs
+    /// neither a retry nor a backoff step: the timer is rearmed at the
+    /// unchanged, already due deadline and the next pass tries again.
     fn check_retransmit(&self, g: &Gate, lane: usize, now: u64) -> usize {
         let r = &self.config.reliability;
         let mut dead = false;
         let mut events = 0;
-        let (rail, vci) = g.lane_rail_vci(lane);
         let s = self
             .policy
             .enter(SectionKind::Retrans(g.driver_base + lane));
@@ -1362,30 +1421,16 @@ impl CommCore {
                     // declared dead.
                     head.attempts = 0;
                 }
-                head.attempts += 1;
-                let backoff = r
-                    .rto_base_ns
-                    .saturating_mul(1u64 << head.attempts.min(24))
-                    .min(r.rto_max_ns);
-                head.retx_at_ns = now + backoff;
-                self.stats.retransmits.incr();
-                events += 1;
-                nm_trace::trace_event!(Retransmit, g.driver_base + lane, head.wseq);
-                if head.span != 0 {
-                    nm_trace::trace_event!(SpanRetx, head.span, head.wseq);
+                if self.resend_head(g, lane, rel) {
+                    events += 1;
+                    let head = rel.unacked.front_mut().expect("head just resent");
+                    head.attempts += 1;
+                    let backoff = r
+                        .rto_base_ns
+                        .saturating_mul(1u64 << head.attempts.min(24))
+                        .min(r.rto_max_ns);
+                    head.retx_at_ns = now + backoff;
                 }
-                let frame = encode_packet_frame(
-                    head.wseq,
-                    rel.rx_expected,
-                    FRAME_RELIABLE,
-                    head.span,
-                    &head.entries,
-                );
-                rel.ack_pending = false;
-                let d = self.policy.enter(SectionKind::Driver(g.driver_base + lane));
-                // WouldBlock: the rearmed timer simply tries again.
-                let _ = g.drivers[rail].post_vci(vci, frame);
-                drop(d);
             }
             rel.timer_armed = true;
             let at = rel.unacked.front().expect("head checked").retx_at_ns;

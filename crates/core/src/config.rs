@@ -33,9 +33,12 @@ pub struct CoreConfig {
 ///
 /// Disabled by default: the simulated fabric is lossless, and the
 /// unreliable path adds only the frame checksum. With `enabled` the core
-/// sequences every frame per rail, acknowledges cumulatively, suppresses
-/// duplicates, retransmits on timeout with exponential backoff, and
-/// fails over to surviving rails when one exhausts its retries.
+/// sequences every frame per rail, acknowledges cumulatively (a bare ack
+/// also reports how many frames sit behind the first hole), suppresses
+/// duplicates, retransmits a hole at once when the peer reports three or
+/// more frames behind it and otherwise on timeout with exponential
+/// backoff, and fails over to surviving rails when one exhausts its
+/// retries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReliabilityConfig {
     /// Run the ack/retransmit protocol (frames always carry a CRC).

@@ -157,8 +157,11 @@ pub(crate) struct UnackedFrame {
     /// Retransmits of this frame so far (resets when an ack advances the
     /// window).
     pub attempts: u32,
-    /// Monotonic deadline of the next retransmit.
+    /// Monotonic deadline of the next timer-driven retransmit.
     pub retx_at_ns: u64,
+    /// The peer's gap report already provoked a resend of this frame;
+    /// a second loss of it waits for the timer.
+    pub fast_retx: bool,
 }
 
 /// Per-lane reliability-protocol state (its own `Retrans` lock class,
@@ -176,12 +179,26 @@ pub(crate) struct RelState {
     /// frame's span so dispatch can attribute the delivery after the
     /// gap fills.
     pub rx_ooo: BTreeMap<u32, (Bytes, u64)>,
-    /// Data arrived since the last acknowledgement went out.
+    /// Data arrived since the last acknowledgement went out. A frame
+    /// that piggybacks the cumulative ack settles it only while
+    /// `rx_ooo` is empty: the gap report rides ack-only frames.
     pub ack_pending: bool,
     /// Consecutive frames that exhausted their retries (failover trigger).
     pub exhaustions: u32,
     /// A retransmit timer is scheduled for this lane.
     pub timer_armed: bool,
+}
+
+impl RelState {
+    /// A data frame just left carrying the cumulative ack. That settles
+    /// what the lane owes only while nothing is held out of order: a
+    /// data frame's `wseq` is its own sequence number, so the count of
+    /// frames behind a hole still has to go out in an ack-only frame.
+    pub fn ack_piggybacked(&mut self) {
+        if self.rx_ooo.is_empty() {
+            self.ack_pending = false;
+        }
+    }
 }
 
 /// Publishes `len` as a list's length hint. Called with the list's

@@ -33,8 +33,14 @@ pub struct CoreStats {
     pub wire_errors: Counter,
     /// Frames dropped for a CRC mismatch (corrupted in transit).
     pub corrupt_dropped: Counter,
-    /// Frames retransmitted after an ack timeout.
+    /// Frames retransmitted, whatever provoked the resend (an ack
+    /// timeout or the peer's gap report). Counts resends the NIC
+    /// accepted, not attempts it refused.
     pub retransmits: Counter,
+    /// The subset of `retransmits` sent at once on a gap report (an
+    /// ack-only frame naming the head of the window with at least three
+    /// frames behind it) instead of after the timeout.
+    pub fast_retransmits: Counter,
     /// Acknowledgement-only frames injected.
     pub acks_tx: Counter,
     /// Duplicate frames suppressed by the receive window.

@@ -18,7 +18,10 @@
 //! sequence number and cumulative acknowledgement of the reliability
 //! protocol; on an unreliable wire (reliability disabled) the
 //! [`FRAME_RELIABLE`] flag is clear and both fields are ignored.
-//! [`FRAME_ACK_ONLY`] marks a bare acknowledgement with no packet.
+//! [`FRAME_ACK_ONLY`] marks a bare acknowledgement with no packet; it is
+//! not sequenced, and its `wseq` field instead reports how many frames
+//! the receiver holds out of order behind the hole at `ack` (0 when the
+//! stream is in order), which lets the sender resend the hole at once.
 //! [`FRAME_SPAN`] marks an 8-byte observability span id between the
 //! flags byte and the packet; frames with span 0 omit it entirely, so
 //! trace-off builds pay zero wire bytes.
@@ -301,6 +304,13 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Per-wire send sequence number (live iff [`FRAME_RELIABLE`]).
+    ///
+    /// An ack-only frame is not sequenced; there the field is the
+    /// receiver's gap report: the number of frames it holds out of order
+    /// behind the first missing one, `ack`. It is 0 whenever nothing is
+    /// missing, so the acks of a loss-free stream are the bytes they
+    /// always were, and a peer that ignores the field still
+    /// interoperates — it recovers by its retransmit timer alone.
     pub wseq: u32,
     /// Cumulative ack: all wire sequence numbers `< ack` received.
     pub ack: u32,
@@ -730,6 +740,31 @@ mod tests {
             let want = [header, &packet[..]].concat();
             let got = encode_packet_frame(5, 3, FRAME_RELIABLE, span, &entries);
             assert_eq!(&got[..], &want[..], "span {span:#x}");
+        }
+    }
+
+    #[test]
+    fn golden_ack_only_bytes() {
+        // An ack-only frame is 13 bytes; `wseq` carries the count of
+        // frames held behind the hole at `ack`. With nothing held it is
+        // the ack this format has always had.
+        // Checksums from an independent implementation (zlib's crc32).
+        #[rustfmt::skip]
+        let in_order = [
+            0xAE, 0xC2, 0xFE, 0x5D, // crc
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x03, // count 0, ack, flags
+        ];
+        #[rustfmt::skip]
+        let five_behind_the_hole = [
+            0xFE, 0x0F, 0x6F, 0xEE, // crc
+            0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x09, 0x03, // count 5, ack, flags
+        ];
+        for (want, count) in [(in_order, 0), (five_behind_the_hole, 5)] {
+            let got = encode_frame(count, 9, FRAME_RELIABLE | FRAME_ACK_ONLY, 0, &[]);
+            assert_eq!(&got[..], &want[..], "count {count}");
+            let frame = decode_frame(got).expect("decode");
+            assert!(frame.ack_only());
+            assert_eq!((frame.wseq, frame.ack), (count, 9));
         }
     }
 

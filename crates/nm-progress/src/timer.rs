@@ -105,6 +105,17 @@ impl<T> TimerWheel<T> {
     /// earliest first.
     pub fn pop_due(&self, now_ns: u64) -> Vec<T> {
         let mut st = self.state.lock();
+        // Nothing due is the common answer (a retransmit timer is armed
+        // for as long as a frame is unacknowledged, and polled every
+        // pass): give it without `split_off`, which allocates a node
+        // even when it moves nothing.
+        if st
+            .entries
+            .first_key_value()
+            .is_none_or(|(&(deadline, _), _)| deadline > now_ns)
+        {
+            return Vec::new();
+        }
         // split_off keeps entries strictly after `now`; u64::MAX as the
         // id bound makes the cut inclusive of deadlines equal to `now`.
         let later = st.entries.split_off(&(now_ns, u64::MAX));
