@@ -1,7 +1,7 @@
 //! Gates: per-peer connection state across the three layers.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
@@ -11,7 +11,7 @@ use nm_fabric::Driver;
 use crate::locking::{Protected, Section, SectionKind};
 use crate::request::Request;
 use crate::strategy::SendItem;
-use crate::wire::Entry;
+use crate::transfer::Lane;
 
 /// Identifies a peer connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,84 +128,17 @@ impl RdvSendDone {
     }
 }
 
-/// A packet queued in a transfer-layer list, still as its entries: the
-/// payloads are slices of the caller's buffer, and nothing is encoded
-/// or summed until `post_packet` knows the frame can leave.
-pub(crate) struct XferItem {
-    pub entries: Vec<Entry>,
-    /// Eager requests completed when this packet is injected.
-    pub complete_on_post: Vec<Request>,
-    /// Rendezvous chunk bookkeeping.
-    pub rdv_done: Option<Arc<RdvSendDone>>,
-    /// Observability span carried in this packet's frame header (0 =
-    /// none). Survives failover so a restriped packet stays on its
-    /// message timeline.
-    pub span: u64,
-}
-
-/// One frame in a lane's retransmit window: its entries plus its backoff
-/// clock. The window pins the caller's buffers rather than a copy of the
-/// encoded bytes; a retransmit re-encodes under the same `wseq`, a
-/// failover re-sequences the entries on a surviving lane.
-pub(crate) struct UnackedFrame {
-    pub wseq: u32,
-    pub entries: Vec<Entry>,
-    /// Observability span of the frame (0 = none); retransmits and
-    /// failover re-stripes re-attach it so the retry tail of a message
-    /// stays attributable.
-    pub span: u64,
-    /// Retransmits of this frame so far (resets when an ack advances the
-    /// window).
-    pub attempts: u32,
-    /// Monotonic deadline of the next timer-driven retransmit.
-    pub retx_at_ns: u64,
-    /// The peer's gap report already provoked a resend of this frame;
-    /// a second loss of it waits for the timer.
-    pub fast_retx: bool,
-}
-
-/// Per-lane reliability-protocol state (its own `Retrans` lock class,
-/// ordered between the lane's VCI section and its driver section).
-#[derive(Default)]
-pub(crate) struct RelState {
-    /// Next wire sequence number to assign on this lane.
-    pub next_tx_wseq: u32,
-    /// Sent-but-unacknowledged frames, ascending `wseq`.
-    pub unacked: VecDeque<UnackedFrame>,
-    /// Next wire sequence number expected from the peer.
-    pub rx_expected: u32,
-    /// Frames received ahead of `rx_expected`, buffered for in-order
-    /// release (bounded by the peer's send window). Each entry keeps the
-    /// frame's span so dispatch can attribute the delivery after the
-    /// gap fills.
-    pub rx_ooo: BTreeMap<u32, (Bytes, u64)>,
-    /// Data arrived since the last acknowledgement went out. A frame
-    /// that piggybacks the cumulative ack settles it only while
-    /// `rx_ooo` is empty: the gap report rides ack-only frames.
-    pub ack_pending: bool,
-    /// Consecutive frames that exhausted their retries (failover trigger).
-    pub exhaustions: u32,
-    /// A retransmit timer is scheduled for this lane.
-    pub timer_armed: bool,
-}
-
-impl RelState {
-    /// A data frame just left carrying the cumulative ack. That settles
-    /// what the lane owes only while nothing is held out of order: a
-    /// data frame's `wseq` is its own sequence number, so the count of
-    /// frames behind a hole still has to go out in an ack-only frame.
-    pub fn ack_piggybacked(&mut self) {
-        if self.rx_ooo.is_empty() {
-            self.ack_pending = false;
-        }
-    }
+/// `a < b` in serial-number (wrapping) arithmetic over `u32` sequence
+/// numbers (message seqs and wire seqs alike).
+pub(crate) fn seq_lt(a: u32, b: u32) -> bool {
+    a.wrapping_sub(b) > u32::MAX / 2
 }
 
 /// Publishes `len` as a list's length hint. Called with the list's
 /// section held, so writers are serialized; the store is skipped when
 /// nothing changed so that an access which leaves the length alone
 /// does not dirty the line idle passes read.
-fn publish_len(hint: &AtomicUsize, len: usize) {
+pub(crate) fn publish_len(hint: &AtomicUsize, len: usize) {
     // relaxed: (load and store) the hint publishes no data — readers
     // take the section before touching the list — and the section's
     // release orders it for the next holder.
@@ -285,7 +218,7 @@ pub(crate) struct RxState {
 
 impl RxState {
     /// Adds a posted receive (FIFO in global post order).
-    pub fn post(&mut self, recv: PostedRecv) {
+    pub fn push_posted(&mut self, recv: PostedRecv) {
         let stamp = self.post_order;
         self.post_order += 1;
         match recv.pattern {
@@ -540,31 +473,27 @@ impl TxState {
     }
 }
 
-/// One peer connection: its rails, their VCI lanes, and all shared
-/// per-layer lists.
+/// One peer connection: its lanes and its collect-layer lists.
 ///
 /// The collect-layer state is sharded: `tx` and `rx` belong to this
 /// gate's own `CollectTx`/`CollectRx` lock classes, so flows on distinct
 /// gates never contend in fine-grain mode.
 ///
-/// Below the collect layer everything is per **lane** — one (rail, VCI)
-/// pair. A rail whose driver exposes `num_vcis() == n` contributes `n`
-/// lanes, each with its own transfer queue (`Vci` section), its own
-/// reliability window (`Retrans` section), and its own driver context
-/// (`Driver` section), so concurrent flows pinned to different lanes
-/// share no transfer-layer lock at all. With single-VCI drivers the lane
-/// table collapses to one lane per rail and every index matches the old
-/// per-rail layout exactly.
+/// Below the collect layer everything belongs to a [`Lane`] — one
+/// (rail, VCI) pair. A rail whose driver exposes `num_vcis() == n`
+/// contributes `n` lanes, each with its own transfer queue, reliability
+/// window and driver context, so concurrent flows pinned to different
+/// lanes share no transfer-layer lock at all. With single-VCI drivers
+/// there is one lane per rail.
 pub(crate) struct Gate {
     /// Diagnostic identity; used by Debug formatting and trace events.
     pub id: GateId,
-    /// The rails (one driver per rail) to this peer.
-    pub drivers: Vec<Arc<dyn Driver>>,
-    /// Lane table: lane index → (rail, vci). Built from each driver's
-    /// `num_vcis()`, rail-major.
-    pub lanes: Vec<(usize, usize)>,
-    /// Index of this gate's first lane in the lock policy's arrays.
-    pub driver_base: usize,
+    /// One lane per (rail, VCI), rail-major in the order of the rails
+    /// and of each driver's `num_vcis()`.
+    pub lanes: Vec<Lane>,
+    /// Smallest MTU across the rails (bounds eager and aggregation
+    /// sizes).
+    pub mtu: usize,
     /// Next message sequence number. Eager messages and rendezvous ids
     /// share one space: the receiver's resequencer sees a gap-free
     /// stream over *all* messages, so an eager send can never be
@@ -581,55 +510,41 @@ pub(crate) struct Gate {
     tx_len: AtomicUsize,
     /// Collect-layer receive state (gate's own CollectRx section).
     pub rx: Protected<RxState>,
-    /// Transfer-layer outgoing lists, one per lane (`Vci` sections);
-    /// reached through [`Gate::with_xfer`].
-    xfer: Vec<Protected<VecDeque<XferItem>>>,
-    /// Length hint of each lane's `xfer` list, same protocol as
-    /// `tx_len` under the lane's `Vci` section.
-    xfer_len: Vec<AtomicUsize>,
-    /// Reliability-protocol state, one per lane (`Retrans` sections).
-    pub rel: Vec<Protected<RelState>>,
-    /// Lanes declared dead by failover (relaxed: a racy hint is fine,
-    /// the retransmit path re-checks under its section).
-    pub lane_dead: Vec<AtomicBool>,
     /// Round-robin cursor for lane selection.
     pub rr_lane: AtomicUsize,
 }
 
 impl Gate {
-    pub fn new(id: GateId, drivers: Vec<Arc<dyn Driver>>, driver_base: usize) -> Self {
+    /// Builds gate `id` over one driver per rail. Its lanes take the lock
+    /// policy's per-lane indices from `first_lane` on; `reliable` gives
+    /// each a reliability window.
+    pub fn new(
+        id: GateId,
+        drivers: Vec<Arc<dyn Driver>>,
+        first_lane: usize,
+        reliable: bool,
+    ) -> Self {
         assert!(!drivers.is_empty(), "a gate needs at least one rail");
         let mut lanes = Vec::new();
-        for (rail, d) in drivers.iter().enumerate() {
-            let n = d.num_vcis().max(1);
-            lanes.extend((0..n).map(|vci| (rail, vci)));
+        for driver in &drivers {
+            for vci in 0..driver.num_vcis().max(1) {
+                let lane_id = first_lane + lanes.len();
+                lanes.push(Lane::new(Arc::clone(driver), vci, lane_id, reliable));
+            }
         }
-        let xfer = (0..lanes.len())
-            .map(|lane| Protected::new(SectionKind::Vci(driver_base + lane), VecDeque::new()))
-            .collect();
-        let rel = (0..lanes.len())
-            .map(|lane| {
-                Protected::new(
-                    SectionKind::Retrans(driver_base + lane),
-                    RelState::default(),
-                )
-            })
-            .collect();
-        let xfer_len = (0..lanes.len()).map(|_| AtomicUsize::new(0)).collect();
-        let lane_dead = (0..lanes.len()).map(|_| AtomicBool::new(false)).collect();
+        let mtu = drivers
+            .iter()
+            .map(|d| d.caps().mtu)
+            .min()
+            .expect("checked above");
         Gate {
             id,
-            drivers,
             lanes,
-            driver_base,
+            mtu,
             next_seq: AtomicU32::new(0),
             tx: Protected::new(SectionKind::CollectTx(id.0), TxState::default()),
             tx_len: AtomicUsize::new(0),
             rx: Protected::new(SectionKind::CollectRx(id.0), RxState::default()),
-            xfer,
-            xfer_len,
-            rel,
-            lane_dead,
             rr_lane: AtomicUsize::new(0),
         }
     }
@@ -645,22 +560,6 @@ impl Gate {
         })
     }
 
-    /// Accesses lane `lane`'s transfer list under its `Vci` section and
-    /// republishes its length hint before the section is released.
-    pub fn with_xfer<R>(
-        &self,
-        lane: usize,
-        s: &Section<'_>,
-        f: impl FnOnce(&mut VecDeque<XferItem>) -> R,
-    ) -> R {
-        self.xfer[lane].with(s, |q| {
-            debug_assert_eq!(self.xfer_len_hint(lane), q.len(), "stale xfer hint");
-            let out = f(q);
-            publish_len(&self.xfer_len[lane], q.len());
-            out
-        })
-    }
-
     /// Collect-queue length as last published — no section taken. Zero
     /// means the queue was empty at some release of the CollectTx
     /// section; whoever pushes afterwards pumps afterwards, so a pass
@@ -671,90 +570,17 @@ impl Gate {
         self.tx_len.load(Ordering::Relaxed)
     }
 
-    /// Lane `lane`'s transfer-list length as last published — no section
-    /// taken. Same contract as [`Gate::tx_len_hint`].
-    pub fn xfer_len_hint(&self, lane: usize) -> usize {
-        // relaxed: advisory; the list is only touched under its section.
-        self.xfer_len[lane].load(Ordering::Relaxed)
-    }
-
-    /// Number of lanes (sum of all rails' VCI counts).
-    pub fn num_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// The (rail, vci) pair behind lane index `lane`.
-    pub fn lane_rail_vci(&self, lane: usize) -> (usize, usize) {
-        self.lanes[lane]
-    }
-
-    /// Lane indices belonging to `rail`.
-    #[cfg(test)]
-    pub fn lanes_of_rail(&self, rail: usize) -> impl Iterator<Item = usize> + '_ {
-        self.lanes
-            .iter()
-            .enumerate()
-            .filter(move |(_, (r, _))| *r == rail)
-            .map(|(lane, _)| lane)
-    }
-
-    /// Whether failover has declared `lane` dead.
-    pub fn lane_is_dead(&self, lane: usize) -> bool {
-        self.lane_dead[lane].load(Ordering::Relaxed)
-    }
-
-    /// Declares `lane` dead; `true` for the caller that made the
-    /// transition (and must run the failover migration).
-    pub fn mark_lane_dead(&self, lane: usize) -> bool {
-        !self.lane_dead[lane].swap(true, Ordering::Relaxed)
-    }
-
-    /// Whether failover has declared every lane of `rail` dead.
-    #[cfg(test)]
-    pub fn rail_is_dead(&self, rail: usize) -> bool {
-        self.lanes_of_rail(rail).all(|lane| self.lane_is_dead(lane))
-    }
-
-    /// Declares every lane of `rail` dead (a physical-NIC death takes
-    /// all its VCI contexts with it); `true` if this call transitioned
-    /// at least one lane (and must run the failover migration for the
-    /// rail).
-    #[cfg(test)]
-    pub fn mark_rail_dead(&self, rail: usize) -> bool {
-        let mut won = false;
-        for lane in self.lanes_of_rail(rail) {
-            // Mark every lane even after the first win: partial deaths
-            // from a concurrent per-lane exhaustion must not leave
-            // sibling lanes alive.
-            won |= self.mark_lane_dead(lane);
-        }
-        won
-    }
-
     /// Whether every lane of this gate is dead (the peer is unreachable).
+    /// Lanes die only on a reliable core, so elsewhere the first lane
+    /// answers.
     pub fn unreachable(&self) -> bool {
-        self.lane_dead.iter().all(|d| d.load(Ordering::Relaxed))
+        self.lanes.iter().all(Lane::is_dead)
     }
 
     /// Allocates the next message sequence number (eager and rendezvous
     /// draw from the same space).
     pub fn alloc_seq(&self) -> u32 {
         self.next_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Number of rails.
-    #[cfg(test)]
-    pub fn num_rails(&self) -> usize {
-        self.drivers.len()
-    }
-
-    /// Smallest MTU across rails (bounds eager and aggregation sizes).
-    pub fn min_mtu(&self) -> usize {
-        self.drivers
-            .iter()
-            .map(|d| d.caps().mtu)
-            .min()
-            .expect("gate has at least one rail")
     }
 }
 
@@ -804,11 +630,11 @@ mod tests {
             Request::new(RequestKind::Recv),
             Request::new(RequestKind::Recv),
         );
-        rx.post(PostedRecv {
+        rx.push_posted(PostedRecv {
             pattern: TagPattern::Exact(1),
             req: r1.clone(),
         });
-        rx.post(PostedRecv {
+        rx.push_posted(PostedRecv {
             pattern: TagPattern::Exact(1),
             req: r2.clone(),
         });
@@ -826,11 +652,11 @@ mod tests {
             Request::new(RequestKind::Recv),
             Request::new(RequestKind::Recv),
         );
-        rx.post(PostedRecv {
+        rx.push_posted(PostedRecv {
             pattern: TagPattern::Exact(5),
             req: exact.clone(),
         });
-        rx.post(PostedRecv {
+        rx.push_posted(PostedRecv {
             pattern: TagPattern::Any,
             req: any.clone(),
         });
@@ -851,11 +677,11 @@ mod tests {
             Request::new(RequestKind::Recv),
             Request::new(RequestKind::Recv),
         );
-        rx.post(PostedRecv {
+        rx.push_posted(PostedRecv {
             pattern: TagPattern::Any,
             req: any.clone(),
         });
-        rx.post(PostedRecv {
+        rx.push_posted(PostedRecv {
             pattern: TagPattern::Exact(5),
             req: exact.clone(),
         });
@@ -917,11 +743,11 @@ mod tests {
     #[test]
     fn depth_counters_track_posts_and_takes() {
         let mut rx = RxState::default();
-        rx.post(PostedRecv {
+        rx.push_posted(PostedRecv {
             pattern: TagPattern::Any,
             req: Request::new(RequestKind::Recv),
         });
-        rx.post(PostedRecv {
+        rx.push_posted(PostedRecv {
             pattern: TagPattern::Exact(1),
             req: Request::new(RequestKind::Recv),
         });
@@ -951,61 +777,73 @@ mod tests {
     #[test]
     fn gate_seq_allocation_is_monotonic() {
         let (a, _b) = nm_fabric::LoopbackDriver::pair(4);
-        let gate = Gate::new(GateId(0), vec![Arc::new(a)], 0);
+        let gate = Gate::new(GateId(0), vec![Arc::new(a)], 0, false);
         assert_eq!(gate.alloc_seq(), 0);
         assert_eq!(gate.alloc_seq(), 1);
         assert_eq!(gate.alloc_seq(), 2);
-        assert_eq!(gate.num_rails(), 1);
-        assert_eq!(gate.num_lanes(), 1);
-        assert_eq!(gate.lane_rail_vci(0), (0, 0));
+        assert_eq!(gate.lanes.len(), 1);
+        assert_eq!((gate.lanes[0].vci, gate.lanes[0].id), (0, 0));
+        assert!(gate.lanes[0].rel.is_none());
+    }
+
+    /// A two-context SimNic rail then a loopback rail.
+    fn two_rails() -> Vec<Arc<dyn Driver>> {
+        let clock = nm_fabric::ClockSource::manual();
+        let (na, _nb) = nm_fabric::SimNic::pair_vcis("r0", nm_fabric::WireModel::ideal(), clock, 2);
+        let (lb, _peer) = nm_fabric::LoopbackDriver::pair(4);
+        vec![
+            Arc::new(nm_fabric::SimNicDriver::new(na, true)),
+            Arc::new(lb),
+        ]
+    }
+
+    /// Indices of the lanes `gate` built over `rail`.
+    fn lanes_of(gate: &Gate, rail: &Arc<dyn Driver>) -> Vec<usize> {
+        (0..gate.lanes.len())
+            .filter(|&i| Arc::ptr_eq(&gate.lanes[i].driver, rail))
+            .collect()
     }
 
     #[test]
     fn lane_table_is_rail_major_over_vcis() {
-        let clock = nm_fabric::ClockSource::manual();
-        let (na, _nb) = nm_fabric::SimNic::pair_vcis("r0", nm_fabric::WireModel::ideal(), clock, 2);
-        let (lb, _peer) = nm_fabric::LoopbackDriver::pair(4);
-        let gate = Gate::new(
-            GateId(0),
-            vec![
-                Arc::new(nm_fabric::SimNicDriver::new(na, true)),
-                Arc::new(lb),
-            ],
-            0,
-        );
-        assert_eq!(gate.num_rails(), 2);
-        assert_eq!(gate.num_lanes(), 3);
-        assert_eq!(gate.lane_rail_vci(0), (0, 0));
-        assert_eq!(gate.lane_rail_vci(1), (0, 1));
-        assert_eq!(gate.lane_rail_vci(2), (1, 0));
-        assert_eq!(gate.lanes_of_rail(0).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(gate.lanes_of_rail(1).collect::<Vec<_>>(), vec![2]);
+        let rails = two_rails();
+        let gate = Gate::new(GateId(0), rails.clone(), 5, true);
+        let table: Vec<(usize, usize)> = gate.lanes.iter().map(|l| (l.vci, l.id)).collect();
+        assert_eq!(table, [(0, 5), (1, 6), (0, 7)]);
+        assert_eq!(lanes_of(&gate, &rails[0]), [0, 1]);
+        assert_eq!(lanes_of(&gate, &rails[1]), [2]);
+        assert!(gate.lanes.iter().all(|l| l.rel.is_some()));
     }
 
     #[test]
     fn rail_death_is_the_death_of_all_its_lanes() {
-        let clock = nm_fabric::ClockSource::manual();
-        let (na, _nb) = nm_fabric::SimNic::pair_vcis("r0", nm_fabric::WireModel::ideal(), clock, 2);
-        let (lb, _peer) = nm_fabric::LoopbackDriver::pair(4);
-        let gate = Gate::new(
-            GateId(0),
-            vec![
-                Arc::new(nm_fabric::SimNicDriver::new(na, true)),
-                Arc::new(lb),
-            ],
-            0,
-        );
+        let rails = two_rails();
+        let gate = Gate::new(GateId(0), rails.clone(), 0, true);
+        // A physical-NIC death takes all its VCI contexts with it: every
+        // lane is marked even after the first win, and the caller that
+        // transitioned any lane wins the migration duty.
+        let kill_rail = |rail| {
+            let mut won = false;
+            for i in lanes_of(&gate, rail) {
+                won |= gate.lanes[i].mark_dead();
+            }
+            won
+        };
+        let rail_is_dead = |rail| {
+            lanes_of(&gate, rail)
+                .iter()
+                .all(|&i| gate.lanes[i].is_dead())
+        };
         // One VCI exhausting does not kill the rail.
-        assert!(gate.mark_lane_dead(0));
-        assert!(gate.lane_is_dead(0));
-        assert!(!gate.rail_is_dead(0));
-        // A rail death sweeps the surviving sibling lane too, and the
-        // caller that transitioned it wins the migration duty.
-        assert!(gate.mark_rail_dead(0));
-        assert!(gate.rail_is_dead(0));
-        assert!(!gate.mark_rail_dead(0));
+        assert!(gate.lanes[0].mark_dead());
+        assert!(gate.lanes[0].is_dead());
+        assert!(!rail_is_dead(&rails[0]));
+        // A rail death sweeps the surviving sibling lane too.
+        assert!(kill_rail(&rails[0]));
+        assert!(rail_is_dead(&rails[0]));
+        assert!(!kill_rail(&rails[0]));
         assert!(!gate.unreachable());
-        assert!(gate.mark_rail_dead(1));
+        assert!(kill_rail(&rails[1]));
         assert!(gate.unreachable());
     }
 }

@@ -51,6 +51,7 @@
 
 #![warn(missing_docs)]
 
+mod collect;
 mod comm;
 mod completion;
 mod config;
@@ -60,9 +61,11 @@ mod locking;
 #[cfg(test)]
 mod matching_proptest;
 pub mod metrics;
+mod reliability;
 mod request;
 mod stats;
 mod strategy;
+mod transfer;
 pub mod wire;
 
 pub use comm::{CommCore, CoreBuilder, PendingCounts, VciPollSource};

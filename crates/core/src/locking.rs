@@ -471,7 +471,7 @@ impl Drop for Section<'_> {
 ///
 /// Lock-order validation comes for free: the section guards are backed by
 /// the [`LockPolicy`]'s classed [`RawSpin`]s, so with the `lockcheck`
-/// feature every `Protected` access in `gate.rs`/`comm.rs` feeds the
+/// feature every `Protected` access in the gate, lane and layer modules feeds the
 /// global ordering graph and inversions panic with both stacks.
 pub struct Protected<T> {
     kind: SectionKind,

@@ -68,7 +68,7 @@ impl Subject {
     fn post(&mut self, id: usize, pattern: TagPattern) {
         let req = Request::new(RequestKind::Recv);
         self.posts.push((id, req.clone()));
-        self.rx.post(PostedRecv { pattern, req });
+        self.rx.push_posted(PostedRecv { pattern, req });
     }
 
     fn take_posted(&mut self, tag: u64) -> Option<usize> {

@@ -7,16 +7,18 @@
 //! transfer lists, the NIC answers without its stash lock), an 8 B eager
 //! message costs a dozen lock cycles end to end, and the three locking
 //! modes differ by lock cycles in the order the paper's Fig 3 draws them.
+//! On a reliable core a pass adds one `Retrans` section per lane, the
+//! lane's upkeep, and still nothing outside the policy.
 //!
 //! Per-family counts come from `CommCore::lock_policy()`; "every lock in
 //! the process" is the registry's `sync.lock.acquisitions`, which also
 //! sees the request cells and the NIC stash.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use nm_core::{CommCore, CoreBuilder, CoreConfig, GateId, LockingMode};
+use nm_core::{CommCore, CoreBuilder, CoreConfig, GateId, LockingMode, ReliabilityConfig};
 use nm_fabric::{Driver, Fabric, LoopbackDriver, WireModel};
 
 const G: GateId = GateId(0);
@@ -135,11 +137,14 @@ fn eager_message_cost(mode: LockingMode) -> (Families, Families, u64) {
     )
 }
 
-// One test function on purpose: the process-wide lock counter is global,
-// so a second #[test] running concurrently would bleed into the
-// measured regions.
+/// Held by every test here: the process-wide lock counter is global, so
+/// two tests running concurrently would bleed into each other's
+/// measured regions.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn data_path_lock_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // An idle fine-grain pass: two gates, each a two-context SimNic rail
     // plus a loopback rail, six lanes in all. Traffic first, so every
     // queue has been non-empty once and is empty again.
@@ -226,5 +231,53 @@ fn data_path_lock_budget() {
         (single, coarse, fine),
         (4, 9, 12),
         "lock acquisitions per 8 B eager message (20 in fine mode before the hints)"
+    );
+}
+
+#[test]
+fn reliable_pass_lock_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A reliable fine-grain core over a two-context rail, frames in
+    // flight and a one-minute timer: the peer never polls, so nothing is
+    // acknowledged and nothing is due.
+    let fabric = Fabric::real_time();
+    let (pa, pb) = fabric.pair_vcis(&[WireModel::ideal()], true, 2);
+    const LANES: usize = 2;
+    let rel = ReliabilityConfig {
+        rto_base_ns: 60_000_000_000,
+        rto_max_ns: 60_000_000_000,
+        ..ReliabilityConfig::enabled()
+    };
+    let config = CoreConfig::default()
+        .locking(LockingMode::Fine)
+        .reliability(rel);
+    let a = CoreBuilder::new(config.clone())
+        .add_gate(pa.drivers())
+        .build();
+    let _b = CoreBuilder::new(config).add_gate(pb.drivers()).build();
+    for tag in 0..4 {
+        let send = a.isend(G, tag, Bytes::from_static(b"8 bytes.")).unwrap();
+        assert!(send.is_complete());
+    }
+    assert_eq!(a.pending().unacked_frames, 4);
+    const PASSES: u64 = 10;
+    let (before, all_before) = (Families::of(&a, LANES), process_locks());
+    for _ in 0..PASSES {
+        assert_eq!(a.progress(), 0);
+    }
+    let pass = Families::of(&a, LANES).since(&before);
+    assert_eq!(
+        pass,
+        Families {
+            retrans: PASSES * LANES as u64,
+            driver: PASSES * LANES as u64,
+            ..Families::default()
+        },
+        "a reliable pass polls each lane and runs its upkeep, once"
+    );
+    assert_eq!(
+        process_locks() - all_before,
+        pass.total(),
+        "no lock outside the policy: no retransmit timer"
     );
 }

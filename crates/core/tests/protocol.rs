@@ -619,6 +619,56 @@ fn flush_local_drains_send_queues() {
 }
 
 #[test]
+fn progress_shard_alone_drains_the_collect_queue_one_lane() {
+    shard_passes_deliver_queued_sends(1);
+}
+
+#[test]
+fn progress_shard_alone_drains_the_collect_queue_two_lanes() {
+    shard_passes_deliver_queued_sends(2);
+}
+
+/// Four 8 B sends per lane over `lanes` rails of `LoopbackDriver::pair(1)`
+/// (a ring that holds two frames): half leave at `isend`, the rest wait
+/// in the collect queue. Cores driven only by `progress_shard(s, lanes)`
+/// on every shard must run the optimization layer too, or those sends
+/// never leave.
+fn shard_passes_deliver_queued_sends(lanes: usize) {
+    let (mut ra, mut rb) = (Vec::new(), Vec::new());
+    for _ in 0..lanes {
+        let (da, db) = LoopbackDriver::pair(1);
+        ra.push(Arc::new(da) as Arc<dyn Driver>);
+        rb.push(Arc::new(db) as Arc<dyn Driver>);
+    }
+    let a = CoreBuilder::new(CoreConfig::default()).add_gate(ra).build();
+    let b = CoreBuilder::new(CoreConfig::default()).add_gate(rb).build();
+    let payload = |t: u64| Bytes::from(vec![t as u8; 8]);
+    let msgs = 4 * lanes as u64;
+    let recvs: Vec<_> = (0..msgs).map(|t| b.irecv(G, t).unwrap()).collect();
+    let sends: Vec<_> = (0..msgs)
+        .map(|t| a.isend(G, t, payload(t)).unwrap())
+        .collect();
+    let mut passes = 0;
+    while recvs.iter().chain(&sends).any(|r| !r.is_complete()) {
+        for shard in 0..lanes {
+            a.progress_shard(shard, lanes);
+            b.progress_shard(shard, lanes);
+        }
+        passes += 1;
+        assert!(
+            passes <= 1_000,
+            "{lanes} lane(s): sends stranded after {passes} passes: a {:?}",
+            a.pending()
+        );
+    }
+    for (t, r) in recvs.iter().enumerate() {
+        assert_eq!(r.take_data().unwrap(), payload(t as u64));
+    }
+    assert_eq!(a.pending(), nm_core::PendingCounts::default());
+    assert_eq!(b.pending(), nm_core::PendingCounts::default());
+}
+
+#[test]
 fn length_hints_strand_nothing_fine_grain() {
     length_hints_strand_nothing(LockingMode::Fine);
 }

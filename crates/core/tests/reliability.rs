@@ -732,6 +732,60 @@ fn most_losses_of_a_long_stream_are_repaired_by_gap_report() {
 }
 
 #[test]
+fn a_lane_is_resent_by_the_shard_that_polls_it() {
+    // Two rails, so two lanes: lane 0 belongs to shard 0 of 2, lane 1 to
+    // shard 1. A 1 KiB rendezvous stripes its four chunks over both; the
+    // first chunk on lane 1 (its wseq 0) is lost, with nothing behind it
+    // to report. Once the chunks are out the sender runs shard 1's passes
+    // only: the lane's own upkeep must see the deadline pass and resend.
+    let rel = ReliabilityConfig {
+        rto_base_ns: 200_000_000,
+        rto_max_ns: 200_000_000,
+        ..ReliabilityConfig::enabled()
+    };
+    let config = CoreConfig::default()
+        .strategy(StrategyKind::Fifo)
+        .eager_threshold(64)
+        .rdv_chunk(256)
+        .reliability(rel);
+    let (da0, db0) = LoopbackDriver::pair(256);
+    let (da1, db1) = LoopbackDriver::pair(256);
+    let (tap1, log1) = TapDriver::scripted(da1, drop_once(&[0]));
+    let a = CoreBuilder::new(config.clone())
+        .add_gate(vec![
+            Arc::new(da0) as Arc<dyn Driver>,
+            Arc::new(tap1) as Arc<dyn Driver>,
+        ])
+        .build();
+    let b = CoreBuilder::new(config)
+        .add_gate(vec![
+            Arc::new(db0) as Arc<dyn Driver>,
+            Arc::new(db1) as Arc<dyn Driver>,
+        ])
+        .build();
+    let payload = Bytes::from((0..1024u32).map(|i| (i % 253) as u8).collect::<Vec<u8>>());
+    let recv = b.irecv(G, 3).unwrap();
+    let send = a.isend(G, 3, payload.clone()).unwrap();
+    while !send.is_complete() {
+        a.progress();
+        b.progress();
+    }
+    assert!(!recv.is_complete(), "the lost chunk is still missing");
+    let start = std::time::Instant::now();
+    while !recv.is_complete() {
+        a.progress_shard(1, 2);
+        b.progress();
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "shard 1 never resent its lane's lost frame"
+        );
+    }
+    assert_eq!(recv.take_data().unwrap(), payload);
+    assert_eq!(a.stats().retransmits.get(), 1);
+    assert_eq!(times_posted(&log1, &[0]), [2]);
+}
+
+#[test]
 fn all_rails_dead_fails_requests_with_peer_unreachable() {
     let plan = FaultPlan::new(11).loss(1.0);
     let rel = ReliabilityConfig {

@@ -59,7 +59,6 @@ fn chaos_stats_match_fault_trace_event_counts() {
         match stx.post_vci(0, Bytes::copy_from_slice(&[posted])) {
             Ok(()) => posted += 1,
             Err(PostError::WouldBlock) => continue,
-            Err(e) => panic!("unexpected post error: {e:?}"),
         }
     }
     drain(&srx);

@@ -105,10 +105,10 @@ impl<T> TimerWheel<T> {
     /// earliest first.
     pub fn pop_due(&self, now_ns: u64) -> Vec<T> {
         let mut st = self.state.lock();
-        // Nothing due is the common answer (a retransmit timer is armed
-        // for as long as a frame is unacknowledged, and polled every
-        // pass): give it without `split_off`, which allocates a node
-        // even when it moves nothing.
+        // Nothing due is the common answer (an armed deadline is polled
+        // every progression pass until it fires): give it without
+        // `split_off`, which allocates a node even when it moves
+        // nothing.
         if st
             .entries
             .first_key_value()

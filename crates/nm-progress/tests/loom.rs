@@ -90,7 +90,7 @@ fn progression_thread_completion_handoff() {
 }
 
 /// One transfer-layer lane of the model: an xfer queue and the racy
-/// liveness hint, exactly the pair `comm.rs` keeps per (rail, VCI).
+/// liveness hint, exactly the pair nm-core's `Lane` keeps per (rail, VCI).
 struct Lane {
     queue: Mutex<Vec<u32>>,
     dead: AtomicBool,
@@ -105,10 +105,10 @@ impl Lane {
     }
 }
 
-/// `migrate_stranded`: drain the dead lane's queue, then re-push onto a
-/// lane that is live *in a snapshot taken after the drain* — the order
-/// the real failover relies on.
-fn migrate_stranded(lanes: &[Lane; 2], from: usize) {
+/// `restripe`: drain the dead lane's queue, then re-push onto a lane
+/// that is live *in a snapshot taken after the drain* — the order the
+/// real failover relies on.
+fn restripe(lanes: &[Lane; 2], from: usize) {
     let stranded: Vec<u32> = lanes[from].queue.lock().drain(..).collect();
     if stranded.is_empty() {
         return;
@@ -124,7 +124,7 @@ fn migrate_stranded(lanes: &[Lane; 2], from: usize) {
 ///
 /// The submit path (`pick_idle_lane`) reads the per-lane `dead` hint with
 /// relaxed ordering and *then* pushes onto the chosen lane's xfer queue,
-/// so a failover (`kill_lane` → `migrate_stranded`) can drain the lane
+/// so a failover (`kill_lane` → `restripe`) can drain the lane
 /// between the check and the push and leave the new item stranded on a
 /// dead lane. The real code does not close that window with a lock — it
 /// guarantees instead that every progression pass re-runs `flush_xfer`,
@@ -155,17 +155,17 @@ fn vci_failover_rescues_items_striped_onto_a_dying_lane() {
             let lanes = Arc::clone(&lanes);
             thread::spawn(move || {
                 lanes[0].dead.store(true, Ordering::Relaxed);
-                migrate_stranded(&lanes, 0);
+                restripe(&lanes, 0);
             })
         };
 
         submit.join().unwrap();
         kill.join().unwrap();
 
-        // One progression pass: flush_xfer migrates every dead lane.
+        // One progression pass: flush_xfer restripes every dead lane.
         for lane in 0..2 {
             if lanes[lane].dead.load(Ordering::Relaxed) {
-                migrate_stranded(&lanes, lane);
+                restripe(&lanes, lane);
             }
         }
 

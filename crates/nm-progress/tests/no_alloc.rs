@@ -1,8 +1,8 @@
 //! Asking a timer wheel for due entries when none is due must be free.
 //!
-//! A core with a frame in flight keeps a retransmit timer armed and
-//! asks the wheel on every progression pass; almost every answer is
-//! "nothing yet". A counting wrapper around the system allocator runs
+//! A core with a request deadline armed asks the wheel on every
+//! progression pass until it fires; almost every answer is "nothing
+//! yet". A counting wrapper around the system allocator runs
 //! as this test binary's global allocator and pins that answer at zero
 //! allocations.
 

@@ -223,7 +223,7 @@ fn completion_flag_signal_before_wait_is_not_lost() {
 /// thread posts a receive under its gate's *own* rx lock; the progress
 /// engine matches and writes the result under the same lock, then
 /// completes the request **after** releasing it (completions run outside
-/// the section in `comm.rs`), so the completion flag's release edge is
+/// the section in `collect.rs`), so the completion flag's release edge is
 /// what publishes the delivered payload to the unlocked reader.
 struct GateRx {
     lock: RawSpin,

@@ -109,10 +109,10 @@ fn workload(mode: LockingMode) {
     engine.unregister(id);
 }
 
-/// Reliability protocol over a lossy wire: retransmit timers firing
-/// from the progress loop (`core.retrans -> core.driver`, the timer
-/// wheel under the retransmit section) and deadline/cancel pruning —
-/// the fault-handling edges the static graph predicts.
+/// Reliability protocol over a lossy wire: retransmits from each lane's
+/// upkeep in the progress loop (`core.retrans -> core.driver`), request
+/// deadlines on the timer wheel and deadline/cancel pruning — the
+/// fault-handling edges the static graph predicts.
 fn reliability_workload(mode: LockingMode) {
     let rel = ReliabilityConfig {
         rto_base_ns: 20_000,
@@ -149,13 +149,20 @@ fn reliability_workload(mode: LockingMode) {
         a.wait(s, WaitStrategy::Busy).unwrap();
     }
 
-    // Deadline expiry and cancellation pruning under the same mode.
+    // Deadline expiry (a bounded wait, and a deadline the progress loop
+    // pops off the timer wheel) and cancellation pruning under the same
+    // mode.
     let doomed = b.irecv(G, 99).unwrap();
     let _ = b.wait_deadline(
         &doomed,
         WaitStrategy::Busy,
         std::time::Duration::from_millis(1),
     );
+    let armed = b.irecv(G, 97).unwrap();
+    b.expire_after(&armed, std::time::Duration::from_millis(1));
+    while !armed.is_complete() {
+        b.progress();
+    }
     let cancelled = b.irecv(G, 98).unwrap();
     cancelled.cancel();
     assert_eq!(b.pending().posted_recvs, 0);
@@ -188,7 +195,7 @@ fn vci_workload(mode: LockingMode) {
         .collect();
     while recvs.iter().chain(sends.iter()).any(|r| !r.is_complete()) {
         // Drive each lane shard separately — the dedicated per-VCI
-        // progression-thread path — plus a full pass for the timers.
+        // progression-thread path — plus a full pass.
         for shard in 0..4 {
             a.progress_shard(shard, 4);
             b.progress_shard(shard, 4);
