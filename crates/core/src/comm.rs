@@ -72,7 +72,9 @@ impl CoreBuilder {
     /// # Panics
     /// Panics on inconsistent configuration: no gates, an eager threshold
     /// that cannot fit any rail's MTU, a deferred offload mode combined
-    /// with single-thread locking, or tasklet offload without an engine.
+    /// with single-thread locking, tasklet offload without an engine, or
+    /// reliability off over a driver that may corrupt frames (only the
+    /// reliability layer checks integrity).
     pub fn build(self) -> Arc<CommCore> {
         assert!(!self.gates.is_empty(), "at least one gate required");
         if self.config.offload != OffloadMode::Inline {
@@ -92,6 +94,15 @@ impl CoreBuilder {
         let mut gates = Vec::with_capacity(self.gates.len());
         let mut lanes = 0;
         for (id, drivers) in self.gates.into_iter().enumerate() {
+            if let Some(d) = drivers.iter().find(|d| d.caps().may_corrupt) {
+                assert!(
+                    reliable,
+                    "driver {} of gate {} may corrupt frames, which an unreliable core \
+                     cannot detect: enable reliability (ReliabilityConfig::enabled())",
+                    d.caps().name,
+                    id
+                );
+            }
             let gate = Gate::new(GateId(id), drivers, lanes, reliable);
             // FRAME_SPAN_BYTES is reserved whether or not tracing is
             // compiled in, so packing decisions are identical across

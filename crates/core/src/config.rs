@@ -31,9 +31,11 @@ pub struct CoreConfig {
 
 /// Knobs of the end-to-end reliability protocol.
 ///
-/// Disabled by default: the simulated fabric is lossless, and the
-/// unreliable path adds only the frame checksum. With `enabled` the core
-/// sequences every frame per rail, acknowledges cumulatively (a bare ack
+/// Disabled by default: the simulated fabric is lossless, and an
+/// unreliable lane sends bare frames with no checksum (a core without
+/// reliability refuses a driver whose `DriverCaps::may_corrupt` is set).
+/// With `enabled` the core seals every frame with a CRC-32, sequences it
+/// per rail, acknowledges cumulatively (a bare ack
 /// also reports how many frames sit behind the first hole), suppresses
 /// duplicates, retransmits a hole at once when the peer reports three or
 /// more frames behind it and otherwise on timeout with exponential
@@ -41,7 +43,7 @@ pub struct CoreConfig {
 /// retries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReliabilityConfig {
-    /// Run the ack/retransmit protocol (frames always carry a CRC).
+    /// Run the ack/retransmit protocol over sealed (CRC-checked) frames.
     pub enabled: bool,
     /// Maximum unacknowledged frames in flight per rail.
     pub window: usize,

@@ -1,7 +1,11 @@
-//! Reliability layer: a lane's window, acknowledgements, gap reports,
-//! retransmits and failover.
+//! Reliability layer: a lane's integrity check, window,
+//! acknowledgements, gap reports, retransmits and failover.
 //!
 //! Present only on a reliable core, as the `rel` cell of each [`Lane`].
+//! It owns the sealed frame format (`wire.rs`): every frame it sends is
+//! summed here and every frame it receives is verified here, before any
+//! field is read. An unreliable lane sends bare frames and computes no
+//! checksum.
 //! Everything a lane's window needs over time runs in that lane's
 //! once-per-pass upkeep ([`CommCore::upkeep`]), in the `Retrans` section
 //! the pass takes right after polling the lane: the owed ack goes out,
@@ -23,7 +27,8 @@ use crate::locking::{Protected, SectionKind};
 use crate::strategy::SendItem;
 use crate::transfer::{Lane, XferItem};
 use crate::wire::{
-    encode_frame, encode_packet_frame, Entry, Frame, FRAME_ACK_ONLY, FRAME_RELIABLE,
+    decode_frame, encode_frame, encode_packet_frame, Entry, WireError, FRAME_ACK_ONLY,
+    FRAME_RELIABLE,
 };
 
 /// Fewest frames a gap report must count behind the hole before the
@@ -89,21 +94,38 @@ impl RelState {
 }
 
 impl CommCore {
-    /// Runs one reliable frame through the lane's receive window:
-    /// processes its cumulative ack, suppresses duplicates, buffers
-    /// out-of-order arrivals, and returns the packets released for
-    /// dispatch (in wire order), each paired with the span its frame
-    /// carried (0 = none).
+    /// Runs one raw frame through the lane's receive window: verifies
+    /// its checksum (a mismatch counts `corrupt_dropped` before any
+    /// field is read; a sealed frame that is not reliable, or does not
+    /// decode, counts `wire_errors`), processes its cumulative ack,
+    /// suppresses duplicates, buffers out-of-order arrivals, and returns
+    /// the packets released for dispatch (in wire order), each paired
+    /// with the span its frame carried (0 = none).
     ///
     /// Kept out of line so that `poll_lane`'s loop, which every frame of
-    /// an unreliable wire runs too, does not carry the window code.
+    /// an unreliable wire runs too, carries neither the checksum nor the
+    /// window code.
     #[inline(never)]
     pub(crate) fn rel_receive(
         &self,
         lane: &Lane,
         cell: &Protected<RelState>,
-        frame: Frame,
+        raw: Bytes,
     ) -> Vec<(Bytes, u64)> {
+        let frame = match decode_frame(raw) {
+            Ok(frame) if frame.reliable() => frame,
+            Err(WireError::BadChecksum { .. }) => {
+                self.stats.corrupt_dropped.incr();
+                return Vec::new();
+            }
+            _ => {
+                self.stats.wire_errors.incr();
+                return Vec::new();
+            }
+        };
+        if frame.span != 0 {
+            nm_trace::trace_event!(SpanWireRx, frame.span, frame.wseq);
+        }
         let r = &self.config.reliability;
         let s = self.policy.enter(SectionKind::Retrans(lane.id));
         let out = cell.with(&s, |rel| {

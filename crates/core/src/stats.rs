@@ -31,7 +31,9 @@ pub struct CoreStats {
     pub progress_passes: Counter,
     /// Undecodable or unmatchable wire packets (protocol errors).
     pub wire_errors: Counter,
-    /// Frames dropped for a CRC mismatch (corrupted in transit).
+    /// Frames dropped for a CRC mismatch (corrupted in transit). Only a
+    /// reliable lane seals its frames; an unreliable one computes no
+    /// checksum, so this stays 0 on an unreliable core.
     pub corrupt_dropped: Counter,
     /// Frames retransmitted, whatever provoked the resend (an ack
     /// timeout or the peer's gap report). Counts resends the NIC

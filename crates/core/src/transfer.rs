@@ -19,13 +19,13 @@ use crate::reliability::RelState;
 use crate::request::Request;
 use crate::strategy::SendItem;
 use crate::wire::{
-    decode_frame, encode_packet_frame, Entry, WireError, ENTRY_HEADER, FRAME_HEADER,
-    FRAME_SPAN_BYTES, PACKET_HEADER,
+    decode_bare_frame, encode_bare_frame, Entry, ENTRY_HEADER, FRAME_HEADER, FRAME_SPAN_BYTES,
+    PACKET_HEADER,
 };
 
 /// A packet queued in a transfer-layer list, still as its entries: the
 /// payloads are slices of the caller's buffer, and nothing is encoded
-/// or summed until `post_packet` knows the frame can leave.
+/// until `post_packet` knows the frame can leave.
 pub(crate) struct XferItem {
     pub entries: Vec<Entry>,
     /// Eager requests completed when this packet is injected.
@@ -141,8 +141,9 @@ impl Lane {
 impl CommCore {
     /// Polls one lane's completion ring, unwraps each frame and
     /// dispatches everything deliverable, then runs the lane's
-    /// reliability upkeep. Corrupt frames are dropped here, before any
-    /// protocol field is decoded.
+    /// reliability upkeep. An unreliable lane strips a bare frame's
+    /// header and trusts the rest; a reliable lane hands the raw bytes
+    /// to its window, which verifies them before anything is decoded.
     pub(crate) fn poll_lane(&self, g: &Gate, lane: &Lane) -> usize {
         /// Packets polled per lane per progression pass.
         const MAX_POLLS_PER_PASS: usize = 16;
@@ -152,33 +153,22 @@ impl CommCore {
                 break;
             };
             events += 1;
-            let frame = match decode_frame(raw) {
-                Ok(frame) => frame,
-                Err(WireError::BadChecksum { .. }) => {
-                    self.stats.corrupt_dropped.incr();
-                    continue;
+            if let Some(rel) = &lane.rel {
+                for (packet, span) in self.rel_receive(lane, rel, raw) {
+                    self.stats.packets_rx.incr();
+                    self.dispatch(g, packet, span);
                 }
-                Err(_) => {
-                    self.stats.wire_errors.incr();
-                    continue;
-                }
+                continue;
+            }
+            let Ok(frame) = decode_bare_frame(raw) else {
+                self.stats.wire_errors.incr();
+                continue;
             };
             if frame.span != 0 {
-                nm_trace::trace_event!(SpanWireRx, frame.span, frame.wseq);
+                nm_trace::trace_event!(SpanWireRx, frame.span, 0);
             }
-            match &lane.rel {
-                Some(rel) if frame.reliable() => {
-                    for (packet, span) in self.rel_receive(lane, rel, frame) {
-                        self.stats.packets_rx.incr();
-                        self.dispatch(g, packet, span);
-                    }
-                }
-                _ if !frame.ack_only() => {
-                    self.stats.packets_rx.incr();
-                    self.dispatch(g, frame.payload, frame.span);
-                }
-                _ => {}
-            }
+            self.stats.packets_rx.incr();
+            self.dispatch(g, frame.payload, frame.span);
         }
         if let Some(rel) = &lane.rel {
             events += self.upkeep(g, lane, rel);
@@ -235,19 +225,19 @@ impl CommCore {
     }
 
     /// Encodes `entries` into one frame and injects it on `lane`. This
-    /// is the only place a data frame is first encoded and summed, and
-    /// it runs only once the frame can leave: first posts, `WouldBlock`
-    /// requeues and failed-over packets all arrive here as entries.
+    /// is the only place a data frame is first encoded, and it runs only
+    /// once the frame can leave: first posts, `WouldBlock` requeues and
+    /// failed-over packets all arrive here as entries.
     ///
-    /// On an unreliable lane the frame only adds the checksum; a
-    /// reliable lane sequences it through its window
-    /// (`CommCore::post_reliable`). `Err` is `WouldBlock` and hands the
-    /// entries back for requeueing.
+    /// On an unreliable lane the frame is bare: one flags byte before
+    /// the packet, no checksum. A reliable lane seals and sequences it
+    /// through its window (`CommCore::post_reliable`). `Err` is
+    /// `WouldBlock` and hands the entries back for requeueing.
     fn post_packet(&self, lane: &Lane, entries: Vec<Entry>, span: u64) -> Result<(), Vec<Entry>> {
         if let Some(rel) = &lane.rel {
             return self.post_reliable(lane, rel, entries, span);
         }
-        let frame = encode_packet_frame(0, 0, 0, span, &entries);
+        let frame = encode_bare_frame(span, &entries);
         let posted = lane.post_frame(&self.policy, frame);
         if posted.is_ok() && span != 0 {
             nm_trace::trace_event!(SpanWireTx, span, 0);
@@ -404,9 +394,10 @@ impl CommCore {
             .find(|&nth| !g.lanes[nth].is_dead() && g.lanes[nth].can_post())
     }
 
-    /// Payload budget for the next arranged packet. The span word is
-    /// reserved unconditionally so trace and non-trace builds arrange
-    /// identical packets.
+    /// Payload budget for the next arranged packet. The sealed header
+    /// and the span word are reserved on every lane, so reliable and
+    /// unreliable lanes, trace and non-trace builds arrange identical
+    /// packets.
     fn packet_budget(&self, g: &Gate) -> usize {
         let mtu_budget = g.mtu - PACKET_HEADER - FRAME_HEADER - FRAME_SPAN_BYTES;
         // Never smaller than one maximal eager entry, or it could never

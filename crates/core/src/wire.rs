@@ -3,28 +3,39 @@
 //! Every wire packet is a container of one or more *entries*; aggregation
 //! (the optimization layer coalescing several small messages into one
 //! packet) is therefore free at the format level — an aggregated packet is
-//! just a container with `count > 1`. Since the reliability layer, every
-//! container travels inside a *frame* that adds integrity and sequencing:
+//! just a container with `count > 1`. Every container travels inside a
+//! *frame*, in one of two formats chosen by the lane, never by a flag:
 //!
 //! ```text
-//! frame   := crc:u32 wseq:u32 ack:u32 flags:u8 [span:u64] packet
+//! sealed  := crc:u32 wseq:u32 ack:u32 flags:u8 [span:u64] packet
+//! bare    := flags:u8 [span:u64] packet
 //! packet  := count:u16 entry*
 //! entry   := kind:u8 tag:u64 seq:u32 aux:u32 len:u32 payload[len]
 //! ```
 //!
-//! `crc` is a CRC-32 (IEEE) over everything after itself; a frame whose
-//! checksum does not match is dropped before any entry is decoded
-//! ([`WireError::BadChecksum`]). `wseq`/`ack` are the per-wire send
-//! sequence number and cumulative acknowledgement of the reliability
-//! protocol; on an unreliable wire (reliability disabled) the
-//! [`FRAME_RELIABLE`] flag is clear and both fields are ignored.
-//! [`FRAME_ACK_ONLY`] marks a bare acknowledgement with no packet; it is
-//! not sequenced, and its `wseq` field instead reports how many frames
-//! the receiver holds out of order behind the hole at `ack` (0 when the
-//! stream is in order), which lets the sender resend the hole at once.
-//! [`FRAME_SPAN`] marks an 8-byte observability span id between the
-//! flags byte and the packet; frames with span 0 omit it entirely, so
-//! trace-off builds pay zero wire bytes.
+//! **Sealed frames belong to the reliability layer**: within `nm-core`
+//! only `reliability.rs` calls [`encode_frame`], [`decode_frame`] and
+//! the one-pass sealed encoder, and only they run [`crc32`]. `crc` is a
+//! CRC-32 (IEEE) over everything after itself; a
+//! frame whose checksum does not match is dropped before any entry is
+//! decoded ([`WireError::BadChecksum`]). `wseq`/`ack` are the per-wire
+//! send sequence number and cumulative acknowledgement, live because
+//! [`FRAME_RELIABLE`] is set. [`FRAME_ACK_ONLY`] marks a bare
+//! acknowledgement with no packet; it is not sequenced, and its `wseq`
+//! field instead reports how many frames the receiver holds out of order
+//! behind the hole at `ack` (0 when the stream is in order), which lets
+//! the sender resend the hole at once.
+//!
+//! **Bare frames belong to an unreliable lane** ([`encode_bare_frame`],
+//! [`decode_bare_frame`]): one flags byte and the packet, no checksum,
+//! no sequencing. Like MX or InfiniBand, the lane trusts its wire to
+//! deliver bytes intact; a core without reliability refuses a driver
+//! that says it may damage a frame. The only flag a bare frame carries
+//! is [`FRAME_SPAN`].
+//!
+//! In both formats [`FRAME_SPAN`] marks an 8-byte observability span id
+//! between the flags byte and the packet; frames with span 0 omit it
+//! entirely, so trace-off builds pay zero wire bytes.
 //!
 //! Entry kinds:
 //!
@@ -39,8 +50,12 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 pub const ENTRY_HEADER: usize = 1 + 8 + 4 + 4 + 4;
 /// Container header size in bytes.
 pub const PACKET_HEADER: usize = 2;
-/// Frame header size in bytes (crc + wseq + ack + flags).
+/// Sealed frame header size in bytes (crc + wseq + ack + flags). Packet
+/// budgets reserve it on every lane, so both frame formats arrange
+/// identical packets.
 pub const FRAME_HEADER: usize = 4 + 4 + 4 + 1;
+/// Bare frame header size in bytes (flags).
+const BARE_HEADER: usize = 1;
 /// Extra frame bytes when [`FRAME_SPAN`] is set (the span id).
 pub const FRAME_SPAN_BYTES: usize = 8;
 
@@ -300,7 +315,8 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// A decoded frame header plus its (still encoded) packet payload.
+/// A decoded frame header plus its (still encoded) packet payload. A
+/// bare frame decodes with `wseq` and `ack` 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Per-wire send sequence number (live iff [`FRAME_RELIABLE`]).
@@ -335,24 +351,49 @@ impl Frame {
     }
 }
 
-/// Size of a frame header carrying `span` (0 = no span word).
-fn frame_header_size(span: u64) -> usize {
-    FRAME_HEADER + if span != 0 { FRAME_SPAN_BYTES } else { 0 }
+/// Bytes the span word of a frame carrying `span` takes (0 = none).
+fn span_size(span: u64) -> usize {
+    if span != 0 {
+        FRAME_SPAN_BYTES
+    } else {
+        0
+    }
 }
 
-/// Writes a frame header with a zero checksum; [`seal`] fills it in once
-/// the body is complete. `span == 0` clears [`FRAME_SPAN`] whatever the
-/// caller passed, any other value sets it.
-fn put_frame_header(buf: &mut BytesMut, wseq: u32, ack: u32, flags: u8, span: u64) {
-    buf.put_u32(0);
-    buf.put_u32(wseq);
-    buf.put_u32(ack);
+/// Writes the flags byte and the span word, if any: `span == 0` clears
+/// [`FRAME_SPAN`] whatever the caller passed, any other value sets it.
+fn put_flags_and_span(buf: &mut BytesMut, flags: u8, span: u64) {
     if span != 0 {
         buf.put_u8(flags | FRAME_SPAN);
         buf.put_u64(span);
     } else {
         buf.put_u8(flags & !FRAME_SPAN);
     }
+}
+
+/// Reads the span word `flags` announces (0 when there is none).
+fn take_span(frame: &mut Bytes, flags: u8) -> Result<u64, WireError> {
+    if flags & FRAME_SPAN == 0 {
+        return Ok(0);
+    }
+    if frame.remaining() < FRAME_SPAN_BYTES {
+        return Err(WireError::Truncated);
+    }
+    Ok(frame.get_u64())
+}
+
+/// Size of a sealed frame header carrying `span`.
+fn frame_header_size(span: u64) -> usize {
+    FRAME_HEADER + span_size(span)
+}
+
+/// Writes a sealed frame header with a zero checksum; [`seal`] fills it
+/// in once the body is complete.
+fn put_frame_header(buf: &mut BytesMut, wseq: u32, ack: u32, flags: u8, span: u64) {
+    buf.put_u32(0);
+    buf.put_u32(wseq);
+    buf.put_u32(ack);
+    put_flags_and_span(buf, flags, span);
 }
 
 /// Sums everything after the checksum field (the frame's one CRC pass
@@ -363,7 +404,7 @@ fn seal(mut buf: BytesMut) -> Bytes {
     buf.freeze()
 }
 
-/// Wraps an encoded packet in a checksummed frame.
+/// Wraps an encoded packet in a sealed (checksummed) frame.
 ///
 /// `span` is the observability span id of the first message aboard;
 /// `0` ("no span", the value in every trace-off build) clears
@@ -397,7 +438,7 @@ pub(crate) fn encode_packet_frame(
     seal(buf)
 }
 
-/// Verifies and strips a frame header.
+/// Verifies and strips a sealed frame header.
 ///
 /// A frame that fails the checksum is reported as
 /// [`WireError::BadChecksum`] *without* decoding any entry, so corrupted
@@ -417,20 +458,50 @@ pub fn decode_frame(mut frame: Bytes) -> Result<Frame, WireError> {
     if flags & !FRAME_FLAG_MASK != 0 {
         return Err(WireError::Malformed("unknown frame flags"));
     }
-    let span = if flags & FRAME_SPAN != 0 {
-        if frame.remaining() < FRAME_SPAN_BYTES {
-            return Err(WireError::Truncated);
-        }
-        frame.get_u64()
-    } else {
-        0
-    };
+    let span = take_span(&mut frame, flags)?;
     if flags & FRAME_ACK_ONLY != 0 && frame.has_remaining() {
         return Err(WireError::Malformed("ack-only frame with payload"));
     }
     Ok(Frame {
         wseq,
         ack,
+        flags,
+        span,
+        payload: frame,
+    })
+}
+
+/// Frames `entries` for an unreliable lane: the flags byte, the span word
+/// if `span != 0`, and the packet, written into one exactly-sized buffer
+/// and frozen. No checksum is computed.
+///
+/// # Panics
+/// As [`encode_packet`].
+pub fn encode_bare_frame(span: u64, entries: &[Entry]) -> Bytes {
+    let size = BARE_HEADER + span_size(span) + packet_size(entries);
+    let mut buf = BytesMut::with_capacity(size);
+    put_flags_and_span(&mut buf, 0, span);
+    put_packet(&mut buf, entries);
+    debug_assert_eq!(buf.len(), size);
+    buf.freeze()
+}
+
+/// Strips a bare frame's header; `wseq` and `ack` decode as 0. Nothing
+/// is verified but the format: any flag other than [`FRAME_SPAN`] (a
+/// sealed frame's [`FRAME_RELIABLE`] or [`FRAME_ACK_ONLY`], or an
+/// unknown bit) and a span word cut short are rejected.
+pub fn decode_bare_frame(mut frame: Bytes) -> Result<Frame, WireError> {
+    if !frame.has_remaining() {
+        return Err(WireError::Truncated);
+    }
+    let flags = frame.get_u8();
+    if flags & !FRAME_SPAN != 0 {
+        return Err(WireError::Malformed("flags a bare frame cannot carry"));
+    }
+    let span = take_span(&mut frame, flags)?;
+    Ok(Frame {
+        wseq: 0,
+        ack: 0,
         flags,
         span,
         payload: frame,
@@ -741,6 +812,92 @@ mod tests {
             let got = encode_packet_frame(5, 3, FRAME_RELIABLE, span, &entries);
             assert_eq!(&got[..], &want[..], "span {span:#x}");
         }
+    }
+
+    #[test]
+    fn golden_bare_frame_bytes() {
+        // A bare frame is the flags byte, the span word if any, and the
+        // packet: no checksum, no sequence numbers.
+        let entries = [
+            Entry::Eager {
+                tag: 0x0102_0304_0506_0708,
+                seq: 0x0A0B_0C0D,
+                data: Bytes::from_static(b"hi"),
+            },
+            Entry::Cts { tag: 2, seq: 3 },
+        ];
+        #[rustfmt::skip]
+        let packet = [
+            0x00, 0x02, // count
+            0x01, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, // EAGER, tag
+            0x0A, 0x0B, 0x0C, 0x0D, 0x00, 0x00, 0x00, 0x00, // seq, aux
+            0x00, 0x00, 0x00, 0x02, b'h', b'i', // len, payload
+            0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, // CTS, tag
+            0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, // seq, aux
+            0x00, 0x00, 0x00, 0x00, // len
+        ];
+        #[rustfmt::skip]
+        let spanned = [
+            0x04, // flags: FRAME_SPAN
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xBE, 0xEF, // span
+        ];
+        for (header, span) in [(&[0x00][..], 0), (&spanned[..], 0xBEEF)] {
+            let want = [header, &packet[..]].concat();
+            let got = encode_bare_frame(span, &entries);
+            assert_eq!(&got[..], &want[..], "span {span:#x}");
+            let frame = decode_bare_frame(got).expect("decode");
+            assert_eq!((frame.wseq, frame.ack, frame.span), (0, 0, span));
+            assert_eq!(&frame.payload[..], &packet[..]);
+        }
+    }
+
+    #[test]
+    fn bare_frame_roundtrip_mixed_entries() {
+        for n in 1..=8 {
+            let entries = mixed_entries(n);
+            for span in [0, 0x0123_4567_89AB_CDEF] {
+                let framed = encode_bare_frame(span, &entries);
+                let packet = encode_packet(&entries);
+                assert_eq!(framed.len(), 1 + span_size(span) + packet.len());
+                let frame = decode_bare_frame(framed).expect("decode");
+                assert_eq!(frame.span, span, "{n} entries");
+                assert_eq!(frame.flags & FRAME_SPAN != 0, span != 0);
+                assert!(!frame.reliable() && !frame.ack_only());
+                assert_eq!(frame.payload, packet);
+                assert_eq!(decode_packet(frame.payload).expect("packet"), entries);
+            }
+        }
+    }
+
+    #[test]
+    fn bare_frame_rejects_sealed_flags_unknown_bits_and_a_short_span() {
+        // A sealed frame's flags and unknown bits, with and without a span.
+        for flags in [
+            FRAME_RELIABLE,
+            FRAME_ACK_ONLY,
+            FRAME_RELIABLE | FRAME_ACK_ONLY | FRAME_SPAN,
+            0x08,
+            0x80 | FRAME_SPAN,
+        ] {
+            let mut buf = BytesMut::new();
+            buf.put_u8(flags);
+            buf.put_u64(1);
+            buf.put_slice(&encode_packet(&[Entry::Cts { tag: 1, seq: 2 }]));
+            assert_eq!(
+                decode_bare_frame(buf.freeze()),
+                Err(WireError::Malformed("flags a bare frame cannot carry")),
+                "flags {flags:#04x}"
+            );
+        }
+        let framed = encode_bare_frame(77, &[Entry::Cts { tag: 1, seq: 2 }]);
+        for cut in 0..1 + FRAME_SPAN_BYTES {
+            assert_eq!(
+                decode_bare_frame(framed.slice(0..cut)),
+                Err(WireError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        assert_eq!(decode_bare_frame(framed).unwrap().span, 77);
     }
 
     #[test]

@@ -500,9 +500,9 @@ fn exact_recv_reports_matched_tag_too() {
 
 #[test]
 fn corrupt_packets_are_counted_and_skipped() {
-    use nm_core::wire::encode_frame;
-    // Inject garbage directly into the wire: the receiver must count it
-    // and keep functioning.
+    // Inject garbage directly into the wire of an unreliable core: it
+    // trusts its wire and computes no checksum, so each garbage frame is
+    // one wire error, and the receiver keeps functioning.
     let (da, db) = LoopbackDriver::pair(64);
     let da = Arc::new(da);
     let a = CoreBuilder::new(CoreConfig::default())
@@ -512,19 +512,19 @@ fn corrupt_packets_are_counted_and_skipped() {
         .add_gate(vec![Arc::new(db) as Arc<dyn Driver>])
         .build();
 
-    // Raw garbage fails the frame checksum: dropped before any decode.
-    da.post_vci(
-        0,
-        Bytes::from_static(b"\xFF\xFF garbage that is not a packet"),
-    )
-    .unwrap();
-    // A well-framed frame around a garbage packet passes the CRC and
-    // fails protocol decode: a wire error.
-    da.post_vci(0, encode_frame(0, 0, 0, 0, b"\xFF\xFF not a packet either"))
-        .unwrap();
+    for garbage in [
+        // Not a bare frame: flag bits a bare frame never carries.
+        &b"\xFF\xFF garbage that is not a packet"[..],
+        // A bare frame around a garbage packet: fails protocol decode.
+        &b"\x00\xFF\xFF not a packet either"[..],
+        // Nothing at all.
+        &b""[..],
+    ] {
+        da.post_vci(0, Bytes::copy_from_slice(garbage)).unwrap();
+    }
     while b.progress() > 0 {}
-    assert_eq!(b.stats().corrupt_dropped.get(), 1);
-    assert_eq!(b.stats().wire_errors.get(), 1);
+    assert_eq!(b.stats().wire_errors.get(), 3);
+    assert_eq!(b.stats().corrupt_dropped.get(), 0, "no checksum involved");
 
     // The stack still works after the corrupt packet.
     let s = a.isend(G, 1, Bytes::from_static(b"still alive")).unwrap();
@@ -539,7 +539,7 @@ fn corrupt_packets_are_counted_and_skipped() {
 
 #[test]
 fn duplicate_cts_is_ignored() {
-    use nm_core::wire::{encode_frame, encode_packet, Entry};
+    use nm_core::wire::{encode_bare_frame, Entry};
     // A CTS for an unknown rendezvous id must be dropped and counted,
     // not crash the sender-side state machine.
     let (da, db) = LoopbackDriver::pair(64);
@@ -551,17 +551,8 @@ fn duplicate_cts_is_ignored() {
         .add_gate(vec![Arc::clone(&db) as Arc<dyn Driver>])
         .build();
     // Send a spurious CTS from b's side of the wire toward a.
-    db.post_vci(
-        0,
-        encode_frame(
-            0,
-            0,
-            0,
-            0,
-            &encode_packet(&[Entry::Cts { tag: 1, seq: 99 }]),
-        ),
-    )
-    .unwrap();
+    db.post_vci(0, encode_bare_frame(0, &[Entry::Cts { tag: 1, seq: 99 }]))
+        .unwrap();
     while a.progress() > 0 {}
     assert_eq!(a.stats().wire_errors.get(), 1);
 }

@@ -9,7 +9,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use nm_core::wire::{decode_frame, decode_packet, Entry};
+use nm_core::wire::{
+    decode_frame, decode_packet, encode_frame, encode_packet, Entry, FRAME_RELIABLE,
+};
 use nm_core::{
     CommCore, CommError, CoreBuilder, CoreConfig, GateId, LockingMode, ReliabilityConfig,
     StrategyKind,
@@ -135,6 +137,66 @@ fn duplicates_and_corruption_are_filtered() {
         bad > 0,
         "5% corruption over 300 frames must hit the checksum"
     );
+}
+
+#[test]
+fn a_flipped_byte_fails_the_checksum_and_is_never_decoded() {
+    // A sealed frame with one byte flipped, injected on b's wire before
+    // any traffic: were it decoded, its wseq 0 would take the place of
+    // a's first frame. It is dropped on the checksum, and a's message
+    // is still delivered.
+    let (da, db) = LoopbackDriver::pair(64);
+    let da = Arc::new(da);
+    let config = CoreConfig::default().reliability(fast_reliability());
+    let a = CoreBuilder::new(config.clone())
+        .add_gate(vec![Arc::clone(&da) as Arc<dyn Driver>])
+        .build();
+    let b = CoreBuilder::new(config)
+        .add_gate(vec![Arc::new(db) as Arc<dyn Driver>])
+        .build();
+    let impostor = Entry::Eager {
+        tag: 1,
+        seq: 0,
+        data: Bytes::from_static(b"impostor"),
+    };
+    let packet = encode_packet(&[impostor]);
+    let mut flipped = encode_frame(0, 0, FRAME_RELIABLE, 0, &packet).to_vec();
+    let last = flipped.len() - 1;
+    flipped[last] ^= 0xFF;
+    da.post_vci(0, Bytes::from(flipped)).unwrap();
+    while b.progress() > 0 {}
+    assert_eq!(b.stats().corrupt_dropped.get(), 1);
+    assert_eq!(b.stats().wire_errors.get(), 0);
+    assert_eq!(b.stats().unexpected_msgs.get(), 0, "the frame was decoded");
+
+    let send = a.isend(G, 1, Bytes::from_static(b"genuine")).unwrap();
+    let recv = b.irecv(G, 1).unwrap();
+    while !recv.is_complete() || !send.is_complete() {
+        a.progress();
+        b.progress();
+    }
+    assert_eq!(recv.take_data().unwrap(), Bytes::from_static(b"genuine"));
+}
+
+#[test]
+#[should_panic(expected = "enable reliability")]
+fn an_unreliable_core_refuses_a_wire_that_may_corrupt() {
+    let (da, _db) = LoopbackDriver::pair(64);
+    let corrupting = ChaosDriver::new(da, FaultPlan::new(1).corrupt(0.01));
+    let _ = CoreBuilder::new(CoreConfig::default())
+        .add_gate(vec![Arc::new(corrupting) as Arc<dyn Driver>])
+        .build();
+}
+
+#[test]
+fn a_reliable_core_accepts_a_wire_that_may_corrupt() {
+    let (da, _db) = LoopbackDriver::pair(64);
+    let corrupting = ChaosDriver::new(da, FaultPlan::new(1).corrupt(0.01));
+    assert!(corrupting.caps().may_corrupt);
+    let core = CoreBuilder::new(CoreConfig::default().reliability(ReliabilityConfig::enabled()))
+        .add_gate(vec![Arc::new(corrupting) as Arc<dyn Driver>])
+        .build();
+    assert_eq!(core.num_gates(), 1);
 }
 
 #[test]

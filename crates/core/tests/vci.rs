@@ -1,12 +1,13 @@
 //! End-to-end tests of the multi-VCI transfer layer: per-(rail, VCI)
-//! lane selection, striping under backpressure, the racy `can_post`
-//! hint, `flush_xfer` requeue ordering, and per-lane failover.
+//! lane selection, striping under backpressure, the frame format a lane
+//! puts on the wire, the racy `can_post` hint, `flush_xfer` requeue
+//! ordering, and per-lane failover.
 
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use nm_core::wire::{decode_frame, decode_packet, Entry};
+use nm_core::wire::{decode_bare_frame, decode_packet, Entry};
 use nm_core::{
     CommCore, CoreBuilder, CoreConfig, GateId, LockingMode, ReliabilityConfig, StrategyKind,
 };
@@ -110,6 +111,7 @@ impl LyingDriver {
                 name: "lying".to_string(),
                 mtu: usize::MAX,
                 thread_safe: true,
+                may_corrupt: false,
             },
             inner,
             log,
@@ -131,6 +133,42 @@ impl Driver for LyingDriver {
     }
     fn poll_vci(&self, vci: usize) -> Option<Bytes> {
         self.inner.poll_vci(vci)
+    }
+}
+
+#[test]
+fn an_eager_frame_is_bare_unless_the_lane_is_reliable() {
+    // An 8 B eager message leaves as entry header 21 + packet header 2 +
+    // payload 8, behind a 1-byte bare header or a 13-byte sealed one,
+    // plus the span word when tracing puts a span aboard. The ring holds
+    // the one frame, so the driver's stale hint never matters here.
+    let span = if nm_trace::enabled() {
+        nm_core::wire::FRAME_SPAN_BYTES
+    } else {
+        0
+    };
+    let reliable = CoreConfig::default().reliability(ReliabilityConfig::enabled());
+    for (config, frame_len) in [(CoreConfig::default(), 32), (reliable, 44)] {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (da, db) = LoopbackDriver::pair(64);
+        let a = CoreBuilder::new(config.clone())
+            .add_gate(vec![
+                Arc::new(LyingDriver::new(da, Arc::clone(&log))) as Arc<dyn Driver>
+            ])
+            .build();
+        let b = CoreBuilder::new(config)
+            .add_gate(vec![Arc::new(db) as Arc<dyn Driver>])
+            .build();
+        let payload = Bytes::from(vec![0xA5u8; 8]);
+        let send = a.isend(G, 1, payload.clone()).unwrap();
+        let recv = b.irecv(G, 1).unwrap();
+        while !recv.is_complete() || !send.is_complete() {
+            a.progress();
+            b.progress();
+        }
+        assert_eq!(recv.take_data().unwrap(), payload);
+        let lens: Vec<usize> = log.lock().unwrap().iter().map(Bytes::len).collect();
+        assert_eq!(lens, [frame_len + span]);
     }
 }
 
@@ -201,7 +239,7 @@ fn flush_xfer_requeue_preserves_chunk_order_under_contention() {
         .unwrap()
         .iter()
         .flat_map(|frame| {
-            let f = decode_frame(frame.clone()).expect("recorded frame decodes");
+            let f = decode_bare_frame(frame.clone()).expect("recorded frame decodes");
             decode_packet(f.payload).expect("recorded packet decodes")
         })
         .filter_map(|e| match e {
@@ -233,6 +271,7 @@ impl HalfDeadDriver {
             name: "halfdead".to_string(),
             mtu: usize::MAX,
             thread_safe: true,
+            may_corrupt: false,
         };
         (
             HalfDeadDriver {
@@ -343,7 +382,8 @@ fn lane_failover_moves_traffic_to_live_vci_of_same_rail() {
 fn progress_shard_drives_disjoint_lanes_to_completion() {
     // Sharded progression (one shard per would-be VCI thread) must be
     // enough to complete traffic: every lane belongs to exactly one
-    // shard, and shard 0 services the timers.
+    // shard, and every shard pass also feeds the collect queue to idle
+    // lanes.
     let config = CoreConfig::default().eager_threshold(256);
     let (a, b) = vci_pair(config, WireModel::ideal(), 4);
     let recvs: Vec<_> = (0..8u64).map(|t| b.irecv(G, t).unwrap()).collect();

@@ -35,7 +35,8 @@ pub enum FaultKind {
     Loss,
     /// Packet delivered twice.
     Duplicate,
-    /// One payload byte flipped (integrity layer must catch it).
+    /// One payload byte flipped (the reliability layer's checksum must
+    /// catch it; a plan with this fault sets `DriverCaps::may_corrupt`).
     Corrupt,
     /// Packet held back for a number of polls (latency jitter).
     Delay,
@@ -232,6 +233,9 @@ impl ChaosState {
 pub struct ChaosDriver<D> {
     inner: D,
     plan: FaultPlan,
+    /// The inner driver's caps, with `may_corrupt` also set when the
+    /// plan flips bytes.
+    caps: DriverCaps,
     chaos: SpinLock<ChaosState>,
 }
 
@@ -239,9 +243,12 @@ impl<D: Driver> ChaosDriver<D> {
     /// Wraps `inner` under `plan`.
     pub fn new(inner: D, plan: FaultPlan) -> Self {
         let seed = plan.seed | 1;
+        let mut caps = inner.caps().clone();
+        caps.may_corrupt |= plan.corrupt_ppm > 0;
         ChaosDriver {
             inner,
             plan,
+            caps,
             // Unclassed, like every driver-internal lock: drivers are
             // leaves of the lock hierarchy (`poll_vci`/`post_vci` are
             // called under `core.driver`) and take no classed locks.
@@ -328,7 +335,7 @@ impl<D: Driver> ChaosDriver<D> {
 
 impl<D: Driver> Driver for ChaosDriver<D> {
     fn caps(&self) -> &DriverCaps {
-        self.inner.caps()
+        &self.caps
     }
 
     fn can_post_vci(&self, vci: usize) -> bool {

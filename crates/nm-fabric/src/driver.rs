@@ -23,6 +23,13 @@ pub struct DriverCaps {
     /// for thread-safe drivers too: it is the paper's Fig 4 per-driver
     /// lock, and the only section an idle fine-grain pass still takes.
     pub thread_safe: bool,
+    /// `true` when a frame can arrive damaged. Like MX or InfiniBand,
+    /// a driver whose link layer guarantees integrity says `false`, and
+    /// `nm-core` then computes no checksum on an unreliable core; it
+    /// refuses to build an unreliable core over a driver that says
+    /// `true`, because integrity is checked only by its reliability
+    /// layer.
+    pub may_corrupt: bool,
 }
 
 /// Why a post was refused.
@@ -86,6 +93,7 @@ impl SimNicDriver {
             name: nic.name().to_string(),
             mtu: nic.model().mtu,
             thread_safe,
+            may_corrupt: false,
         };
         SimNicDriver { nic, caps }
     }
@@ -146,6 +154,7 @@ impl LoopbackDriver {
             name: format!("loopback.{side}"),
             mtu: usize::MAX,
             thread_safe: true,
+            may_corrupt: false,
         };
         (
             LoopbackDriver {
@@ -241,19 +250,35 @@ mod tests {
         ChaosDriver::new(d, FaultPlan::new(1))
     }
 
+    /// Asserts that no driver of the pair can damage a frame.
+    fn clean<D: Driver>(pair: (D, D)) -> (D, D) {
+        for d in [&pair.0, &pair.1] {
+            assert!(!d.caps().may_corrupt, "{} may corrupt", d.caps().name);
+        }
+        pair
+    }
+
     #[test]
     fn every_driver_conforms() {
-        let (a, b) = LoopbackDriver::pair(DEPTH);
+        let (a, b) = clean(LoopbackDriver::pair(DEPTH));
         conforms(&a, &b);
         let (a, b) = LoopbackDriver::pair(DEPTH);
-        conforms(&transparent(a), &transparent(b));
+        let (a, b) = clean((transparent(a), transparent(b)));
+        conforms(&a, &b);
         for n_vcis in [1, 4] {
-            let (a, b) = simnic_pair(n_vcis);
+            let (a, b) = clean(simnic_pair(n_vcis));
             assert_eq!(a.num_vcis(), n_vcis);
             conforms(&a, &b);
             let (a, b) = simnic_pair(n_vcis);
-            conforms(&transparent(a), &transparent(b));
+            let (a, b) = clean((transparent(a), transparent(b)));
+            conforms(&a, &b);
         }
+        // A plan that flips bytes makes the wire one that can damage a
+        // frame, whatever the driver underneath.
+        let (a, _) = LoopbackDriver::pair(DEPTH);
+        let a = ChaosDriver::new(a, FaultPlan::new(1).corrupt(0.01));
+        assert!(a.caps().may_corrupt);
+        assert!(ChaosDriver::new(a, FaultPlan::new(2)).caps().may_corrupt);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub enum ConfigError {
     EagerExceedsMtu {
         /// Configured eager threshold (payload bytes).
         eager_threshold: usize,
-        /// Per-message plus per-packet header bytes added on the wire.
+        /// Per-message, per-packet and per-frame header bytes reserved.
         headers: usize,
         /// Smallest MTU across the configured rails.
         min_mtu: usize,
@@ -181,9 +181,12 @@ impl WorldBuilder {
         if self.core.offload == OffloadMode::Tasklet && self.core.tasklet_engine.is_none() {
             return Err(ConfigError::TaskletOffloadWithoutEngine);
         }
+        // The sum `CoreBuilder::build` asserts: the sealed frame header
+        // and the span word are reserved on every lane.
         let headers = nm_core::wire::ENTRY_HEADER
             + nm_core::wire::PACKET_HEADER
-            + nm_core::wire::FRAME_HEADER;
+            + nm_core::wire::FRAME_HEADER
+            + nm_core::wire::FRAME_SPAN_BYTES;
         let min_mtu = self
             .rails
             .iter()
@@ -411,6 +414,24 @@ mod tests {
         match b.validate() {
             Err(ConfigError::EagerExceedsMtu { min_mtu, .. }) => assert_eq!(min_mtu, mtu),
             other => panic!("expected EagerExceedsMtu, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn eager_threshold_boundary_matches_the_core_builder() {
+        // 44 header bytes: entry 21, packet 2, sealed frame 13, span 8.
+        // The largest threshold that validates must also build; one more
+        // is a typed error, not a panic inside `CoreBuilder::build`.
+        let mtu = WireModel::myri_10g().mtu;
+        let with = |eager| {
+            WorldBuilder::new(ThreadLevel::Multiple)
+                .core(CoreConfig::default().eager_threshold(eager))
+                .build(2)
+        };
+        assert!(with(mtu - 44).is_ok());
+        match with(mtu - 43) {
+            Err(ConfigError::EagerExceedsMtu { headers, .. }) => assert_eq!(headers, 44),
+            other => panic!("expected EagerExceedsMtu, got {:?}", other.err()),
         }
     }
 
