@@ -28,11 +28,12 @@
 //! pinned to different lanes never share a transfer-layer lock.
 
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 
-use nm_progress::{now_ns, OffloadMode, Offloader, PollOutcome, PollSource, TimerWheel};
+use nm_fabric::ClockSource;
+use nm_progress::{OffloadMode, Offloader, PollOutcome, PollSource, TimerWheel};
 use nm_sync::WaitStrategy;
 
 use crate::config::CoreConfig;
@@ -72,9 +73,10 @@ impl CoreBuilder {
     /// # Panics
     /// Panics on inconsistent configuration: no gates, an eager threshold
     /// that cannot fit any rail's MTU, a deferred offload mode combined
-    /// with single-thread locking, tasklet offload without an engine, or
+    /// with single-thread locking, tasklet offload without an engine,
     /// reliability off over a driver that may corrupt frames (only the
-    /// reliability layer checks integrity).
+    /// reliability layer checks integrity), or rails on clocks that do
+    /// not share their time.
     pub fn build(self) -> Arc<CommCore> {
         assert!(!self.gates.is_empty(), "at least one gate required");
         if self.config.offload != OffloadMode::Inline {
@@ -91,6 +93,9 @@ impl CoreBuilder {
         // The one place reliability is configured: each lane is built
         // with or without its window, and nothing below asks again.
         let reliable = self.config.reliability.enabled;
+        // The core's one clock is its wire's: every deadline it arms is
+        // read from the clock of the first rail of the first gate.
+        let clock = self.gates[0][0].clock();
         let mut gates = Vec::with_capacity(self.gates.len());
         let mut lanes = 0;
         for (id, drivers) in self.gates.into_iter().enumerate() {
@@ -99,6 +104,13 @@ impl CoreBuilder {
                     reliable,
                     "driver {} of gate {} may corrupt frames, which an unreliable core \
                      cannot detect: enable reliability (ReliabilityConfig::enabled())",
+                    d.caps().name,
+                    id
+                );
+            }
+            if let Some(d) = drivers.iter().find(|d| !d.clock().shares(&clock)) {
+                panic!(
+                    "driver {} of gate {} runs on a different clock from the first rail",
                     d.caps().name,
                     id
                 );
@@ -134,6 +146,7 @@ impl CoreBuilder {
             offloader,
             stats: CoreStats::default(),
             timers: TimerWheel::new(),
+            clock,
             self_weak: weak.clone(),
         })
     }
@@ -154,6 +167,8 @@ pub struct CommCore {
     /// Request deadlines armed by [`CommCore::expire_after`], checked
     /// each progression pass (the wheel never blocks a thread).
     timers: TimerWheel<Request>,
+    /// The drivers' clock: the only source of time for deadlines.
+    pub(crate) clock: ClockSource,
     pub(crate) self_weak: Weak<CommCore>,
 }
 
@@ -242,7 +257,7 @@ impl CommCore {
         if self.timers.is_empty() {
             return 0;
         }
-        let due = self.timers.pop_due(now_ns());
+        let due = self.timers.pop_due(self.clock.now_ns());
         due.into_iter().filter(Request::expire).count()
     }
 
@@ -283,14 +298,22 @@ impl CommCore {
     /// [`CommError::Timeout`] (so its posting is reaped like a cancelled
     /// request and nothing leaks), and `Err(Timeout)` is returned. A
     /// completion racing the deadline keeps its outcome — the finish
-    /// transition is a single CAS, exactly one side wins.
+    /// transition is a single CAS, exactly one side wins. The timeout is
+    /// measured on the core's clock (its drivers'); a park that runs out
+    /// of spin sleeps what is left of it in wall-clock time.
     pub fn wait_deadline(
         &self,
         req: &Request,
         strategy: WaitStrategy,
         timeout: Duration,
     ) -> Result<(), CommError> {
-        self.wait_until(req, strategy, Some(Instant::now() + timeout))
+        self.wait_until(req, strategy, Some(self.deadline_after(timeout)))
+    }
+
+    /// The instant `timeout` from now on the core's clock, in ns.
+    fn deadline_after(&self, timeout: Duration) -> u64 {
+        let ns = timeout.as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.clock.now_ns().saturating_add(ns)
     }
 
     /// The one spin/park loop behind [`CommCore::wait`] (no deadline)
@@ -299,7 +322,7 @@ impl CommCore {
         &self,
         req: &Request,
         strategy: WaitStrategy,
-        deadline: Option<Instant>,
+        deadline: Option<u64>,
     ) -> Result<(), CommError> {
         let _t = crate::metrics::wait_hist().timer();
         // `Some(end)`: poll under the API guard until complete or `end`
@@ -309,13 +332,13 @@ impl CommCore {
             None => Some(deadline),
             Some(budget) if budget.is_zero() => None,
             Some(budget) => {
-                let end = Instant::now() + budget;
+                let end = self.deadline_after(budget);
                 Some(Some(deadline.map_or(end, |d| d.min(end))))
             }
         };
         if let Some(end) = spin_until {
             let mut api = self.policy.enter_api();
-            while !req.is_complete() && end.is_none_or(|end| Instant::now() < end) {
+            while !req.is_complete() && end.is_none_or(|end| self.clock.now_ns() < end) {
                 if self.pass(0, 1) == 0 {
                     // Idle pass: completion now depends on another
                     // thread acting — and in coarse mode that thread
@@ -338,7 +361,7 @@ impl CommCore {
             match deadline {
                 None => req.flag().wait(WaitStrategy::Passive),
                 Some(d) => {
-                    let left = d.saturating_duration_since(Instant::now());
+                    let left = Duration::from_nanos(d.saturating_sub(self.clock.now_ns()));
                     req.flag().wait_timeout(WaitStrategy::Passive, left);
                 }
             }
@@ -356,10 +379,12 @@ impl CommCore {
     /// progression pass finishes it with [`CommError::Timeout`] and
     /// delivers through its completion object (queue, handler, or async
     /// waker) — no thread waits on the clock. This is what gives the
-    /// async facade its deadline-bounded operations.
+    /// async facade its deadline-bounded operations. The deadline is
+    /// read from the core's clock, so on a virtual-time wire it passes
+    /// only when that clock is advanced.
     pub fn expire_after(&self, req: &Request, timeout: Duration) {
-        let deadline = now_ns().saturating_add(timeout.as_nanos().min(u128::from(u64::MAX)) as u64);
-        self.timers.schedule(deadline, req.clone());
+        self.timers
+            .schedule(self.deadline_after(timeout), req.clone());
     }
 
     /// Snapshot of the queue depths across all layers (diagnostics).

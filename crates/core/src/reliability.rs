@@ -10,15 +10,15 @@
 //! once-per-pass upkeep ([`CommCore::upkeep`]), in the `Retrans` section
 //! the pass takes right after polling the lane: the owed ack goes out,
 //! and the head of the window is resent if its deadline has passed. No
-//! timer is armed; the clock is read by the pass that polls the lane.
+//! timer is armed; the pass that polls the lane reads the core's clock,
+//! which is its drivers' clock, so a wire on virtual time also runs the
+//! retransmit deadlines on virtual time.
 //! Lock order: a lane's `Retrans` section encloses its `Driver` section
 //! (`core.retrans.N → core.driver.N`), never the reverse.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
-
-use nm_progress::now_ns;
 
 use crate::comm::CommCore;
 use crate::error::CommError;
@@ -145,7 +145,7 @@ impl CommCore {
                 rel.exhaustions = 0;
                 if let Some(head) = rel.unacked.front_mut() {
                     head.attempts = 0;
-                    head.retx_at_ns = now_ns() + r.rto_base_ns;
+                    head.retx_at_ns = self.clock.now_ns() + r.rto_base_ns;
                 }
             }
             if frame.ack_only() {
@@ -162,7 +162,7 @@ impl CommCore {
                     self.stats.fast_retransmits.incr();
                     let head = rel.unacked.front_mut().expect("head just resent");
                     head.fast_retx = true;
-                    head.retx_at_ns = now_ns() + r.rto_base_ns;
+                    head.retx_at_ns = self.clock.now_ns() + r.rto_base_ns;
                 }
                 return Vec::new();
             }
@@ -224,7 +224,7 @@ impl CommCore {
                 entries,
                 span,
                 attempts: 0,
-                retx_at_ns: now_ns() + r.rto_base_ns,
+                retx_at_ns: self.clock.now_ns() + r.rto_base_ns,
                 fast_retx: false,
             });
             Ok(())
@@ -262,7 +262,7 @@ impl CommCore {
         let s = self.policy.enter(SectionKind::Retrans(lane.id));
         cell.with(&s, |rel| {
             if let Some(head) = rel.unacked.front_mut() {
-                let now = now_ns();
+                let now = self.clock.now_ns();
                 if now >= head.retx_at_ns {
                     if head.attempts >= r.max_retries {
                         rel.exhaustions += 1;

@@ -90,7 +90,8 @@ impl Families {
 
 /// Every lock acquisition in the process so far.
 fn process_locks() -> u64 {
-    nm_metrics::counters::registry()
+    nm_metrics::metrics()
+        .counters()
         .counter("sync.lock.acquisitions")
         .get()
 }

@@ -18,8 +18,8 @@
 //! ```
 //!
 //! The `bench` subcommand produces the machine-readable regression
-//! baseline of the deterministic simulator consumed by `cargo xtask
-//! bench-check` (docs/METRICS.md). Wall-clock numbers of the real stack
+//! baseline of the deterministic virtual-clock figures consumed by
+//! `cargo xtask bench-check` (docs/METRICS.md). Wall-clock numbers of the real stack
 //! are gated by the stand-alone `benchmark/` package instead.
 //!
 //! Default mode is the deterministic simulator with the paper's cost
@@ -661,23 +661,18 @@ fn cq(opts: &Options, costs: SimCosts) {
     }
 }
 
-/// Chaos sweep — the reliability layer under deterministic fault
-/// injection: goodput and p99 in-order delivery latency vs frame-loss
-/// rate, coarse vs fine locking. Simulator-only: the model prices the
-/// ack/retransmit/backoff protocol in virtual time (see
-/// `nm_sim::experiments::chaos_loss_sweep`); the real stack's chaos
-/// coverage lives in the `nm-core` reliability tests.
+/// Chaos sweep — the real reliability layer under deterministic frame
+/// loss: goodput and p99 in-order delivery latency vs loss rate, coarse
+/// vs fine locking. Two real `nm-core` cores run on the fabric's virtual
+/// clock, so the output is reproducible anywhere (see
+/// `nm_bench::chaos`).
 fn chaos(opts: &Options, costs: SimCosts) {
     use nm_bench::table::series_table_with;
 
-    if opts.real {
-        eprintln!("# chaos: simulator-only experiment; ignoring --real");
-    }
-    let loss = sim::chaos_loss_points();
-    let (goodput, p99) = sim::chaos_loss_sweep(costs, &loss);
-    let g_title = "Chaos sweep — goodput vs frame-loss rate (deterministic simulator)";
+    let (goodput, p99) = nm_bench::chaos::loss_sweep(costs, &nm_bench::chaos::loss_points());
+    let g_title = "Chaos sweep — goodput vs frame-loss rate (nm-core, virtual clock)";
     let p_title = "Chaos sweep — p99 in-order delivery latency vs frame-loss rate \
-                   (deterministic simulator)";
+                   (nm-core, virtual clock)";
     if opts.csv {
         println!("# {g_title}");
         print!("{}", series_csv(&goodput));
@@ -857,7 +852,8 @@ fn breakdown_report(opts: &Options, costs: SimCosts) {
 }
 
 /// The `bench` subcommand: the machine-readable regression baseline.
-/// `BENCH_FIGURES.json` holds deterministic simulator results, compared
+/// `BENCH_FIGURES.json` holds deterministic virtual-clock results (the
+/// `nm-sim` models, and the real library for `chaos/*`), compared
 /// exactly by `cargo xtask bench-check`.
 fn bench(opts: &Options, costs: SimCosts) {
     use nm_bench::report::{write_json, BenchRecord};
@@ -927,7 +923,8 @@ fn bench(opts: &Options, costs: SimCosts) {
         }
     }
     // Chaos sweep: x is the frame-loss rate in per-mille.
-    let (chaos_goodput, chaos_p99) = sim::chaos_loss_sweep(costs, &sim::chaos_loss_points());
+    let (chaos_goodput, chaos_p99) =
+        nm_bench::chaos::loss_sweep(costs, &nm_bench::chaos::loss_points());
     for (fig, unit, series) in [
         ("chaos/goodput", "MB/s", chaos_goodput),
         ("chaos/p99", "us", chaos_p99),

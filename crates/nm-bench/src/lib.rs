@@ -12,6 +12,13 @@
 //!   dominated by preemption.
 //! * **Sim mode** (`nm-sim`) — the deterministic virtual-time twin.
 //!
+//! [`chaos`] sits between the two: it runs the actual library, two
+//! real `nm-core` cores co-polled by one thread, on the fabric's
+//! virtual clock, charging `nm-sim`'s cost constants per pass and per
+//! lock. Its numbers are as deterministic as the simulator's, and it
+//! replaces what used to be a hand-written model of the reliability
+//! protocol.
+//!
 //! [`calibrate`] measures the host's primitive costs (lock cycle, context
 //! switch, engine pass) so the simulator can be fed host-calibrated
 //! constants and cross-checked against real-mode results, and to
@@ -21,6 +28,7 @@
 
 pub mod breakdown;
 pub mod calibrate;
+pub mod chaos;
 pub mod compute_loss;
 pub mod concurrent;
 pub mod fromtrace;

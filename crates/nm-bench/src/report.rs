@@ -1,7 +1,8 @@
 //! Machine-readable benchmark report (`BENCH_FIGURES.json`).
 //!
-//! The `figures bench --json` subcommand renders the simulator's results
-//! as a flat list of records and writes them to the repo root, where
+//! The `figures bench --json` subcommand renders its virtual-clock
+//! results (the `nm-sim` models and the real-library chaos sweep) as a
+//! flat list of records and writes them to the repo root, where
 //! `cargo xtask bench-check` compares a fresh run against the committed
 //! baseline (docs/METRICS.md describes the refresh procedure). The
 //! schema is deliberately tiny so the dep-free parser in `xtask` stays

@@ -26,7 +26,7 @@ use bytes::{Bytes, BytesMut};
 use nm_sync::SpinLock;
 use nm_trace::trace_event;
 
-use crate::{metrics, Driver, DriverCaps, PostError};
+use crate::{metrics, ClockSource, Driver, DriverCaps, PostError};
 
 /// The kinds of fault a [`ChaosDriver`] can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -415,6 +415,10 @@ impl<D: Driver> Driver for ChaosDriver<D> {
         } else {
             Some(0)
         }
+    }
+
+    fn clock(&self) -> ClockSource {
+        self.inner.clock()
     }
 }
 

@@ -1,7 +1,7 @@
 //! Time sources: real monotonic time and manual (virtual) time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A nanosecond clock the fabric timestamps packets with.
@@ -9,7 +9,7 @@ use std::time::Instant;
 /// Cloning is cheap; all clones of a manual clock share the same time.
 #[derive(Clone, Debug)]
 pub enum ClockSource {
-    /// Wall-clock (monotonic) time, relative to clock creation.
+    /// Wall-clock (monotonic) time, relative to the process anchor.
     Real(Instant),
     /// Virtual time advanced explicitly — the discrete-event simulator's
     /// clock. Never advances on its own.
@@ -17,9 +17,11 @@ pub enum ClockSource {
 }
 
 impl ClockSource {
-    /// A real monotonic clock starting at 0 now.
+    /// The process-wide real monotonic clock: every call shares one
+    /// anchor, taken on first use, so readings compare across callers.
     pub fn real() -> Self {
-        ClockSource::Real(Instant::now())
+        static ANCHOR: OnceLock<Instant> = OnceLock::new();
+        ClockSource::Real(*ANCHOR.get_or_init(Instant::now))
     }
 
     /// A virtual clock starting at 0.
@@ -64,6 +66,17 @@ impl ClockSource {
     pub fn is_manual(&self) -> bool {
         matches!(self, ClockSource::Manual(_))
     }
+
+    /// `true` when deadlines taken from one clock mean the same instant
+    /// on the other: two real clocks both follow wall-clock time, two
+    /// manual clocks must share their counter.
+    pub fn shares(&self, other: &ClockSource) -> bool {
+        match (self, other) {
+            (ClockSource::Real(_), ClockSource::Real(_)) => true,
+            (ClockSource::Manual(a), ClockSource::Manual(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -98,6 +111,16 @@ mod tests {
         let c2 = c.clone();
         c.advance(42);
         assert_eq!(c2.now_ns(), 42);
+    }
+
+    #[test]
+    fn shared_clocks() {
+        let m = ClockSource::manual();
+        assert!(m.shares(&m.clone()));
+        assert!(!m.shares(&ClockSource::manual()));
+        assert!(!m.shares(&ClockSource::real()));
+        assert!(ClockSource::real().shares(&ClockSource::real()));
+        assert!(ClockSource::real().now_ns() <= ClockSource::real().now_ns());
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::{MpmcRing, NicCounters, SimNic};
+use crate::{ClockSource, MpmcRing, NicCounters, SimNic};
 
 /// Static capabilities of a driver.
 #[derive(Debug, Clone)]
@@ -76,6 +76,12 @@ pub trait Driver: Send + Sync {
     fn next_event_ns_vci(&self, _vci: usize) -> Option<u64> {
         None
     }
+    /// The clock this driver's wire runs on. A core reads every deadline
+    /// (retransmits, expiring requests) from the clock of the drivers it
+    /// was built over; the default is the process-wide real clock.
+    fn clock(&self) -> ClockSource {
+        ClockSource::real()
+    }
 }
 
 /// [`Driver`] backed by a [`SimNic`] endpoint.
@@ -134,6 +140,10 @@ impl Driver for SimNicDriver {
 
     fn next_event_ns_vci(&self, vci: usize) -> Option<u64> {
         self.nic.next_delivery_ns_vci(vci)
+    }
+
+    fn clock(&self) -> ClockSource {
+        self.nic.clock().clone()
     }
 }
 
@@ -195,7 +205,7 @@ impl Driver for LoopbackDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ChaosDriver, ClockSource, FaultPlan, WireModel};
+    use crate::{ChaosDriver, FaultPlan, WireModel};
 
     /// Injection depth every driver under [`conforms`] is built with.
     const DEPTH: usize = 4;
@@ -278,6 +288,7 @@ mod tests {
         let (a, _) = LoopbackDriver::pair(DEPTH);
         let a = ChaosDriver::new(a, FaultPlan::new(1).corrupt(0.01));
         assert!(a.caps().may_corrupt);
+        assert!(a.clock().shares(&ClockSource::real()));
         assert!(ChaosDriver::new(a, FaultPlan::new(2)).caps().may_corrupt);
     }
 
@@ -285,6 +296,10 @@ mod tests {
     fn chaos_exposes_one_context_on_inner_vci_0() {
         let (a, b) = simnic_pair(4);
         let a = transparent(a);
+        assert!(
+            a.clock().shares(&b.clock()),
+            "chaos forwards the inner clock"
+        );
         assert_eq!(a.num_vcis(), 1);
         a.post_vci(0, Bytes::from_static(b"c")).unwrap();
         for v in 1..4 {
@@ -308,6 +323,10 @@ mod tests {
         let clock = ClockSource::manual();
         let (na, nb) = SimNic::pair("mx", WireModel::myri_10g(), clock.clone());
         let (da, db) = (SimNicDriver::new(na, true), SimNicDriver::new(nb, true));
+        assert!(
+            da.clock().shares(&clock),
+            "a NIC driver runs on its NIC's clock"
+        );
         da.post_vci(0, Bytes::from_static(b"data")).unwrap();
         assert_eq!(db.poll_vci(0), None);
         clock.advance_to(db.next_event_ns_vci(0).unwrap());

@@ -193,19 +193,15 @@ impl CounterRegistry {
     }
 }
 
-/// The process-wide counter registry — the counters half of
-/// [`crate::metrics`].
-pub fn registry() -> &'static CounterRegistry {
-    crate::metrics().counters()
-}
-
-/// Stack-wide lock aggregates, registered once in [`registry`].
+/// Stack-wide lock aggregates, registered once in the process-wide
+/// registry ([`crate::metrics`]).
 fn global_lock_counters() -> &'static (Arc<Counter>, Arc<Counter>) {
     static GLOBAL: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
     GLOBAL.get_or_init(|| {
+        let counters = crate::metrics().counters();
         (
-            registry().counter("sync.lock.acquisitions"),
-            registry().counter("sync.lock.contended"),
+            counters.counter("sync.lock.acquisitions"),
+            counters.counter("sync.lock.contended"),
         )
     })
 }
@@ -273,23 +269,25 @@ mod tests {
 
     #[test]
     fn registry_dedupes_by_name() {
-        let a = registry().counter("test.registry.dedup");
-        let b = registry().counter("test.registry.dedup");
+        let a = crate::metrics().counters().counter("test.registry.dedup");
+        let b = crate::metrics().counters().counter("test.registry.dedup");
         assert!(Arc::ptr_eq(&a, &b));
         a.add(3);
-        let snap = registry().snapshot();
+        let snap = crate::metrics().counters().snapshot();
         let entry = snap.iter().find(|(n, _)| *n == "test.registry.dedup");
         assert_eq!(entry, Some(&("test.registry.dedup", 3)));
     }
 
     #[test]
     fn lock_stats_feed_global_aggregates_always_on() {
-        let acq = registry().counter("sync.lock.acquisitions");
+        let acq = crate::metrics()
+            .counters()
+            .counter("sync.lock.acquisitions");
         let before = acq.get();
         LockStats::new().record_acquire(true);
         assert!(acq.get() > before);
         // The benchmark reads both aggregates from the snapshot by name.
-        let snap = registry().snapshot();
+        let snap = crate::metrics().counters().snapshot();
         for name in ["sync.lock.acquisitions", "sync.lock.contended"] {
             assert!(snap.iter().any(|(n, _)| *n == name), "{name} not listed");
         }

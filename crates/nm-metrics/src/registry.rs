@@ -30,8 +30,7 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// The named-counter sub-registry (also reachable as
-    /// [`crate::counters::registry`], the historical path).
+    /// The named-counter sub-registry.
     pub fn counters(&self) -> &CounterRegistry {
         &self.counters
     }

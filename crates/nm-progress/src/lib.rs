@@ -47,6 +47,6 @@ pub use engine::{PollOutcome, PollSource, ProgressEngine, SourceId};
 pub use offload::{OffloadMode, Offloader};
 pub use progression_thread::{IdlePolicy, ProgressionThread};
 pub use tasklet::{Tasklet, TaskletEngine};
-pub use timer::{now_ns, TimerId, TimerWheel};
+pub use timer::{TimerId, TimerWheel};
 pub use wait::wait_on;
 pub use waker_table::WakerTable;

@@ -10,10 +10,10 @@
 //! [`TimerId`]; the wheel never invokes callbacks, so no foreign code
 //! runs under its lock.
 //!
-//! Time is a caller-supplied monotonic nanosecond count ([`now_ns`] is
-//! the convenience wall-clock for production; the discrete-event
-//! simulator and unit tests pass virtual times), so the wheel itself is
-//! fully deterministic.
+//! Time is a caller-supplied monotonic nanosecond count: `nm-core`
+//! passes its drivers' clock, real or virtual, and unit tests pass
+//! plain numbers, so the wheel itself reads no clock and is fully
+//! deterministic.
 //!
 //! # Locking
 //!
@@ -22,8 +22,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 use nm_sync::SpinLock;
 use nm_trace::trace_event;
@@ -31,16 +29,6 @@ use nm_trace::trace_event;
 /// Handle to one scheduled deadline (for cancellation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(u64);
-
-/// Monotonic nanoseconds since an arbitrary process-local anchor.
-///
-/// First call anchors the epoch; all later calls are relative to it, so
-/// the values are small, strictly meaningful only within the process,
-/// and safe to mix with deadlines derived from each other.
-pub fn now_ns() -> u64 {
-    static ANCHOR: OnceLock<Instant> = OnceLock::new();
-    ANCHOR.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
 
 struct WheelState<T> {
     /// Deadline-ordered entries, keyed (deadline, id) so equal deadlines
@@ -220,13 +208,6 @@ mod tests {
         assert_eq!(w.next_deadline(), Some(7));
         w.cancel(early);
         assert_eq!(w.next_deadline(), Some(9));
-    }
-
-    #[test]
-    fn now_ns_is_monotonic() {
-        let a = now_ns();
-        let b = now_ns();
-        assert!(b >= a);
     }
 
     #[test]

@@ -1229,228 +1229,6 @@ pub fn cq_completion_scaling(costs: SimCosts, outstanding: &[usize]) -> Vec<Seri
         .collect()
 }
 
-/// Frame-loss rates (per-mille) swept by the chaos experiment:
-/// 0 % – 10 %.
-pub fn chaos_loss_points() -> Vec<u32> {
-    vec![0, 10, 20, 50, 100]
-}
-
-/// Deterministic xorshift64* stream for the chaos experiment's fault
-/// draws. Seeded per run, so every sweep point is bit-reproducible.
-struct Faults(u64);
-
-impl Faults {
-    fn new(seed: u64) -> Self {
-        Faults(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// `true` with probability `pm` / 1000.
-    fn chance(&mut self, pm: u32) -> bool {
-        pm > 0 && self.next() % 1000 < u64::from(pm)
-    }
-}
-
-/// Messages per chaos run.
-const CHAOS_MSGS: usize = 400;
-/// Payload bytes per message.
-const CHAOS_SIZE: usize = 1024;
-/// Send window: max unacked frames in flight (`ReliabilityConfig`'s
-/// `window`, scaled down so the model's ack backlog stays below the
-/// retransmission timeout).
-const CHAOS_WINDOW: usize = 16;
-/// Base retransmission timeout. Must exceed the worst-case ack latency
-/// (window × per-frame receive cost ≈ 15 µs) or healthy frames are
-/// retransmitted spuriously.
-const CHAOS_RTO_BASE_NS: u64 = 40_000;
-/// Exponential-backoff ceiling.
-const CHAOS_RTO_MAX_NS: u64 = 640_000;
-/// Ack frame size (header-only).
-const CHAOS_ACK_SIZE: usize = 16;
-
-/// One chaos run: streams [`CHAOS_MSGS`] messages through the
-/// ack/retransmit protocol over a wire that drops `loss_pm` ‰ of data
-/// frames, under `mode`'s lock sequence. Returns `(goodput MB/s,
-/// p99 delivery latency µs)`.
-///
-/// The model mirrors `nm-core`'s reliability layer: a sliding window of
-/// unacked frames, cumulative acks, and per-frame retransmission timers
-/// with exponential backoff. Loss is drawn on the receive side (the
-/// frame burns wire bandwidth, then fails the CRC check), which is how
-/// the real `ChaosDriver` injects faults. The ack channel is modelled
-/// as reliable — a lost ack behaves like a lost data frame one RTO
-/// later, so data-side loss already covers that failure shape. Delivery
-/// latency is measured to *in-order* handoff, so one lost frame
-/// head-of-line-blocks the window behind it — exactly the tail the p99
-/// curve is meant to expose.
-fn chaos_once(costs: SimCosts, mode: Mode, loss_pm: u32, seed: u64) -> (f64, f64) {
-    let mut vm = Vm::new(costs, Topology::xeon_x5460());
-    let locks_a = node_locks(&mut vm);
-    let locks_b = node_locks(&mut vm);
-    let ab = vm.chan(WireModel::myri_10g());
-    let ba = vm.chan(WireModel::myri_10g());
-
-    // Side channels carrying frame metadata the size-only wire cannot:
-    // sequence numbers ride along in FIFO wire order (pushed at injection,
-    // popped at delivery — the machine runs one thread at a time, so the
-    // orders match exactly).
-    let data_seqs: Arc<Mutex<VecDeque<usize>>> = Arc::new(Mutex::new(VecDeque::new()));
-    let acks: Arc<Mutex<VecDeque<usize>>> = Arc::new(Mutex::new(VecDeque::new()));
-    let first_send: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; CHAOS_MSGS]));
-    // (per-message in-order delivery latencies µs, completion time ns).
-    let outcome: Arc<Mutex<(Vec<f64>, u64)>> = Arc::new(Mutex::new((Vec::new(), 0)));
-
-    // Sender: fill the window back to back, retransmit expired frames,
-    // otherwise poll for acks once per pass.
-    let dq = Arc::clone(&data_seqs);
-    let aq = Arc::clone(&acks);
-    let fs = Arc::clone(&first_send);
-    vm.spawn(0, move |ctx| {
-        let c = *ctx.costs();
-        let period = pass_period(&c, mode, false, false);
-        let mut base = 0usize; // lowest unacked sequence
-        let mut next = 0usize;
-        let mut deadline = vec![0u64; CHAOS_MSGS];
-        let mut rto = vec![CHAOS_RTO_BASE_NS; CHAOS_MSGS];
-        let mut dup_acks = 0u32;
-        while base < CHAOS_MSGS {
-            // Drain cumulative acks, counting duplicates: an ack that
-            // fails to advance the window while frames are outstanding
-            // means the head-of-line frame is missing.
-            while ctx.chan_try_recv(ba).is_some() {
-                let a = aq.lock().pop_front().expect("ack side-channel empty");
-                if a > base {
-                    base = a;
-                    dup_acks = 0;
-                } else if a == base && next > base {
-                    dup_acks += 1;
-                }
-            }
-            if base >= CHAOS_MSGS {
-                break;
-            }
-            // Fast retransmit: three duplicate acks recover the lost
-            // head-of-line frame in ~one RTT instead of a full RTO.
-            if dup_acks >= 3 {
-                dup_acks = 0;
-                dq.lock().push_back(base);
-                model_isend(ctx, mode, locks_a, ab, CHAOS_SIZE);
-                deadline[base] = ctx.now() + rto[base];
-                continue;
-            }
-            if next < CHAOS_MSGS && next - base < CHAOS_WINDOW {
-                dq.lock().push_back(next);
-                fs.lock()[next] = ctx.now();
-                model_isend(ctx, mode, locks_a, ab, CHAOS_SIZE);
-                deadline[next] = ctx.now() + CHAOS_RTO_BASE_NS;
-                next += 1;
-                continue;
-            }
-            // Retransmit the earliest expired unacked frame, with
-            // exponential backoff on every repeat.
-            let now = ctx.now();
-            if let Some(seq) = (base..next).find(|&s| deadline[s] <= now) {
-                dq.lock().push_back(seq);
-                model_isend(ctx, mode, locks_a, ab, CHAOS_SIZE);
-                rto[seq] = (rto[seq] * 2).min(CHAOS_RTO_MAX_NS);
-                deadline[seq] = ctx.now() + rto[seq];
-                continue;
-            }
-            ctx.advance(period);
-        }
-    });
-
-    // Receiver: CRC-check each frame (the loss draw), dedup against the
-    // window, deliver in order, ack cumulatively.
-    let dq = Arc::clone(&data_seqs);
-    let aq = Arc::clone(&acks);
-    let fs = Arc::clone(&first_send);
-    let out = Arc::clone(&outcome);
-    vm.spawn(1, move |ctx| {
-        let c = *ctx.costs();
-        let period = pass_period(&c, mode, false, false);
-        let mut faults = Faults::new(seed);
-        let mut got = vec![false; CHAOS_MSGS];
-        let mut expected = 0usize;
-        while expected < CHAOS_MSGS {
-            recv_aligned(ctx, ab, period);
-            let seq = dq.lock().pop_front().expect("data side-channel empty");
-            if faults.chance(loss_pm) {
-                // The frame died on the wire: the CRC check rejects it
-                // and no ack is produced — the sender's timer recovers.
-                continue;
-            }
-            charge_detection(ctx, mode, locks_b, false, false);
-            if !got[seq] {
-                got[seq] = true;
-                while expected < CHAOS_MSGS && got[expected] {
-                    let lat = (ctx.now() - fs.lock()[expected]) as f64 / 1_000.0;
-                    out.lock().0.push(lat);
-                    expected += 1;
-                }
-            }
-            aq.lock().push_back(expected);
-            model_isend(ctx, mode, locks_b, ba, CHAOS_ACK_SIZE);
-        }
-        out.lock().1 = ctx.now();
-    });
-
-    vm.run();
-    let (mut lats, done_ns) = {
-        let g = outcome.lock();
-        (g.0.clone(), g.1)
-    };
-    lats.sort_by(f64::total_cmp);
-    let p99 = lats[(lats.len() * 99).div_ceil(100) - 1];
-    let goodput = (CHAOS_MSGS * CHAOS_SIZE) as f64 / (done_ns as f64 / 1e9) / 1e6;
-    (goodput, p99)
-}
-
-/// Per-point fault seed: fixed constant xor the loss rate, so every
-/// sweep point draws an independent but reproducible fault pattern and
-/// both locking modes face the same wire.
-fn chaos_seed(loss_pm: u32) -> u64 {
-    0xC7A0_5EED ^ u64::from(loss_pm)
-}
-
-/// Chaos sweep — the reliability layer under deterministic fault
-/// injection: goodput and p99 in-order delivery latency vs frame-loss
-/// rate (per-mille on the x axis), coarse vs fine locking. Returns
-/// `(goodput series, p99 series)`.
-pub fn chaos_loss_sweep(costs: SimCosts, loss_pm: &[u32]) -> (Vec<Series>, Vec<Series>) {
-    let mut goodput = Vec::new();
-    let mut p99 = Vec::new();
-    for &mode in &[Mode::Coarse, Mode::Fine] {
-        let results: Vec<(u32, (f64, f64))> = loss_pm
-            .iter()
-            .map(|&pm| (pm, chaos_once(costs, mode, pm, chaos_seed(pm))))
-            .collect();
-        goodput.push(Series {
-            label: mode.label().to_string(),
-            points: results
-                .iter()
-                .map(|&(pm, (g, _))| (pm as usize, g))
-                .collect(),
-        });
-        p99.push(Series {
-            label: mode.label().to_string(),
-            points: results
-                .iter()
-                .map(|&(pm, (_, p))| (pm as usize, p))
-                .collect(),
-        });
-    }
-    (goodput, p99)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1724,50 +1502,6 @@ mod tests {
         let c = completion_drain_once(costs(), 512, CompletionPath::WaitThreads);
         let d = completion_drain_once(costs(), 512, CompletionPath::WaitThreads);
         assert_eq!(c, d);
-    }
-
-    #[test]
-    fn chaos_is_deterministic() {
-        let a = chaos_once(costs(), Mode::Fine, 20, chaos_seed(20));
-        let b = chaos_once(costs(), Mode::Fine, 20, chaos_seed(20));
-        assert_eq!(a, b, "virtual-time runs must be bit-identical");
-    }
-
-    /// The reliability tentpole's acceptance bar: at 2 % frame loss the
-    /// fine-grain stack sustains at least 70 % of its lossless goodput.
-    #[test]
-    fn chaos_fine_grain_sustains_goodput_at_two_percent_loss() {
-        let (lossless, _) = chaos_once(costs(), Mode::Fine, 0, chaos_seed(0));
-        let (lossy, _) = chaos_once(costs(), Mode::Fine, 20, chaos_seed(20));
-        assert!(
-            lossy >= 0.70 * lossless,
-            "2% loss goodput {lossy} MB/s fell below 70% of lossless {lossless} MB/s"
-        );
-    }
-
-    /// Degradation must be graceful and visible: more loss costs
-    /// goodput and inflates the p99 tail, in both locking modes.
-    #[test]
-    fn chaos_degrades_gracefully_with_loss() {
-        for mode in [Mode::Coarse, Mode::Fine] {
-            let (g0, p0) = chaos_once(costs(), mode, 0, chaos_seed(0));
-            let (g100, p100) = chaos_once(costs(), mode, 100, chaos_seed(100));
-            assert!(
-                g100 < g0,
-                "{}: 10% loss goodput {g100} not below lossless {g0}",
-                mode.label()
-            );
-            assert!(
-                g100 > 0.3 * g0,
-                "{}: 10% loss collapsed goodput to {g100} of {g0} MB/s",
-                mode.label()
-            );
-            assert!(
-                p100 > p0,
-                "{}: 10% loss p99 {p100} µs not above lossless {p0} µs",
-                mode.label()
-            );
-        }
     }
 
     /// The tentpole's acceptance bar: a completion queue drained by two

@@ -1,12 +1,13 @@
 //! `cargo xtask bench-check` — benchmark-regression gate for the
-//! simulator's figures.
+//! virtual-clock figures.
 //!
 //! Reruns `figures bench --json` into a temp directory and compares the
 //! fresh `BENCH_FIGURES.json` against the baseline committed at the repo
-//! root. Every record comes from the deterministic virtual-clock
-//! simulator and must match the baseline **exactly** — any drift means
-//! the model changed and the baseline must be consciously refreshed (see
-//! docs/METRICS.md). Wall-clock numbers of the real stack are gated by
+//! root. Every record is computed on a virtual clock, so it must match
+//! the baseline **exactly**. The `chaos/*` records run the real
+//! `nm-core` reliability layer on that clock; the rest come from the
+//! `nm-sim` models. Any drift means a model or the library changed, and
+//! the baseline must be consciously refreshed (see docs/METRICS.md). Wall-clock numbers of the real stack are gated by
 //! the stand-alone `benchmark/` package (`benchmark/README.md`).
 //!
 //! xtask is dependency-free; the JSON reader lives in [`crate::json`]
