@@ -246,6 +246,17 @@ impl ExecState {
         })
     }
 
+    /// One line per thread with its status, for a deadlock report.
+    fn thread_dump(&self) -> String {
+        let lines: Vec<String> = self
+            .threads
+            .iter()
+            .enumerate()
+            .map(|(i, t)| format!("thread {i}: {:?}", t.status))
+            .collect();
+        lines.join("\n  ")
+    }
+
     fn wake_timed(&mut self, tid: usize) {
         if let Status::Blocked(BlockedOn::Condvar { cv, .. }) = self.threads[tid].status {
             if let Some(ws) = self.cv_waiters.get_mut(&cv) {
@@ -388,16 +399,7 @@ impl Execution {
                         return;
                     }
                 } else {
-                    let dump: Vec<String> = st
-                        .threads
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| format!("thread {i}: {:?}", t.status))
-                        .collect();
-                    let msg = format!(
-                        "deadlock — every thread is blocked\n  {}",
-                        dump.join("\n  ")
-                    );
+                    let msg = format!("deadlock — every thread is blocked\n  {}", st.thread_dump());
                     self.fail(st, msg);
                 }
             }
@@ -712,6 +714,22 @@ impl Execution {
         if st.current == tid {
             if let Some(next) = st.runnable_other(tid) {
                 st.current = next;
+            } else if let Some(w) = st.timed_waiter() {
+                st.wake_timed(w);
+                st.current = w;
+            } else if st.failure.is_none()
+                && st
+                    .threads
+                    .iter()
+                    .any(|t| matches!(t.status, Status::Blocked(_)))
+            {
+                // The last runnable thread exited and left others parked:
+                // a lost wakeup. Record it (this path must not panic); the
+                // parked threads see the failure and abort.
+                st.failure = Some(format!(
+                    "deadlock — thread {tid} exited and every other thread is blocked\n  {}",
+                    st.thread_dump()
+                ));
             }
         }
         drop(st);

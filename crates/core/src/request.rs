@@ -1,11 +1,12 @@
 //! Communication requests: the handles `isend`/`irecv` return.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use nm_sync::{CompletionFlag, SpinLock, WaitStrategy};
+use nm_sync::{CompletionFlag, WaitStrategy};
 use nm_trace::trace_event;
 
 use crate::completion::{Completion, CompletionEvent};
@@ -54,6 +55,30 @@ pub enum RequestKind {
     Recv,
 }
 
+/// `Inner::state` bits. `FINISHED`: one of complete / fail / cancel /
+/// expire won the transition out of the live state. `PUBLISHED`: that
+/// winner has written the outcome cells. `DATA_TAKEN` / `ERROR_TAKEN`:
+/// the payload / error has been moved out.
+const FINISHED: u8 = 1;
+const PUBLISHED: u8 = 2;
+const DATA_TAKEN: u8 = 4;
+const ERROR_TAKEN: u8 = 8;
+
+/// The outcome cells (`data`, `matched_tag`, `error`) take no lock. Their
+/// protocol, which every `unsafe` block below relies on:
+///
+/// 1. Only the thread whose `try_finish` CAS set `FINISHED` writes them,
+///    and it writes them before it sets `PUBLISHED` with a `Release`
+///    store, and before it signals the flag.
+/// 2. Nobody reads them before observing `PUBLISHED` with an `Acquire`
+///    load, so a reader sees the writer's values and no write follows.
+/// 3. `data` and `error` are moved out only by the one caller whose
+///    `fetch_or` set `DATA_TAKEN` / `ERROR_TAKEN`; `matched_tag` is only
+///    read.
+///
+/// `PUBLISHED` is the request's own bit rather than the flag's `SET`
+/// because `flag()` hands the flag out: a caller may `signal` it, but
+/// cannot publish the cells.
 #[derive(Debug)]
 struct Inner {
     /// Unique id (assigned at post time, never reused).
@@ -65,18 +90,24 @@ struct Inner {
     kind: RequestKind,
     /// Where completion is delivered (flag / queue / handler / waker).
     completion: Completion,
-    /// Finish arbiter: exactly one of complete / fail / cancel wins the
-    /// transition out of the live state, so completion is delivered once
-    /// even when cancellation races delivery.
-    finished: AtomicBool,
+    /// Finish arbiter and outcome publication (the bits above): exactly
+    /// one of complete / fail / cancel wins the transition out of the live
+    /// state, so completion is delivered once even when cancellation
+    /// races delivery.
+    state: AtomicU8,
     flag: CompletionFlag,
-    /// Received payload (recv requests) — set before the flag is signalled.
-    data: SpinLock<Option<Bytes>>,
+    /// Received payload (recv requests).
+    data: UnsafeCell<Option<Bytes>>,
     /// Tag of the matched message (for wildcard receives).
-    matched_tag: SpinLock<Option<u64>>,
-    /// Failure, if any — set before the flag is signalled.
-    error: SpinLock<Option<CommError>>,
+    matched_tag: UnsafeCell<Option<u64>>,
+    /// Failure, if any.
+    error: UnsafeCell<Option<CommError>>,
 }
+
+// SAFETY: the outcome cells are the only non-`Sync` fields; the protocol
+// above gives every access to them a single writer ordered before every
+// reader, and each move out a single claimant.
+unsafe impl Sync for Inner {}
 
 /// A non-blocking communication request (`nm_isend`/`nm_irecv` handle).
 ///
@@ -102,11 +133,11 @@ impl Request {
                 span: nm_trace::next_span_id(),
                 kind,
                 completion,
-                finished: AtomicBool::new(false),
+                state: AtomicU8::new(0),
                 flag: CompletionFlag::new(),
-                data: SpinLock::with_class("core.request.data", None),
-                matched_tag: SpinLock::with_class("core.request.tag", None),
-                error: SpinLock::with_class("core.request.error", None),
+                data: UnsafeCell::new(None),
+                matched_tag: UnsafeCell::new(None),
+                error: UnsafeCell::new(None),
             }),
         }
     }
@@ -139,12 +170,41 @@ impl Request {
 
     /// Claims the live→finished transition. Exactly one caller over the
     /// request's lifetime gets `true`; that caller (and only it) must
-    /// set the outcome, signal the flag, and deliver.
+    /// [`publish`](Self::publish) the outcome, then deliver.
     fn try_finish(&self) -> bool {
         self.inner
-            .finished
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+            .state
+            .compare_exchange(0, FINISHED, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
+    }
+
+    /// Writes the outcome, publishes it and signals the flag. Only the
+    /// caller that won [`try_finish`](Self::try_finish) calls this, once.
+    fn publish(&self, tag: Option<u64>, data: Option<Bytes>, error: Option<CommError>) {
+        // SAFETY: protocol rule 1 — this thread won the finish CAS, so it
+        // is the only writer, and no reader looks before `PUBLISHED`.
+        unsafe {
+            *self.inner.matched_tag.get() = tag;
+            *self.inner.data.get() = data;
+            *self.inner.error.get() = error;
+        }
+        // Nothing but the finish CAS has touched `state` yet: the taken
+        // bits are set only after `PUBLISHED` is seen.
+        self.inner
+            .state
+            .store(FINISHED | PUBLISHED, Ordering::Release);
+        self.inner.flag.signal();
+    }
+
+    /// `true` once the outcome cells may be read (protocol rule 2).
+    fn published(&self) -> bool {
+        self.inner.state.load(Ordering::Acquire) & PUBLISHED != 0
+    }
+
+    /// Claims the one move out of the cell behind `taken` (protocol rule
+    /// 3): `true` for exactly one caller, and only once published.
+    fn claim(&self, taken: u8) -> bool {
+        self.published() && self.inner.state.fetch_or(taken, Ordering::AcqRel) & taken == 0
     }
 
     /// Marks the request complete (send side / data-less completion).
@@ -153,7 +213,7 @@ impl Request {
         if !self.try_finish() {
             return;
         }
-        self.inner.flag.signal();
+        self.publish(None, None, None);
         self.deliver();
     }
 
@@ -164,8 +224,7 @@ impl Request {
         if !self.try_finish() {
             return;
         }
-        *self.inner.data.lock() = Some(data);
-        self.inner.flag.signal();
+        self.publish(None, Some(data), None);
         self.deliver();
     }
 
@@ -176,9 +235,7 @@ impl Request {
         if !self.try_finish() {
             return;
         }
-        *self.inner.matched_tag.lock() = Some(tag);
-        *self.inner.data.lock() = Some(data);
-        self.inner.flag.signal();
+        self.publish(Some(tag), Some(data), None);
         self.deliver();
     }
 
@@ -223,10 +280,12 @@ impl Request {
     ///
     /// `None` until completion (and for send requests).
     pub fn matched_tag(&self) -> Option<u64> {
-        if !self.is_complete() {
+        if !self.published() {
             return None;
         }
-        *self.inner.matched_tag.lock()
+        // SAFETY: protocol rule 2 — published, and nobody writes the tag
+        // after publication.
+        unsafe { *self.inner.matched_tag.get() }
     }
 
     /// Finishes the request with [`CommError::Timeout`] — the deadline
@@ -238,8 +297,7 @@ impl Request {
         if !self.try_finish() {
             return false;
         }
-        *self.inner.error.lock() = Some(CommError::Timeout);
-        self.inner.flag.signal();
+        self.publish(None, None, Some(CommError::Timeout));
         self.deliver();
         nm_obs::flight::record_failure("timeout", self.inner.id, self.inner.span);
         true
@@ -255,8 +313,7 @@ impl Request {
             CommError::PeerUnreachable => Some("peer-unreachable"),
             _ => None,
         };
-        *self.inner.error.lock() = Some(error);
-        self.inner.flag.signal();
+        self.publish(None, None, Some(error));
         self.deliver();
         if let Some(reason) = reason {
             nm_obs::flight::record_failure(reason, self.inner.id, self.inner.span);
@@ -282,8 +339,7 @@ impl Request {
         }
         trace_event!(RequestCancel, self.inner.id);
         metrics::cancelled().incr();
-        *self.inner.error.lock() = Some(CommError::Cancelled);
-        self.inner.flag.signal();
+        self.publish(None, None, Some(CommError::Cancelled));
         self.deliver();
         true
     }
@@ -298,8 +354,16 @@ impl Request {
     }
 
     /// Takes the completion error, if the operation failed.
+    ///
+    /// Returns `None` for incomplete or successful requests, or when the
+    /// error was already taken.
     pub fn take_error(&self) -> Option<CommError> {
-        self.inner.error.lock().take()
+        if !self.claim(ERROR_TAKEN) {
+            return None;
+        }
+        // SAFETY: protocol rule 3 — this call holds the one claim on the
+        // error, which was published before the claim succeeded.
+        unsafe { (*self.inner.error.get()).take() }
     }
 
     /// Takes the received payload.
@@ -307,10 +371,12 @@ impl Request {
     /// Returns `None` for send requests, incomplete requests, or when the
     /// payload was already taken.
     pub fn take_data(&self) -> Option<Bytes> {
-        if !self.is_complete() {
+        if !self.claim(DATA_TAKEN) {
             return None;
         }
-        self.inner.data.lock().take()
+        // SAFETY: protocol rule 3 — this call holds the one claim on the
+        // payload, which was published before the claim succeeded.
+        unsafe { (*self.inner.data.get()).take() }
     }
 }
 
@@ -387,6 +453,64 @@ mod tests {
         let r = Request::new(RequestKind::Send);
         assert!(r.cancel());
         assert!(!r.cancel());
+    }
+
+    /// Rounds of the racing tests below (miri interprets them slowly).
+    const RACE_ROUNDS: usize = if cfg!(miri) { 20 } else { 1000 };
+
+    #[test]
+    fn racing_take_data_hands_the_payload_to_exactly_one_clone() {
+        let payload = Bytes::from_static(b"exactly once");
+        for _ in 0..RACE_ROUNDS {
+            let r = Request::new(RequestKind::Recv);
+            let takers: Vec<_> = (0..2)
+                .map(|_| {
+                    let r = r.clone();
+                    std::thread::spawn(move || loop {
+                        let done = r.is_complete();
+                        if let Some(data) = r.take_data() {
+                            return Some(data);
+                        }
+                        if done {
+                            return None;
+                        }
+                        std::thread::yield_now();
+                    })
+                })
+                .collect();
+            r.complete_with_tagged_data(3, payload.clone());
+            let got: Vec<Bytes> = takers
+                .into_iter()
+                .filter_map(|t| t.join().unwrap())
+                .collect();
+            assert_eq!(got, vec![payload.clone()], "one clone gets the payload");
+            assert_eq!(r.take_data(), None);
+            assert_eq!(r.matched_tag(), Some(3));
+        }
+    }
+
+    #[test]
+    fn racing_cancel_and_tagged_completion_agree_on_the_winner() {
+        let payload = Bytes::from_static(b"late or not");
+        for _ in 0..RACE_ROUNDS {
+            let r = Request::new(RequestKind::Recv);
+            let rc = r.clone();
+            let canceller = std::thread::spawn(move || {
+                let cancelled = rc.cancel();
+                while !rc.is_complete() {
+                    std::thread::yield_now();
+                }
+                (cancelled, rc.take_error(), rc.take_data(), rc.matched_tag())
+            });
+            r.complete_with_tagged_data(9, payload.clone());
+            let (cancelled, err, data, tag) = canceller.join().unwrap();
+            if cancelled {
+                assert_eq!((err, data, tag), (Some(CommError::Cancelled), None, None));
+            } else {
+                assert_eq!((err, data, tag), (None, Some(payload.clone()), Some(9)));
+            }
+            assert_eq!((r.take_error(), r.take_data()), (None, None), "taken once");
+        }
     }
 
     #[test]

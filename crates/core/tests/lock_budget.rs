@@ -5,14 +5,16 @@
 //! an idle fine-grain pass takes one `Driver` section per lane and
 //! nothing else (the length hints answer for the collect queue and the
 //! transfer lists, the NIC answers without its stash lock), an 8 B eager
-//! message costs a dozen lock cycles end to end, and the three locking
-//! modes differ by lock cycles in the order the paper's Fig 3 draws them.
+//! message costs nine lock cycles end to end in fine mode, and the three
+//! locking modes differ by lock cycles in the order the paper's Fig 3
+//! draws them.
 //! On a reliable core a pass adds one `Retrans` section per lane, the
 //! lane's upkeep, and still nothing outside the policy.
 //!
 //! Per-family counts come from `CommCore::lock_policy()`; "every lock in
 //! the process" is the registry's `sync.lock.acquisitions`, which also
-//! sees the request cells and the NIC stash.
+//! sees the NIC stash. A request's outcome takes no lock: it is published
+//! through the request's state word and flag.
 
 use std::sync::{Arc, Mutex};
 
@@ -199,8 +201,8 @@ fn data_path_lock_budget() {
     // strategy's pop under CollectTx, the post and its own idle poll
     // under Driver. Receiver: the post and the match under CollectRx,
     // the poll that finds the packet and the poll that finds no second
-    // one under Driver. Outside the policy: the NIC stash once, the
-    // receive request's tag, data and take_data cells.
+    // one under Driver. Outside the policy: the NIC stash once, and
+    // nothing for the requests (their outcome cells take no lock).
     let (tx_side, rx_side, fine) = eager_message_cost(LockingMode::Fine);
     assert_eq!(
         tx_side,
@@ -218,7 +220,7 @@ fn data_path_lock_budget() {
             ..Families::default()
         }
     );
-    assert_eq!(fine, tx_side.total() + rx_side.total() + 4);
+    assert_eq!(fine, tx_side.total() + rx_side.total() + 1);
 
     // Coarse: one library-wide cycle per call (isend takes two: submit,
     // then transmit). Single: no policy lock at all. The order below is
@@ -230,8 +232,9 @@ fn data_path_lock_budget() {
     assert_eq!(tx_side.total() + rx_side.total(), 0);
     assert_eq!(
         (single, coarse, fine),
-        (4, 9, 12),
-        "lock acquisitions per 8 B eager message (20 in fine mode before the hints)"
+        (1, 6, 9),
+        "lock acquisitions per 8 B eager message (12 in fine mode with locked \
+         request cells, 20 before the hints)"
     );
 }
 

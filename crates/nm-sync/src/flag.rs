@@ -14,13 +14,23 @@ use crate::sync_shim::{Condvar, Mutex};
 
 use crate::{Backoff, WaitStrategy};
 
-const PENDING: u32 = 0;
+/// `state` bits. `SET`: the flag was signalled. `WAITING`: a thread has
+/// parked, or is about to park, on `cond` since the last `reset`.
 const SET: u32 = 1;
+const WAITING: u32 = 2;
 
 /// A one-shot event flag with strategy-driven waiting.
 ///
 /// Can be [`reset`](CompletionFlag::reset) for reuse so a pingpong loop
 /// does not allocate a fresh flag per iteration.
+///
+/// Signalling a flag nobody sleeps on is one atomic RMW: the mutex and the
+/// condvar are touched only once a blocking waiter has announced itself
+/// with the `WAITING` bit. A waiter sets that bit with `fetch_or` while
+/// holding the mutex, a signaller sets `SET` with `fetch_or`; both RMW the
+/// one atomic, so either the signaller sees `WAITING` (and notifies after
+/// taking the mutex, which the waiter gives up only inside `cond.wait`)
+/// or the waiter sees `SET` and never parks. No wake-up can be lost.
 pub struct CompletionFlag {
     state: AtomicU32,
     lock: Mutex<()>,
@@ -31,7 +41,7 @@ impl CompletionFlag {
     /// Creates a flag in the pending state.
     pub fn new() -> Self {
         CompletionFlag {
-            state: AtomicU32::new(PENDING),
+            state: AtomicU32::new(0),
             lock: Mutex::new(()),
             cond: Condvar::new(),
         }
@@ -40,28 +50,32 @@ impl CompletionFlag {
     /// `true` once [`signal`](CompletionFlag::signal) has been called.
     #[inline]
     pub fn is_set(&self) -> bool {
-        self.state.load(Ordering::Acquire) == SET
+        self.state.load(Ordering::Acquire) & SET != 0
     }
 
     /// Sets the flag and wakes all waiters.
     ///
     /// Establishes a happens-before edge: everything written before
-    /// `signal` is visible to a thread that observed `is_set()`.
+    /// `signal` is visible to a thread that observed `is_set()`. With no
+    /// blocked waiter this takes no lock and makes no `notify` call.
     pub fn signal(&self) {
-        self.state.store(SET, Ordering::Release);
+        let prev = self.state.fetch_or(SET, Ordering::AcqRel);
         nm_trace::trace_event!(FlagSignal);
-        // Taking the lock orders this notify after any concurrent waiter's
-        // predicate check, so the wakeup cannot be lost.
-        let _g = self.lock.lock();
-        self.cond.notify_all();
+        if prev & WAITING != 0 {
+            // A waiter set `WAITING` under the mutex and holds it until
+            // `cond.wait` releases it, so once we hold the mutex it is
+            // parked (or gone) and this notify reaches it.
+            let _g = self.lock.lock();
+            self.cond.notify_all();
+        }
     }
 
-    /// Returns the flag to the pending state.
+    /// Returns the flag to the pending state, clearing `WAITING` too.
     ///
     /// Only sound once all waiters of the previous completion have
     /// returned; `nm-core` reuses flags strictly iteration-by-iteration.
     pub fn reset(&self) {
-        self.state.store(PENDING, Ordering::Release);
+        self.state.store(0, Ordering::Release);
     }
 
     /// Waits for the flag with the given strategy.
@@ -147,9 +161,17 @@ impl CompletionFlag {
         }
     }
 
+    /// Announces a blocking waiter: sets `WAITING` with the mutex held
+    /// and reports whether that same RMW found the flag already `SET`.
+    /// A signal's `fetch_or` is ordered before or after this one; if
+    /// after, it sees `WAITING` and notifies under the mutex.
+    fn announce_waiter(&self) -> bool {
+        self.state.fetch_or(WAITING, Ordering::AcqRel) & SET != 0
+    }
+
     fn block(&self) {
         let mut guard = self.lock.lock();
-        if self.is_set() {
+        if self.announce_waiter() {
             return;
         }
         nm_trace::trace_event!(ThreadBlock);
@@ -161,7 +183,7 @@ impl CompletionFlag {
 
     fn block_until(&self, deadline: Instant) -> bool {
         let mut guard = self.lock.lock();
-        if self.is_set() {
+        if self.announce_waiter() {
             return true;
         }
         nm_trace::trace_event!(ThreadBlock);
@@ -203,6 +225,32 @@ mod tests {
         f.wait(WaitStrategy::Passive);
         f.wait(WaitStrategy::Busy);
         assert!(f.is_set());
+    }
+
+    #[test]
+    fn signal_without_a_waiter_takes_no_lock() {
+        // Another thread holds the flag's mutex for up to 10 s. A signal
+        // nobody sleeps on must not queue behind it: it returns, and the
+        // flag reads set, while the mutex is still held.
+        let f = Arc::new(CompletionFlag::new());
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let f2 = Arc::clone(&f);
+        let holder = thread::spawn(move || {
+            let _g = f2.lock.lock();
+            held_tx.send(()).unwrap();
+            done_rx.recv_timeout(Duration::from_secs(10)).is_ok()
+        });
+        held_rx.recv().unwrap();
+        f.signal();
+        assert!(f.is_set());
+        let _ = done_tx.send(());
+        assert!(
+            holder.join().unwrap(),
+            "signal waited for the mutex although no thread was parked"
+        );
+        // A waiter arriving afterwards returns at once.
+        f.wait(WaitStrategy::Passive);
     }
 
     #[test]

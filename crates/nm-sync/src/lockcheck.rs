@@ -104,7 +104,7 @@ pub fn held_classes() -> Vec<&'static str> {
 ///
 /// ```json
 /// {"schema": 1, "enabled": true,
-///  "edges": [{"from": "core.api-global", "to": "core.request.data",
+///  "edges": [{"from": "core.api-global", "to": "core.cq",
 ///             "held": ["core.api-global"]}]}
 /// ```
 ///

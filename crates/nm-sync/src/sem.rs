@@ -18,39 +18,53 @@ use crate::{Backoff, WaitStrategy};
 /// variable — the blocking path is exactly where the ~750 ns context switch
 /// of Fig 7 comes from. The spin phases of [`WaitStrategy::Busy`] and
 /// [`WaitStrategy::FixedSpin`] avoid that path whenever the permit arrives
-/// within the spin window.
+/// within the spin window, and a release with no acquirer blocked makes no
+/// `notify` call (no futex wake).
 pub struct Semaphore {
-    permits: Mutex<isize>,
+    state: Mutex<State>,
     cond: Condvar,
+}
+
+/// What the semaphore's mutex guards.
+struct State {
+    permits: isize,
+    /// Acquirers parked (or about to park) on `cond`.
+    blocked: usize,
 }
 
 impl Semaphore {
     /// Creates a semaphore with `permits` initial permits.
     pub fn new(permits: isize) -> Self {
         Semaphore {
-            permits: Mutex::new(permits),
+            state: Mutex::new(State {
+                permits,
+                blocked: 0,
+            }),
             cond: Condvar::new(),
         }
     }
 
     /// Currently available permits.
     pub fn available(&self) -> isize {
-        *self.permits.lock()
+        self.state.lock().permits
     }
 
     /// Releases one permit, waking a blocked acquirer if any.
     pub fn release(&self) {
-        let mut permits = self.permits.lock();
-        *permits += 1;
-        // Notify while holding the lock: a waiter between its predicate
-        // check and `wait` cannot miss this wakeup.
-        self.cond.notify_one();
+        self.release_n(1);
     }
 
     /// Releases `n` permits at once.
     pub fn release_n(&self, n: usize) {
-        let mut permits = self.permits.lock();
-        *permits += n as isize;
+        let mut state = self.state.lock();
+        state.permits += n as isize;
+        // Notify while holding the lock, and only if someone is blocked:
+        // an acquirer counts itself in `blocked` under this lock before it
+        // waits, so one between its predicate check and `wait` is counted
+        // and cannot miss this wakeup.
+        if state.blocked == 0 {
+            return;
+        }
         if n == 1 {
             self.cond.notify_one();
         } else {
@@ -60,9 +74,9 @@ impl Semaphore {
 
     /// Attempts to take one permit without blocking.
     pub fn try_acquire(&self) -> bool {
-        let mut permits = self.permits.lock();
-        if *permits > 0 {
-            *permits -= 1;
+        let mut state = self.state.lock();
+        if state.permits > 0 {
+            state.permits -= 1;
             true
         } else {
             false
@@ -123,33 +137,37 @@ impl Semaphore {
     /// Acquires with a timeout; `true` on success.
     pub fn acquire_timeout(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut permits = self.permits.lock();
-        while *permits <= 0 {
-            if self.cond.wait_until(&mut permits, deadline).timed_out() {
-                // Final re-check: the permit may have arrived exactly as we
-                // timed out.
-                if *permits > 0 {
-                    break;
+        let mut state = self.state.lock();
+        if state.permits <= 0 {
+            state.blocked += 1;
+            while state.permits <= 0 {
+                // A permit that arrives exactly as we time out is still
+                // taken: a timeout counts only if no permit is there.
+                if self.cond.wait_until(&mut state, deadline).timed_out() && state.permits <= 0 {
+                    state.blocked -= 1;
+                    return false;
                 }
-                return false;
             }
+            state.blocked -= 1;
         }
-        *permits -= 1;
+        state.permits -= 1;
         true
     }
 
     fn acquire_blocking(&self) {
-        let mut permits = self.permits.lock();
-        if *permits <= 0 {
+        let mut state = self.state.lock();
+        if state.permits <= 0 {
             // The ThreadBlock→ThreadWake span around an actual condvar
             // sleep is the paper's ~750 ns blocking context switch.
             nm_trace::trace_event!(ThreadBlock);
-            while *permits <= 0 {
-                self.cond.wait(&mut permits);
+            state.blocked += 1;
+            while state.permits <= 0 {
+                self.cond.wait(&mut state);
             }
+            state.blocked -= 1;
             nm_trace::trace_event!(ThreadWake);
         }
-        *permits -= 1;
+        state.permits -= 1;
     }
 }
 

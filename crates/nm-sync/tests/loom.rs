@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use nm_sync::sync_shim::atomic::{AtomicBool, AtomicUsize, Ordering};
+use nm_sync::sync_shim::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use nm_sync::sync_shim::{cell::UnsafeCell, thread};
 use nm_sync::{CompletionFlag, RawSpin, Semaphore, SpinLock, TicketLock, WaitStrategy};
 
@@ -216,6 +216,44 @@ fn completion_flag_signal_before_wait_is_not_lost() {
         flag.wait(WaitStrategy::Passive);
         assert!(flag.is_set());
         h.join().unwrap();
+    });
+}
+
+/// `signal` racing a timed passive wait. The waiter sets `WAITING` under
+/// the flag's mutex and may time out (the model explores both branches);
+/// the signaller takes the mutex and notifies only if it saw `WAITING`.
+/// On every interleaving a `true` return sees the signaller's write, and
+/// a waiter that was notified does not sleep on.
+#[test]
+fn completion_flag_signal_vs_passive_wait_timeout() {
+    loom::model(|| {
+        let shared = Arc::new(Handoff {
+            flag: CompletionFlag::new(),
+            result: UnsafeCell::new(0),
+        });
+        let s = Arc::clone(&shared);
+        let h = thread::spawn(move || {
+            s.result.with_mut(|p| {
+                // SAFETY: read only after the flag is observed set.
+                unsafe { *p = 7 }
+            });
+            s.flag.signal();
+        });
+        let in_time = shared
+            .flag
+            .wait_timeout(WaitStrategy::Passive, std::time::Duration::from_millis(1));
+        if in_time {
+            shared.result.with(|p| {
+                // SAFETY: wait_timeout returned true → signal's release
+                // edge observed.
+                assert_eq!(unsafe { *p }, 7);
+            });
+        }
+        h.join().unwrap();
+        assert!(shared.flag.is_set());
+        // A wait after the signal returns at once, whatever the timed
+        // wait left in the state word.
+        shared.flag.wait(WaitStrategy::Passive);
     });
 }
 
@@ -417,82 +455,99 @@ fn semaphore_two_consumers_two_permits() {
     });
 }
 
-/// The cancel-vs-completion race of `nm-core::Request`: both sides call
-/// `try_finish` (one `compare_exchange(false, true, AcqRel, Acquire)` on
-/// a `finished` flag); only the winner writes the outcome and signals
-/// the completion flag. The model proves that on every interleaving
-/// exactly one outcome is recorded, delivery runs exactly once, and the
-/// waiter always observes the winner's writes — a cancelled request can
-/// never surface the completion's data and vice versa.
-struct CancellableOp {
-    finished: nm_sync::sync_shim::atomic::AtomicBool,
+/// The outcome protocol of `nm-core::Request`. One state word carries
+/// the finish arbiter and the publication: complete and cancel both call
+/// `try_finish` (one `compare_exchange(0, FINISHED, AcqRel, Acquire)`);
+/// only the winner writes the outcome cell, stores `FINISHED | PUBLISHED`
+/// with `Release`, and signals the completion flag. A reader touches the
+/// cell only after an `Acquire` load saw `PUBLISHED`, and moves the value
+/// out only if its `fetch_or(TAKEN)` was the first. No lock guards the
+/// cell: the models below prove that on every interleaving exactly one
+/// outcome is recorded, delivery runs exactly once, every reader sees the
+/// winner's write, and exactly one reader gets the value.
+struct RequestModel {
+    state: AtomicU32,
     flag: CompletionFlag,
     outcome: UnsafeCell<Option<&'static str>>,
-    delivered: nm_sync::sync_shim::atomic::AtomicUsize,
+    delivered: AtomicUsize,
 }
 
-// SAFETY: `outcome` is written only by the thread whose `try_finish` CAS
-// succeeded (exactly one, by the CAS), strictly before `flag.signal()`;
-// the reader waits for the flag first. Model-checked.
-unsafe impl Sync for CancellableOp {}
+const FINISHED: u32 = 1;
+const PUBLISHED: u32 = 2;
+const TAKEN: u32 = 4;
 
-impl CancellableOp {
+// `outcome` is written only by the one `try_finish` CAS winner, before
+// its `Release` publication; it is read only after an `Acquire` load of
+// `PUBLISHED`, and moved out only by the `fetch_or` that set `TAKEN`.
+// SAFETY: the protocol above, model-checked on every schedule.
+unsafe impl Sync for RequestModel {}
+
+impl RequestModel {
     fn new() -> Self {
-        CancellableOp {
-            finished: nm_sync::sync_shim::atomic::AtomicBool::new(false),
+        RequestModel {
+            state: AtomicU32::new(0),
             flag: CompletionFlag::new(),
             outcome: UnsafeCell::new(None),
-            delivered: nm_sync::sync_shim::atomic::AtomicUsize::new(0),
+            delivered: AtomicUsize::new(0),
         }
     }
 
     /// `Request::try_finish` verbatim: the single finish arbiter.
     fn try_finish(&self) -> bool {
-        self.finished
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+        self.state
+            .compare_exchange(0, FINISHED, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
 
-    fn complete(&self) {
-        if !self.try_finish() {
-            return;
-        }
+    /// `Request::publish`, then delivery.
+    fn finish_with(&self, outcome: &'static str) {
         self.outcome.with_mut(|p| {
-            // SAFETY: finish CAS won → sole writer.
-            unsafe { *p = Some("completed") }
+            // SAFETY: finish CAS won → sole writer, before publication.
+            unsafe { *p = Some(outcome) }
         });
+        self.state.store(FINISHED | PUBLISHED, Ordering::Release);
         self.flag.signal();
         self.delivered.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn complete(&self, outcome: &'static str) {
+        if self.try_finish() {
+            self.finish_with(outcome);
+        }
     }
 
     fn cancel(&self) -> bool {
         if !self.try_finish() {
             return false;
         }
-        self.outcome.with_mut(|p| {
-            // SAFETY: finish CAS won → sole writer.
-            unsafe { *p = Some("cancelled") }
-        });
-        self.flag.signal();
-        self.delivered.fetch_add(1, Ordering::Relaxed);
+        self.finish_with("cancelled");
         true
+    }
+
+    /// `Request::take_data`: claim once published, then move out.
+    fn take(&self) -> Option<&'static str> {
+        let published = self.state.load(Ordering::Acquire) & PUBLISHED != 0;
+        if !published || self.state.fetch_or(TAKEN, Ordering::AcqRel) & TAKEN != 0 {
+            return None;
+        }
+        self.outcome.with_mut(|p| {
+            // SAFETY: published (the writer's stores are visible) and
+            // this call holds the one claim.
+            unsafe { (*p).take() }
+        })
     }
 }
 
 #[test]
 fn cancel_vs_completion_race_resolves_to_exactly_one_outcome() {
     loom::model(|| {
-        let op = Arc::new(CancellableOp::new());
+        let op = Arc::new(RequestModel::new());
         let o = Arc::clone(&op);
-        let completer = thread::spawn(move || o.complete());
+        let completer = thread::spawn(move || o.complete("completed"));
         let cancelled = op.cancel();
         op.flag.wait(WaitStrategy::Passive);
+        let outcome = op.take().expect("flag signalled without an outcome");
         completer.join().unwrap();
-        let outcome = op.outcome.with(|p| {
-            // SAFETY: flag set → winner's release-signal ordered its
-            // write before this read; no writes follow the signal.
-            unsafe { (*p).expect("flag signalled without an outcome") }
-        });
         if cancelled {
             assert_eq!(outcome, "cancelled", "cancel won the CAS");
         } else {
@@ -503,6 +558,35 @@ fn cancel_vs_completion_race_resolves_to_exactly_one_outcome() {
             1,
             "completion must be delivered exactly once"
         );
+    });
+}
+
+#[test]
+fn request_outcome_is_taken_by_exactly_one_reader() {
+    loom::model(|| {
+        let op = Arc::new(RequestModel::new());
+        // Two clones of the request: each tries once while the finisher
+        // may still be writing, then once more after the flag.
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let o = Arc::clone(&op);
+                thread::spawn(move || {
+                    let early = o.take();
+                    if early.is_some() {
+                        return early;
+                    }
+                    o.flag.wait(WaitStrategy::Passive);
+                    o.take()
+                })
+            })
+            .collect();
+        op.complete("payload");
+        let got: Vec<_> = readers
+            .into_iter()
+            .filter_map(|r| r.join().unwrap())
+            .collect();
+        assert_eq!(got, vec!["payload"], "exactly one reader gets the value");
+        assert_eq!(op.take(), None, "taken once");
     });
 }
 

@@ -25,8 +25,8 @@
 //!   cross-check.
 //! * `recv.field.lock()` where `field` was bound to a class by a
 //!   `with_class("...")` initializer anywhere in the tree (e.g.
-//!   `data: SpinLock::with_class("core.request.data", ..)` makes every
-//!   `.data.lock()` an acquisition of `core.request.data`).
+//!   `cq_items: SpinLock::with_class("core.cq", ..)` makes every
+//!   `.cq_items.lock()` an acquisition of `core.cq`).
 //!
 //! A `let g = <pure receiver chain>.lock();`-shaped statement binds a
 //! guard that stays held until `drop(g)` or scope exit; any other
