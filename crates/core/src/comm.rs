@@ -134,7 +134,7 @@ impl CoreBuilder {
             lanes += gate.lanes.len();
             gates.push(gate);
         }
-        // One vci/retrans/driver lock per (rail, VCI) lane.
+        // One lock per (rail, VCI) lane.
         let policy = LockPolicy::new(self.config.locking, gates.len(), lanes);
         let strategy = self.config.strategy.build();
 
@@ -247,7 +247,7 @@ impl CommCore {
             core: self.self_weak.upgrade().expect("core still alive"),
             shard,
             num_shards,
-            name: format!("nm-core.vci.{shard}"),
+            name: format!("nm-core.shard.{shard}"),
         }
     }
 
@@ -413,13 +413,11 @@ impl CommCore {
             });
             drop(s);
             for lane in &g.lanes {
-                if let Some(cell) = &lane.rel {
-                    let s = self.policy.enter(SectionKind::Retrans(lane.id));
-                    cell.with(&s, |rel| counts.unacked_frames += rel.unacked.len());
-                    drop(s);
-                }
-                let s = self.policy.enter(SectionKind::Vci(lane.id));
+                let s = self.policy.enter(SectionKind::Driver(lane.id));
                 lane.with_xfer(&s, |q| counts.xfer_items += q.len());
+                if let Some(cell) = &lane.rel {
+                    cell.with(&s, |rel| counts.unacked_frames += rel.unacked.len());
+                }
                 drop(s);
             }
         }

@@ -11,8 +11,9 @@
 //!   *the* library-wide spinlock: held for the whole call, released before
 //!   any blocking. In the other modes it is free.
 //! * [`LockPolicy::enter`] — taken around one logical critical section
-//!   (gate *g*'s send state, gate *g*'s matching state, or driver *i*'s
-//!   transfer list). In **fine** mode (Fig 4) this takes the section's own
+//!   (gate *g*'s send state, gate *g*'s matching state, or lane *i*:
+//!   its transfer list, reliability window and NIC context). In
+//!   **fine** mode (Fig 4) this takes the section's own
 //!   spinlock; in **coarse** mode it is free (the API guard already
 //!   serializes); in **single-thread** mode it only checks the calling
 //!   thread.
@@ -22,9 +23,7 @@
 //! | API entry        | thread check   | global spinlock  | nothing        |
 //! | gate *g* tx      | nothing        | nothing (covered)| collect-tx spinlock *g* |
 //! | gate *g* rx      | nothing        | nothing (covered)| collect-rx spinlock *g* |
-//! | VCI *i* queue    | nothing        | nothing (covered)| vci spinlock *i* |
-//! | retrans *i*      | nothing        | nothing (covered)| retrans spinlock *i* |
-//! | driver *i* list  | nothing        | nothing (covered)| driver spinlock *i* |
+//! | lane *i*         | nothing        | nothing (covered)| driver spinlock *i* |
 //!
 //! The collect layer is **sharded per gate**: each gate owns an
 //! independent tx lock (submit queue, rendezvous-out table) and rx lock
@@ -107,18 +106,9 @@ pub enum SectionKind {
     CollectTx(usize),
     /// Gate `g`'s receive-side matching state (posted/unexpected/RTS bins).
     CollectRx(usize),
-    /// VCI lane `i`'s transfer queue (the per-endpoint xfer list of one
-    /// (rail, VCI) pair). Ordered *between* the collect shards and the
-    /// reliability/driver locks: submit pushes here under the collect
-    /// guard's callers, and the flush path pops here before entering
-    /// [`SectionKind::Retrans`]/[`SectionKind::Driver`] to post.
-    Vci(usize),
-    /// Lane `i`'s reliability state (retransmit window, sequence
-    /// numbers, ack bookkeeping). Ordered *between* the VCI queues
-    /// and the driver lock: the retransmit path stamps the window under
-    /// this section and then posts under [`SectionKind::Driver`].
-    Retrans(usize),
-    /// The transfer-layer NIC access of VCI lane `i`.
+    /// Lane `i` of the transfer layer, one (rail, VCI) pair: its
+    /// transfer list, its reliability window and its NIC context. The
+    /// paper's per-driver lock (Fig 4).
     Driver(usize),
 }
 
@@ -142,14 +132,6 @@ pub const COLLECT_TX_LOCK_CLASSES: [&str; 16] =
 /// Per-gate lock-order classes for the receive-side collect shards.
 pub const COLLECT_RX_LOCK_CLASSES: [&str; 16] =
     lock_class_table!("core.collect.rx"; 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-
-/// Per-driver lock-order classes for the reliability (retransmit) state.
-pub const RETRANS_LOCK_CLASSES: [&str; 16] =
-    lock_class_table!("core.retrans"; 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-
-/// Per-lane lock-order classes for the VCI transfer queues.
-pub const VCI_LOCK_CLASSES: [&str; 16] =
-    lock_class_table!("core.vci"; 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
 
 /// Builds one classed spinlock per index; indices beyond the class table
 /// fall back to the family's *shared* overflow class and bump the
@@ -220,15 +202,8 @@ pub struct LockPolicy {
     collect_tx: Box<[RawSpin]>,
     /// Fine mode: per-gate receive-side collect locks (index = gate index).
     collect_rx: Box<[RawSpin]>,
-    /// Fine mode: one transfer-queue lock per VCI lane (index = global
-    /// lane index). Ordered between the collect shards and the
-    /// reliability locks.
-    vci: Box<[RawSpin]>,
-    /// Fine mode: one reliability-state lock per lane (index = global
-    /// lane index). Ordered between the VCI queues and the driver
-    /// locks.
-    retrans: Box<[RawSpin]>,
-    /// Fine mode: one lock per VCI lane (index = global lane index).
+    /// Fine mode: one lock per (rail, VCI) lane (index = global lane
+    /// index).
     drivers: Box<[RawSpin]>,
     /// SingleThread mode: the one thread allowed in (0 = not yet claimed).
     owner: AtomicU64,
@@ -236,26 +211,24 @@ pub struct LockPolicy {
 
 impl LockPolicy {
     /// Builds a policy for `num_gates` collect-layer shards and
-    /// `num_drivers` VCI lanes (every (rail, VCI) pair is one lane; a
-    /// single-VCI world has exactly one lane per driver, so the index
-    /// space is unchanged from the pre-VCI layout).
+    /// `num_lanes` lanes (every (rail, VCI) pair is one lane; a
+    /// single-VCI world has exactly one lane per driver).
     ///
     /// The locks carry lock-order classes for `nm-sync`'s `lockcheck`
     /// feature; the documented hierarchy is `core.api-global` →
-    /// `core.collect.{tx,rx}.G` → `core.vci.N` → `core.retrans.N` →
-    /// `core.driver.N` (outermost to
+    /// `core.collect.{tx,rx}.G` → `core.driver.N` (outermost to
     /// innermost), and any acquisition inverting it panics with both
     /// stacks when validation is compiled in. Driver and collect locks
-    /// get one class *per index* — fine mode legitimately holds several
-    /// driver locks at once (distinct NICs), which a shared class would
-    /// misreport as a recursive acquisition. This mirrors lockdep
+    /// get one class *per index* — several distinct lanes' locks may be
+    /// held at once, which a shared class would misreport as a
+    /// recursive acquisition. This mirrors lockdep
     /// subclasses. Indices beyond the class tables fall back to one
     /// *shared* class per family (`core.collect.tx.overflow`, ...): less
     /// precise — all overflowed locks of a family are ordered as one
     /// node — but still part of the cycle-detection graph, and each such
     /// lock increments the `core.lockclass_overflow` metrics counter so
     /// the precision drop is visible.
-    pub fn new(mode: LockingMode, num_gates: usize, num_drivers: usize) -> Self {
+    pub fn new(mode: LockingMode, num_gates: usize, num_lanes: usize) -> Self {
         LockPolicy {
             mode,
             global: RawSpin::with_class("core.api-global"),
@@ -269,9 +242,7 @@ impl LockPolicy {
                 &COLLECT_RX_LOCK_CLASSES,
                 "core.collect.rx.overflow",
             ),
-            vci: classed_spins(num_drivers, &VCI_LOCK_CLASSES, "core.vci.overflow"),
-            retrans: classed_spins(num_drivers, &RETRANS_LOCK_CLASSES, "core.retrans.overflow"),
-            drivers: classed_spins(num_drivers, &DRIVER_LOCK_CLASSES, "core.driver.overflow"),
+            drivers: classed_spins(num_lanes, &DRIVER_LOCK_CLASSES, "core.driver.overflow"),
             owner: AtomicU64::new(0),
         }
     }
@@ -339,8 +310,6 @@ impl LockPolicy {
                 let lock = match kind {
                     SectionKind::CollectTx(g) => &self.collect_tx[g],
                     SectionKind::CollectRx(g) => &self.collect_rx[g],
-                    SectionKind::Vci(i) => &self.vci[i],
-                    SectionKind::Retrans(i) => &self.retrans[i],
                     SectionKind::Driver(i) => &self.drivers[i],
                     SectionKind::Global => unreachable!(),
                 };
@@ -402,16 +371,6 @@ impl LockPolicy {
         self.collect_rx[g].stats()
     }
 
-    /// Statistics of lane `i`'s reliability-state lock.
-    pub fn retrans_stats(&self, i: usize) -> &nm_metrics::LockStats {
-        self.retrans[i].stats()
-    }
-
-    /// Statistics of lane `i`'s VCI transfer-queue lock.
-    pub fn vci_stats(&self, i: usize) -> &nm_metrics::LockStats {
-        self.vci[i].stats()
-    }
-
     /// Statistics of lane `i`'s driver lock.
     pub fn driver_stats(&self, i: usize) -> &nm_metrics::LockStats {
         self.drivers[i].stats()
@@ -422,10 +381,8 @@ impl LockPolicy {
         self.global.stats().acquisitions()
             + self.collect_stats().acquisitions()
             + self
-                .vci
+                .drivers
                 .iter()
-                .chain(self.retrans.iter())
-                .chain(self.drivers.iter())
                 .map(|d| d.stats().acquisitions())
                 .sum::<u64>()
     }
@@ -451,6 +408,12 @@ impl Section<'_> {
     /// The logical section this guard covers.
     pub fn kind(&self) -> SectionKind {
         self.kind
+    }
+
+    /// Whether this guard covers `kind`: it is that section, or the
+    /// global/API guard, which covers everything.
+    pub(crate) fn covers(&self, kind: SectionKind) -> bool {
+        self.kind == kind || self.kind == SectionKind::Global
     }
 }
 
@@ -497,7 +460,7 @@ impl<T> Protected<T> {
     #[inline]
     pub fn with<R>(&self, section: &Section<'_>, f: impl FnOnce(&mut T) -> R) -> R {
         debug_assert!(
-            section.kind() == self.kind || section.kind() == SectionKind::Global,
+            section.covers(self.kind),
             "Protected cell {:?} accessed under the wrong section guard {:?}",
             self.kind,
             section.kind()
@@ -536,10 +499,6 @@ mod tests {
         assert_eq!(DRIVER_LOCK_CLASSES[15], "core.driver.15");
         assert_eq!(COLLECT_TX_LOCK_CLASSES[3], "core.collect.tx.3");
         assert_eq!(COLLECT_RX_LOCK_CLASSES[3], "core.collect.rx.3");
-        assert_eq!(RETRANS_LOCK_CLASSES[0], "core.retrans.0");
-        assert_eq!(RETRANS_LOCK_CLASSES[15], "core.retrans.15");
-        assert_eq!(VCI_LOCK_CLASSES[0], "core.vci.0");
-        assert_eq!(VCI_LOCK_CLASSES[15], "core.vci.15");
         // tx and rx shards of the same gate must be distinct classes.
         for (tx, rx) in COLLECT_TX_LOCK_CLASSES
             .iter()
@@ -625,17 +584,14 @@ mod tests {
     #[test]
     fn vci_sections_are_independent_locks() {
         let p = LockPolicy::new(LockingMode::Fine, 1, 4);
-        // Distinct VCI lanes, and a lane's vci/retrans/driver locks, may
-        // all be held at once (in hierarchy order): five distinct locks.
-        let a = p.enter(SectionKind::Vci(0));
-        let b = p.enter(SectionKind::Vci(3));
-        let c = p.enter(SectionKind::Retrans(0));
-        let d = p.enter(SectionKind::Driver(0));
-        drop((d, c, b, a));
-        assert_eq!(p.vci_stats(0).acquisitions(), 1);
-        assert_eq!(p.vci_stats(3).acquisitions(), 1);
-        assert_eq!(p.vci_stats(1).acquisitions(), 0);
-        assert_eq!(p.total_acquisitions(), 4);
+        // Two (rail, VCI) lanes may be held at once: distinct locks.
+        let a = p.enter(SectionKind::Driver(0));
+        let b = p.enter(SectionKind::Driver(3));
+        drop((b, a));
+        assert_eq!(p.driver_stats(0).acquisitions(), 1);
+        assert_eq!(p.driver_stats(3).acquisitions(), 1);
+        assert_eq!(p.driver_stats(1).acquisitions(), 0);
+        assert_eq!(p.total_acquisitions(), 2);
     }
 
     #[test]
@@ -643,10 +599,10 @@ mod tests {
         let counter = crate::metrics::lockclass_overflow();
         let before = counter.get();
         // 20 gates and 20 lanes exceed the 16-entry class tables by 4
-        // each: 4 tx + 4 rx + 4 vci + 4 retrans + 4 driver locks fall
-        // back to the shared overflow classes.
+        // each: 4 tx + 4 rx + 4 driver locks fall back to the shared
+        // overflow classes.
         let p = LockPolicy::new(LockingMode::Fine, 20, 20);
-        assert_eq!(counter.get() - before, 20);
+        assert_eq!(counter.get() - before, 12);
         // Overflowed locks still function, under the per-family shared
         // class (cycle detection coverage is exercised in
         // tests/lockclass_overflow.rs under the lockcheck feature).

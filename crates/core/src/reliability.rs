@@ -7,14 +7,16 @@
 //! field is read. An unreliable lane sends bare frames and computes no
 //! checksum.
 //! Everything a lane's window needs over time runs in that lane's
-//! once-per-pass upkeep ([`CommCore::upkeep`]), in the `Retrans` section
+//! once-per-pass upkeep ([`CommCore::upkeep`]), in the lane's section
 //! the pass takes right after polling the lane: the owed ack goes out,
 //! and the head of the window is resent if its deadline has passed. No
 //! timer is armed; the pass that polls the lane reads the core's clock,
 //! which is its drivers' clock, so a wire on virtual time also runs the
 //! retransmit deadlines on virtual time.
-//! Lock order: a lane's `Retrans` section encloses its `Driver` section
-//! (`core.retrans.N → core.driver.N`), never the reverse.
+//! Locking: the window is a cell of the lane's one section
+//! (`core.driver.N`), which also covers its NIC context, so a post, a
+//! receive, a resend or an ack takes that section once and nests
+//! nothing.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -23,7 +25,7 @@ use bytes::Bytes;
 use crate::comm::CommCore;
 use crate::error::CommError;
 use crate::gate::{seq_lt, Gate, RdvSend};
-use crate::locking::{Protected, SectionKind};
+use crate::locking::{Protected, Section, SectionKind};
 use crate::strategy::SendItem;
 use crate::transfer::{Lane, XferItem};
 use crate::wire::{
@@ -58,8 +60,7 @@ pub(crate) struct UnackedFrame {
     pub fast_retx: bool,
 }
 
-/// Per-lane reliability-protocol state (its own `Retrans` lock class,
-/// ordered between the lane's VCI section and its driver section).
+/// Per-lane reliability-protocol state, under the lane's section.
 #[derive(Default)]
 pub(crate) struct RelState {
     /// Next wire sequence number to assign on this lane.
@@ -100,7 +101,8 @@ impl CommCore {
     /// decode, counts `wire_errors`), processes its cumulative ack,
     /// suppresses duplicates, buffers out-of-order arrivals, and returns
     /// the packets released for dispatch (in wire order), each paired
-    /// with the span its frame carried (0 = none).
+    /// with the span its frame carried (0 = none). The caller holds the
+    /// lane's section `s`, in which it polled `raw`.
     ///
     /// Kept out of line so that `poll_lane`'s loop, which every frame of
     /// an unreliable wire runs too, carries neither the checksum nor the
@@ -109,6 +111,7 @@ impl CommCore {
     pub(crate) fn rel_receive(
         &self,
         lane: &Lane,
+        s: &Section<'_>,
         cell: &Protected<RelState>,
         raw: Bytes,
     ) -> Vec<(Bytes, u64)> {
@@ -127,8 +130,7 @@ impl CommCore {
             nm_trace::trace_event!(SpanWireRx, frame.span, frame.wseq);
         }
         let r = &self.config.reliability;
-        let s = self.policy.enter(SectionKind::Retrans(lane.id));
-        let out = cell.with(&s, |rel| {
+        cell.with(s, |rel| {
             // Cumulative ack: everything below `frame.ack` is delivered.
             let mut advanced = false;
             while rel
@@ -158,7 +160,7 @@ impl CommCore {
                         .unacked
                         .front()
                         .is_some_and(|h| h.wseq == frame.ack && !h.fast_retx);
-                if resend_owed && self.resend_head(lane, rel) {
+                if resend_owed && self.resend_head(lane, s, rel) {
                     self.stats.fast_retransmits.incr();
                     let head = rel.unacked.front_mut().expect("head just resent");
                     head.fast_retx = true;
@@ -187,31 +189,30 @@ impl CommCore {
             }
             rel.ack_pending = true;
             out
-        });
-        drop(s);
-        out
+        })
     }
 
     /// Sequences `entries` into one frame on the lane's window, with the
-    /// piggybacked cumulative ack, and posts it. A full window reports
-    /// `Err` like a busy NIC, before anything is encoded; either way the
-    /// entries come back for requeueing.
+    /// piggybacked cumulative ack, and posts it; the caller holds the
+    /// lane's section `s`. A full window reports `Err` like a busy NIC,
+    /// before anything is encoded; either way the entries come back for
+    /// requeueing.
     pub(crate) fn post_reliable(
         &self,
         lane: &Lane,
+        s: &Section<'_>,
         cell: &Protected<RelState>,
         entries: Vec<Entry>,
         span: u64,
     ) -> Result<(), Vec<Entry>> {
         let r = &self.config.reliability;
-        let s = self.policy.enter(SectionKind::Retrans(lane.id));
-        let posted = cell.with(&s, |rel| {
+        cell.with(s, |rel| {
             if rel.unacked.len() >= r.window {
                 return Err(entries);
             }
             let wseq = rel.next_tx_wseq;
             let frame = encode_packet_frame(wseq, rel.rx_expected, FRAME_RELIABLE, span, &entries);
-            if lane.post_frame(&self.policy, frame).is_err() {
+            if lane.post_frame(s, frame).is_err() {
                 return Err(entries);
             }
             if span != 0 {
@@ -228,9 +229,7 @@ impl CommCore {
                 fast_retx: false,
             });
             Ok(())
-        });
-        drop(s);
-        posted
+        })
     }
 
     /// A reliable lane's once-per-pass upkeep, run after the pass has
@@ -259,7 +258,7 @@ impl CommCore {
         let r = &self.config.reliability;
         let mut dead = false;
         let mut events = 0;
-        let s = self.policy.enter(SectionKind::Retrans(lane.id));
+        let s = self.policy.enter(SectionKind::Driver(lane.id));
         cell.with(&s, |rel| {
             if let Some(head) = rel.unacked.front_mut() {
                 let now = self.clock.now_ns();
@@ -274,7 +273,7 @@ impl CommCore {
                         // is declared dead.
                         head.attempts = 0;
                     }
-                    if self.resend_head(lane, rel) {
+                    if self.resend_head(lane, &s, rel) {
                         events += 1;
                         let head = rel.unacked.front_mut().expect("head just resent");
                         head.attempts += 1;
@@ -292,7 +291,7 @@ impl CommCore {
                 let frame = encode_frame(behind_hole, rel.rx_expected, flags, 0, &[]);
                 // NIC full: leave ack_pending set; piggybacking or the
                 // next pass will carry it.
-                if lane.post_frame(&self.policy, frame).is_ok() {
+                if lane.post_frame(&s, frame).is_ok() {
                     rel.ack_pending = false;
                     self.stats.acks_tx.incr();
                     events += 1;
@@ -308,14 +307,14 @@ impl CommCore {
 
     /// Re-encodes the head of `rel`'s window under its first `wseq` and
     /// posts it: the one retransmit path, taken on a passed deadline and
-    /// on a gap report alike. The caller holds the lane's `Retrans`
-    /// section (and has checked there is a head). `false` is
-    /// `WouldBlock`: nothing left, nothing counted.
-    fn resend_head(&self, lane: &Lane, rel: &mut RelState) -> bool {
+    /// on a gap report alike. The caller holds the lane's section `s`
+    /// (and has checked there is a head). `false` is `WouldBlock`:
+    /// nothing left, nothing counted.
+    fn resend_head(&self, lane: &Lane, s: &Section<'_>, rel: &mut RelState) -> bool {
         let head = rel.unacked.front().expect("caller checked the head");
         let (wseq, span) = (head.wseq, head.span);
         let frame = encode_packet_frame(wseq, rel.rx_expected, FRAME_RELIABLE, span, &head.entries);
-        if lane.post_frame(&self.policy, frame).is_err() {
+        if lane.post_frame(s, frame).is_err() {
             return false;
         }
         rel.ack_piggybacked();
@@ -339,7 +338,7 @@ impl CommCore {
         // Unacknowledged frames are still entries: a surviving lane
         // encodes them under its own sequence space. Spans ride along
         // so the restriped retry tail stays attributable.
-        let s = self.policy.enter(SectionKind::Retrans(lane.id));
+        let s = self.policy.enter(SectionKind::Driver(lane.id));
         let unacked = cell.with(&s, |rel| {
             rel.unacked
                 .drain(..)
@@ -372,7 +371,7 @@ impl CommCore {
     /// item can chase failovers but never lands permanently on a dead
     /// lane.
     pub(crate) fn restripe(&self, g: &Gate, lane: &Lane, mut items: Vec<XferItem>) -> usize {
-        let s = self.policy.enter(SectionKind::Vci(lane.id));
+        let s = self.policy.enter(SectionKind::Driver(lane.id));
         lane.with_xfer(&s, |q| items.extend(q.drain(..)));
         drop(s);
         if items.is_empty() {
@@ -392,7 +391,7 @@ impl CommCore {
         }
         for (i, item) in items.into_iter().enumerate() {
             let to = live[i % live.len()];
-            let s = self.policy.enter(SectionKind::Vci(to.id));
+            let s = self.policy.enter(SectionKind::Driver(to.id));
             to.with_xfer(&s, |q| q.push_back(item));
             drop(s);
         }

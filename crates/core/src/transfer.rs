@@ -1,7 +1,9 @@
 //! Transfer layer (paper Fig 1, bottom): one [`Lane`] per (rail, VCI)
 //! pair, the optimization-layer pump that fills idle lanes from a gate's
 //! collect queue, the flush and post of a lane's list, and the poll of
-//! its completion ring.
+//! its completion ring. A lane has one lock, its `Driver` section, and
+//! every operation here and in the reliability layer takes it once,
+//! with nothing nested.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -14,7 +16,7 @@ use nm_fabric::{Driver, PostError};
 use crate::comm::CommCore;
 use crate::error::CommError;
 use crate::gate::{publish_len, Gate, RdvSend, RdvSendDone};
-use crate::locking::{LockPolicy, Protected, Section, SectionKind};
+use crate::locking::{Protected, Section, SectionKind};
 use crate::reliability::RelState;
 use crate::request::Request;
 use crate::strategy::SendItem;
@@ -40,23 +42,23 @@ pub(crate) struct XferItem {
 
 /// One (rail, VCI) endpoint of a gate, owning everything below the
 /// collect layer that its traffic touches: the driver context, the
-/// transfer list (`Vci` section) with its length hint, the death flag
-/// and, on a reliable core, the reliability window (`Retrans` section).
-/// Its `Driver` section covers [`Lane::post_frame`] and
+/// transfer list with its length hint, the death flag and, on a
+/// reliable core, the reliability window. The lane has one lock, its
+/// `Driver` section (the paper's per-driver lock, Fig 4): the list and
+/// the window are cells of it, and [`Lane::post_frame`] /
 /// [`Lane::poll_frame`], the only two ways a frame crosses the driver
-/// boundary. Flows pinned to different lanes share no transfer-layer
-/// lock.
+/// boundary, take it held. Flows pinned to different lanes share no
+/// transfer-layer lock.
 pub(crate) struct Lane {
     pub driver: Arc<dyn Driver>,
     pub vci: usize,
-    /// Index of this lane in the lock policy's per-lane arrays (its
-    /// `Vci`, `Retrans` and `Driver` sections), in progression shards
-    /// and in trace events.
+    /// Index of this lane in the lock policy's per-lane locks, in
+    /// progression shards and in trace events.
     pub id: usize,
     /// Outgoing packets; reached through [`Lane::with_xfer`], which
     /// keeps `xfer_len` in step.
     xfer: Protected<VecDeque<XferItem>>,
-    /// Length hint of `xfer`: written only under the `Vci` section and
+    /// Length hint of `xfer`: written only under the lane's section and
     /// only when the length changes, so at every release of the section
     /// it equals the list's length.
     xfer_len: AtomicUsize,
@@ -74,40 +76,44 @@ impl Lane {
             driver,
             vci,
             id,
-            xfer: Protected::new(SectionKind::Vci(id), VecDeque::new()),
+            xfer: Protected::new(SectionKind::Driver(id), VecDeque::new()),
             xfer_len: AtomicUsize::new(0),
             dead: AtomicBool::new(false),
-            rel: reliable.then(|| Protected::new(SectionKind::Retrans(id), RelState::default())),
+            rel: reliable.then(|| Protected::new(SectionKind::Driver(id), RelState::default())),
         }
     }
 
-    /// Injects one encoded frame under the lane's `Driver` section: the
-    /// one post path, taken by data frames, acks and retransmits alike.
-    pub fn post_frame(&self, policy: &LockPolicy, frame: Bytes) -> Result<(), PostError> {
-        let s = policy.enter(SectionKind::Driver(self.id));
-        let posted = self.driver.post_vci(self.vci, frame);
-        drop(s);
-        posted
+    /// Injects one encoded frame: the one post path, taken by data
+    /// frames, acks and retransmits alike. `s` is the lane's section.
+    pub fn post_frame(&self, s: &Section<'_>, frame: Bytes) -> Result<(), PostError> {
+        debug_assert!(
+            s.covers(SectionKind::Driver(self.id)),
+            "post outside lane {}",
+            self.id
+        );
+        self.driver.post_vci(self.vci, frame)
     }
 
-    /// Takes one inbound frame off the lane's completion ring, under its
-    /// `Driver` section.
-    pub fn poll_frame(&self, policy: &LockPolicy) -> Option<Bytes> {
-        let s = policy.enter(SectionKind::Driver(self.id));
-        let frame = self.driver.poll_vci(self.vci);
-        drop(s);
-        frame
+    /// Takes one inbound frame off the lane's completion ring. `s` is
+    /// the lane's section.
+    pub fn poll_frame(&self, s: &Section<'_>) -> Option<Bytes> {
+        debug_assert!(
+            s.covers(SectionKind::Driver(self.id)),
+            "poll outside lane {}",
+            self.id
+        );
+        self.driver.poll_vci(self.vci)
     }
 
-    /// Whether the NIC context reports room for a post; read without the
-    /// driver lock as a racy hint (the post under the lock handles the
-    /// losing race).
+    /// Whether the NIC context reports room for a post. Outside the
+    /// lane's section it is a racy hint (the post handles the losing
+    /// race).
     pub fn can_post(&self) -> bool {
         self.driver.can_post_vci(self.vci)
     }
 
-    /// Accesses the transfer list under its `Vci` section and republishes
-    /// its length hint before the section is released.
+    /// Accesses the transfer list under the lane's section and
+    /// republishes its length hint before the section is released.
     pub fn with_xfer<R>(&self, s: &Section<'_>, f: impl FnOnce(&mut VecDeque<XferItem>) -> R) -> R {
         self.xfer.with(s, |q| {
             debug_assert_eq!(self.xfer_len_hint(), q.len(), "stale xfer hint");
@@ -149,17 +155,23 @@ impl CommCore {
         const MAX_POLLS_PER_PASS: usize = 16;
         let mut events = 0;
         for _ in 0..MAX_POLLS_PER_PASS {
-            let Some(raw) = lane.poll_frame(&self.policy) else {
+            let s = self.policy.enter(SectionKind::Driver(lane.id));
+            let Some(raw) = lane.poll_frame(&s) else {
                 break;
             };
             events += 1;
             if let Some(rel) = &lane.rel {
-                for (packet, span) in self.rel_receive(lane, rel, raw) {
+                // The window pass shares the poll's section; dispatch
+                // runs after its release.
+                let released = self.rel_receive(lane, &s, rel, raw);
+                drop(s);
+                for (packet, span) in released {
                     self.stats.packets_rx.incr();
                     self.dispatch(g, packet, span);
                 }
                 continue;
             }
+            drop(s);
             let Ok(frame) = decode_bare_frame(raw) else {
                 self.stats.wire_errors.incr();
                 continue;
@@ -210,7 +222,7 @@ impl CommCore {
                 data: rdv.data.slice(offset..end),
             };
             let lane = live[(start_lane + i) % live.len()];
-            let s = self.policy.enter(SectionKind::Vci(lane.id));
+            let s = self.policy.enter(SectionKind::Driver(lane.id));
             lane.with_xfer(&s, |q| {
                 q.push_back(XferItem {
                     entries: vec![entry],
@@ -224,21 +236,28 @@ impl CommCore {
         self.pump_gate(g);
     }
 
-    /// Encodes `entries` into one frame and injects it on `lane`. This
-    /// is the only place a data frame is first encoded, and it runs only
-    /// once the frame can leave: first posts, `WouldBlock` requeues and
-    /// failed-over packets all arrive here as entries.
+    /// Encodes `entries` into one frame and injects it on `lane`, whose
+    /// section `s` the caller holds. This is the only place a data
+    /// frame is first encoded, and it runs only once the frame can
+    /// leave: first posts, `WouldBlock` requeues and failed-over packets
+    /// all arrive here as entries.
     ///
     /// On an unreliable lane the frame is bare: one flags byte before
     /// the packet, no checksum. A reliable lane seals and sequences it
     /// through its window (`CommCore::post_reliable`). `Err` is
     /// `WouldBlock` and hands the entries back for requeueing.
-    fn post_packet(&self, lane: &Lane, entries: Vec<Entry>, span: u64) -> Result<(), Vec<Entry>> {
+    fn post_packet(
+        &self,
+        lane: &Lane,
+        s: &Section<'_>,
+        entries: Vec<Entry>,
+        span: u64,
+    ) -> Result<(), Vec<Entry>> {
         if let Some(rel) = &lane.rel {
-            return self.post_reliable(lane, rel, entries, span);
+            return self.post_reliable(lane, s, rel, entries, span);
         }
         let frame = encode_bare_frame(span, &entries);
-        let posted = lane.post_frame(&self.policy, frame);
+        let posted = lane.post_frame(s, frame);
         if posted.is_ok() && span != 0 {
             nm_trace::trace_event!(SpanWireTx, span, 0);
         }
@@ -290,8 +309,11 @@ impl CommCore {
             // aboard. Aggregated passengers keep their submit/collect/
             // complete events but ride the carrier's wire attribution.
             let span = items.iter().map(|i| i.span).find(|&s| s != 0).unwrap_or(0);
+            let lane = &g.lanes[nth];
             nm_trace::trace_event!(TransmitBegin, g.id.0, nth);
-            let posted = self.post_packet(&g.lanes[nth], entries, span);
+            let s = self.policy.enter(SectionKind::Driver(lane.id));
+            let posted = self.post_packet(lane, &s, entries, span);
+            drop(s);
             nm_trace::trace_event!(TransmitEnd, g.id.0, posted.is_ok());
             match posted {
                 Ok(()) => {
@@ -324,24 +346,18 @@ impl CommCore {
     /// Drains lane `nth` of `g`'s transfer list while its NIC context
     /// accepts packets.
     ///
-    /// The pop and the post are *not* atomic (the reliability layer must
-    /// take its `Retrans` section before the driver section): a racing
-    /// pumper can interleave items, which is harmless — the list carries
-    /// offset-addressed rendezvous chunks. On a failed post the item is
-    /// restored with `push_front`, so the queue's relative order is
-    /// preserved even when several flushers contend on one lane.
+    /// Each packet takes the lane's section once: the can-post check,
+    /// the pop, the encode and the post, and on `WouldBlock` the
+    /// `push_front` that restores it, so a packet leaves in list order
+    /// or stays at the head. Completions run after the release.
     ///
-    /// `can_post` is read under the `Vci` section but *without* the
-    /// driver lock — a racy hint. On a multi-queue driver the hint can
-    /// go stale in either direction under a different VCI's load: a
-    /// stale `true` costs one failed post (the item is restored, the
-    /// loop exits), a stale `false` ends the flush with items still
-    /// queued. Neither strands anything permanently: every progression
-    /// pass re-runs `flush_xfer` on every lane, so a queue left
-    /// non-empty by a stale hint is re-flushed on the next poll.
+    /// A NIC that refuses the post although it reported room (a driver
+    /// whose contexts share a queue, or a stall) ends the flush with the
+    /// packet requeued; every progression pass re-runs `flush_xfer` on
+    /// every lane, so nothing is stranded.
     ///
     /// An empty list (by its length hint) is left without taking the
-    /// `Vci` section; see [`CommCore::pump_gate`].
+    /// lane's section; see [`CommCore::pump_gate`].
     fn flush_xfer(&self, g: &Gate, nth: usize) -> usize {
         let lane = &g.lanes[nth];
         if lane.xfer_len_hint() == 0 {
@@ -352,27 +368,26 @@ impl CommCore {
         }
         let mut events = 0;
         loop {
-            let item = {
-                let s = self.policy.enter(SectionKind::Vci(lane.id));
-                let item = if lane.can_post() {
-                    lane.with_xfer(&s, |q| q.pop_front())
-                } else {
-                    None
-                };
-                drop(s);
-                item
-            };
-            let Some(mut item) = item else { break };
-            nm_trace::trace_event!(TransmitBegin, g.id.0, nth);
-            let res = self.post_packet(lane, std::mem::take(&mut item.entries), item.span);
-            nm_trace::trace_event!(TransmitEnd, g.id.0, res.is_ok());
-            if let Err(entries) = res {
-                item.entries = entries;
-                let s = self.policy.enter(SectionKind::Vci(lane.id));
-                lane.with_xfer(&s, |q| q.push_front(item));
-                drop(s);
-                break;
-            }
+            let s = self.policy.enter(SectionKind::Driver(lane.id));
+            let posted = lane.with_xfer(&s, |q| {
+                if !lane.can_post() {
+                    return None;
+                }
+                let mut item = q.pop_front()?;
+                nm_trace::trace_event!(TransmitBegin, g.id.0, nth);
+                let res = self.post_packet(lane, &s, std::mem::take(&mut item.entries), item.span);
+                nm_trace::trace_event!(TransmitEnd, g.id.0, res.is_ok());
+                match res {
+                    Ok(()) => Some(item),
+                    Err(entries) => {
+                        item.entries = entries;
+                        q.push_front(item);
+                        None
+                    }
+                }
+            });
+            drop(s);
+            let Some(item) = posted else { break };
             self.stats.packets_tx.incr();
             events += 1;
             for req in item.complete_on_post {

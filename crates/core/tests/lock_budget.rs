@@ -8,8 +8,11 @@
 //! message costs nine lock cycles end to end in fine mode, and the three
 //! locking modes differ by lock cycles in the order the paper's Fig 3
 //! draws them.
-//! On a reliable core a pass adds one `Retrans` section per lane, the
-//! lane's upkeep, and still nothing outside the policy.
+//! On a reliable core a pass adds a second `Driver` section per lane,
+//! the lane's upkeep, and still nothing outside the policy. A lane's
+//! transfer list, reliability window and NIC context share that one
+//! section, so the rendezvous and reliable paths are pinned per family
+//! too.
 //!
 //! Per-family counts come from `CommCore::lock_policy()`; "every lock in
 //! the process" is the registry's `sync.lock.acquisitions`, which also
@@ -43,8 +46,6 @@ struct Families {
     global: u64,
     collect_tx: u64,
     collect_rx: u64,
-    vci: u64,
-    retrans: u64,
     driver: u64,
 }
 
@@ -57,8 +58,6 @@ impl Families {
             global: p.global_stats().acquisitions(),
             collect_tx: over(gates, &|g| p.collect_tx_stats(g).acquisitions()),
             collect_rx: over(gates, &|g| p.collect_rx_stats(g).acquisitions()),
-            vci: over(lanes, &|i| p.vci_stats(i).acquisitions()),
-            retrans: over(lanes, &|i| p.retrans_stats(i).acquisitions()),
             driver: over(lanes, &|i| p.driver_stats(i).acquisitions()),
         };
         assert_eq!(
@@ -70,7 +69,7 @@ impl Families {
     }
 
     fn total(&self) -> u64 {
-        self.global + self.collect_tx + self.collect_rx + self.vci + self.retrans + self.driver
+        self.global + self.collect_tx + self.collect_rx + self.driver
     }
 
     /// `f` applied family by family.
@@ -79,8 +78,6 @@ impl Families {
             global: f(self.global, other.global),
             collect_tx: f(self.collect_tx, other.collect_tx),
             collect_rx: f(self.collect_rx, other.collect_rx),
-            vci: f(self.vci, other.vci),
-            retrans: f(self.retrans, other.retrans),
             driver: f(self.driver, other.driver),
         }
     }
@@ -111,33 +108,40 @@ fn deliver(a: &CommCore, b: &CommCore, payload: &Bytes) {
 }
 
 /// (policy acquisitions of the sender, of the receiver, every lock in
-/// the process) for one 8 B eager message over an ideal `SimNic` pair,
-/// averaged over `MSGS` warmed-up messages. Exact: nothing here depends
-/// on timing.
+/// the process) per message for `msgs` messages a → b over one lane,
+/// after eight warm-up messages. Exact: nothing here depends on timing.
+fn message_cost(
+    a: &CommCore,
+    b: &CommCore,
+    payload: &Bytes,
+    msgs: u64,
+) -> (Families, Families, u64) {
+    for _ in 0..8 {
+        deliver(a, b, payload);
+    }
+    let (a0, b0, all0) = (Families::of(a, 1), Families::of(b, 1), process_locks());
+    for _ in 0..msgs {
+        deliver(a, b, payload);
+    }
+    let per_msg = |n: u64| {
+        assert_eq!(n % msgs, 0, "{n} locks over {msgs} messages");
+        n / msgs
+    };
+    let each = |f: Families| f.zip(&f, |n, _| per_msg(n));
+    (
+        each(Families::of(a, 1).since(&a0)),
+        each(Families::of(b, 1).since(&b0)),
+        per_msg(process_locks() - all0),
+    )
+}
+
+/// [`message_cost`] of an 8 B eager message over an ideal `SimNic` pair.
 fn eager_message_cost(mode: LockingMode) -> (Families, Families, u64) {
-    const MSGS: u64 = 100;
     let fabric = Fabric::real_time();
     let (pa, pb) = fabric.pair(&[WireModel::ideal()], true);
     let a = core_over(mode, vec![pa.drivers()]);
     let b = core_over(mode, vec![pb.drivers()]);
-    let small = Bytes::from(vec![0xA5u8; 8]);
-    for _ in 0..8 {
-        deliver(&a, &b, &small);
-    }
-    let (a0, b0, all0) = (Families::of(&a, 1), Families::of(&b, 1), process_locks());
-    for _ in 0..MSGS {
-        deliver(&a, &b, &small);
-    }
-    let per_msg = |n: u64| {
-        assert_eq!(n % MSGS, 0, "{n} locks over {MSGS} messages");
-        n / MSGS
-    };
-    let each = |f: Families| f.zip(&f, |n, _| per_msg(n));
-    (
-        each(Families::of(&a, 1).since(&a0)),
-        each(Families::of(&b, 1).since(&b0)),
-        per_msg(process_locks() - all0),
-    )
+    message_cost(&a, &b, &Bytes::from(vec![0xA5u8; 8]), 100)
 }
 
 /// Held by every test here: the process-wide lock counter is global, so
@@ -273,8 +277,7 @@ fn reliable_pass_lock_budget() {
     assert_eq!(
         pass,
         Families {
-            retrans: PASSES * LANES as u64,
-            driver: PASSES * LANES as u64,
+            driver: 2 * PASSES * LANES as u64,
             ..Families::default()
         },
         "a reliable pass polls each lane and runs its upkeep, once"
@@ -283,5 +286,86 @@ fn reliable_pass_lock_budget() {
         process_locks() - all_before,
         pass.total(),
         "no lock outside the policy: no retransmit timer"
+    );
+}
+
+/// A 1 MiB rendezvous in fine mode over an ideal `SimNic` pair, one
+/// lane, per side. Each of the 64 chunks takes the sender's lane
+/// section twice, once to be queued and once to be popped, encoded and
+/// posted; one more section finds the list empty, and 7 carry the RTS
+/// and the polls. When the transfer list had its own `Vci` lock the
+/// sender took 129 `Vci` (the queueing and the pops) + 71 `Driver` (the
+/// posts and the polls) sections per message, and the receiver the same
+/// 2 + 66 + 67 as now.
+#[test]
+fn rendezvous_lock_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let fabric = Fabric::real_time();
+    let (pa, pb) = fabric.pair(&[WireModel::ideal()], true);
+    let a = core_over(LockingMode::Fine, vec![pa.drivers()]);
+    let b = core_over(LockingMode::Fine, vec![pb.drivers()]);
+    let (tx_side, rx_side, _) = message_cost(&a, &b, &Bytes::from(vec![3u8; 1 << 20]), 4);
+    assert_eq!(
+        tx_side,
+        Families {
+            collect_tx: 4,
+            collect_rx: 1,
+            driver: 64 + 65 + 7,
+            ..Families::default()
+        }
+    );
+    assert_eq!(
+        rx_side,
+        Families {
+            collect_tx: 2,
+            collect_rx: 66,
+            driver: 67,
+            ..Families::default()
+        }
+    );
+}
+
+/// A lossless reliable 1 KiB message in fine mode over a loopback pair,
+/// per side. Every lane section is one of: a post that sequences the
+/// frame in the window and injects it, a poll with the window pass of
+/// what it found, or a pass's upkeep that sends the owed ack. When the
+/// window had its own `Retrans` lock this took 3 `Retrans` + 3
+/// `Driver` sections on the sender and 2 + 3 on the receiver, the post
+/// and the ack each nesting `Driver` inside `Retrans`.
+#[test]
+fn reliable_message_lock_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A one-minute timer: no retransmit can fire mid-measurement.
+    let rel = ReliabilityConfig {
+        rto_base_ns: 60_000_000_000,
+        rto_max_ns: 60_000_000_000,
+        ..ReliabilityConfig::enabled()
+    };
+    let config = CoreConfig::default()
+        .locking(LockingMode::Fine)
+        .reliability(rel);
+    let (da, db) = LoopbackDriver::pair(256);
+    let a = CoreBuilder::new(config.clone())
+        .add_gate(vec![Arc::new(da) as Arc<dyn Driver>])
+        .build();
+    let b = CoreBuilder::new(config)
+        .add_gate(vec![Arc::new(db) as Arc<dyn Driver>])
+        .build();
+    let (tx_side, rx_side, _) = message_cost(&a, &b, &Bytes::from(vec![9u8; 1024]), 100);
+    assert_eq!(
+        tx_side,
+        Families {
+            collect_tx: 2,
+            driver: 4,
+            ..Families::default()
+        }
+    );
+    assert_eq!(
+        rx_side,
+        Families {
+            collect_rx: 2,
+            driver: 3,
+            ..Families::default()
+        }
     );
 }

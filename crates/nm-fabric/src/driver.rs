@@ -21,7 +21,9 @@ pub struct DriverCaps {
     /// coarse mode, the single-caller check in single-thread mode — so a
     /// thread-unsafe driver is safe under all three. The section is kept
     /// for thread-safe drivers too: it is the paper's Fig 4 per-driver
-    /// lock, and the only section an idle fine-grain pass still takes.
+    /// lock, the one lock of the lane, covering its transfer list and
+    /// reliability window as well, and the only section an idle
+    /// fine-grain pass still takes.
     pub thread_safe: bool,
     /// `true` when a frame can arrive damaged. Like MX or InfiniBand,
     /// a driver whose link layer guarantees integrity says `false`, and

@@ -110,7 +110,8 @@ fn workload(mode: LockingMode) {
 }
 
 /// Reliability protocol over a lossy wire: retransmits from each lane's
-/// upkeep in the progress loop (`core.retrans -> core.driver`), request
+/// upkeep in the progress loop (in the lane's `core.driver` section,
+/// nesting nothing), request
 /// deadlines on the timer wheel and deadline/cancel pruning — the
 /// fault-handling edges the static graph predicts.
 fn reliability_workload(mode: LockingMode) {
@@ -169,9 +170,9 @@ fn reliability_workload(mode: LockingMode) {
 }
 
 /// Multi-VCI transfer layer: concurrent eager flows plus one striped
-/// rendezvous over per-(rail, VCI) lanes — covers the `core.vci`
-/// transfer-queue sections, the per-lane retrans → driver nesting, and
-/// the sharded per-VCI progression entry points.
+/// rendezvous over per-(rail, VCI) lanes — covers each lane's
+/// `core.driver` section around its transfer list, and the sharded
+/// per-VCI progression entry points.
 fn vci_workload(mode: LockingMode) {
     let config = CoreConfig::default().locking(mode);
     let fabric = Fabric::real_time();

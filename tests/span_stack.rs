@@ -29,9 +29,10 @@ const PINGPONGS: u64 = 16;
 /// determines it. Spans must not move it.
 ///
 /// 624 when span propagation landed; re-pinned to 368 when idle passes
-/// became read-only (length hints in front of the `CollectTx`/`Vci`
-/// sections, a lock-free empty check in front of the NIC stash): 8 lock
-/// cycles fewer per message over 32 messages, none of them span-related.
+/// became read-only (length hints in front of the collect queue and the
+/// lane transfer lists, a lock-free empty check in front of the NIC
+/// stash): 8 lock cycles fewer per message over 32 messages, none of
+/// them span-related.
 /// Re-pinned to 288 when a request's outcome stopped living in spinlock
 /// cells: 80 fewer, the tag and data cells of all 32 receives (64) and
 /// the data cell of the 16 echoed payloads taken (16); the pinger never

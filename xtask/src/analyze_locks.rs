@@ -78,8 +78,6 @@ const SECTION_FAMILIES: &[(&str, &str)] = &[
     ("Global", "core.api-global"),
     ("CollectTx", "core.collect.tx"),
     ("CollectRx", "core.collect.rx"),
-    ("Vci", "core.vci"),
-    ("Retrans", "core.retrans"),
     ("Driver", "core.driver"),
 ];
 
