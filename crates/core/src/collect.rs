@@ -47,7 +47,7 @@ impl CommCore {
         data: Bytes,
         completion: Completion,
     ) -> Result<Request, CommError> {
-        let _t = crate::metrics::send_hist().timer();
+        let _t = crate::metrics::send_hist().sampled_timer();
         let g = self.gate(gate)?;
         if data.len() > u32::MAX as usize {
             return Err(CommError::MessageTooLarge { len: data.len() });
@@ -178,7 +178,7 @@ impl CommCore {
         pattern: TagPattern,
         completion: Completion,
     ) -> Result<Request, CommError> {
-        let _t = crate::metrics::recv_hist().timer();
+        let _t = crate::metrics::recv_hist().sampled_timer();
         let g = self.gate(gate)?;
         let req = Request::new_with(RequestKind::Recv, completion);
         self.stats.recvs_posted.incr();

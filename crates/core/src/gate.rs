@@ -195,6 +195,10 @@ pub(crate) struct RxState {
     /// Exact-tag posted receives, binned by tag, FIFO per bin; entries
     /// carry their post-order stamp.
     posted_exact: HashMap<u64, VecDeque<(u64, PostedRecv)>>,
+    /// The last exact-tag bin that emptied, kept (empty, with its
+    /// capacity) for the next tag that needs a bin: a receive posted
+    /// ahead of each message reuses it instead of allocating one.
+    spare_bin: VecDeque<(u64, PostedRecv)>,
     /// Wildcard posted receives, FIFO, with post-order stamps.
     posted_any: VecDeque<(u64, PostedRecv)>,
     /// Total posted receives across both structures.
@@ -225,7 +229,7 @@ impl RxState {
             TagPattern::Exact(tag) => {
                 self.posted_exact
                     .entry(tag)
-                    .or_default()
+                    .or_insert_with(|| std::mem::take(&mut self.spare_bin))
                     .push_back((stamp, recv));
             }
             TagPattern::Any => self.posted_any.push_back((stamp, recv)),
@@ -252,7 +256,7 @@ impl RxState {
                     let bin = self.posted_exact.get_mut(&tag).expect("front checked");
                     let recv = bin.pop_front().map(|(_, r)| r);
                     if bin.is_empty() {
-                        self.posted_exact.remove(&tag);
+                        self.spare_bin = self.posted_exact.remove(&tag).expect("bin just emptied");
                     }
                     recv
                 }
@@ -643,6 +647,33 @@ mod tests {
         assert!(r1.is_complete());
         assert!(!r2.is_complete());
         assert!(rx.take_posted(7).is_none());
+    }
+
+    #[test]
+    fn an_emptied_posted_bin_is_reused_by_the_next_tag() {
+        let mut rx = RxState::default();
+        let post = |rx: &mut RxState, tag| {
+            rx.push_posted(PostedRecv {
+                pattern: TagPattern::Exact(tag),
+                req: Request::new(RequestKind::Recv),
+            })
+        };
+        post(&mut rx, 1);
+        rx.take_posted(1).unwrap();
+        let spare = rx.spare_bin.capacity();
+        assert!(spare > 0 && rx.posted_exact.is_empty());
+        post(&mut rx, 2);
+        assert_eq!(rx.posted_exact[&2].capacity(), spare);
+        assert_eq!(
+            rx.spare_bin.capacity(),
+            0,
+            "the spare moved into the new bin"
+        );
+        // Cancelled receives are pruned with their bin, not kept.
+        rx.posted_exact[&2][0].1.req.complete();
+        assert_eq!(rx.prune_cancelled(), 1);
+        assert!(rx.posted_exact.is_empty());
+        assert_eq!(rx.spare_bin.capacity(), 0);
     }
 
     #[test]

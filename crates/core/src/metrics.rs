@@ -3,9 +3,13 @@
 //! Each public operation records its wall-clock duration into a global
 //! log-linear histogram (`core.send_ns`, `core.recv_ns`,
 //! `core.wait_ns`) owned by [`nm_metrics::metrics`]. The handles are
-//! resolved once through a `OnceLock` so the per-op cost is two
-//! timestamps plus one relaxed atomic add — see the no-alloc and
-//! record-cost tests in `nm-metrics`.
+//! resolved once through a `OnceLock`. `isend` and `irecv` run once per
+//! message, so they take a sampled timer: one call in
+//! [`nm_metrics::SAMPLE_EVERY`] pays two timestamps and one relaxed
+//! atomic add, recorded with that weight, and the others pay a relaxed
+//! load and store of the stripe's tick. `wait` and completion handlers
+//! time every call — see the no-alloc and record-cost tests in
+//! `nm-metrics`, and `tests/sampled_timers.rs` here.
 //!
 //! Matching-state depth gauges (`core.posted_depth`,
 //! `core.unexpected_depth`) track the library-wide number of posted
@@ -53,12 +57,12 @@ macro_rules! global_gauge {
 global_hist!(
     send_hist,
     "core.send_ns",
-    "Latency of `CommCore::isend` (post to return, ns)."
+    "Latency of `CommCore::isend` (post to return, ns; one call in 64, weight 64)."
 );
 global_hist!(
     recv_hist,
     "core.recv_ns",
-    "Latency of `CommCore::irecv`/`irecv_any` (post to return, ns)."
+    "Latency of `CommCore::irecv`/`irecv_any` (post to return, ns; one call in 64, weight 64)."
 );
 global_hist!(
     wait_hist,

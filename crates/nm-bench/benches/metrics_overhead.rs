@@ -2,7 +2,9 @@
 //!
 //! The layer's contract is one relaxed atomic add — or one log-linear
 //! histogram record — per operation, ≤ 25 ns on the reference host in
-//! release mode (docs/METRICS.md). These benches measure each record
+//! release mode (docs/METRICS.md). A timer adds two clock reads to its
+//! record, a sampled timer one sample per 64 calls; both are priced
+//! here. These benches measure each record
 //! primitive through a pre-resolved handle (the cold registry lookup is
 //! benched separately so its cost is visible, not hidden in the hot
 //! numbers), plus the end-to-end snapshot/render path.
@@ -45,6 +47,14 @@ fn record_path(c: &mut Criterion) {
     g.bench_function("hist_timer_drop", |b| {
         b.iter(|| {
             let _t = timer_hist.timer();
+        })
+    });
+    // The per-message timer of `isend`/`irecv`: the mean over 64 calls
+    // of one clock-reading sample and 63 tick updates.
+    let sampled_hist = nm_metrics::metrics().histogram("bench.overhead.sampled_timer");
+    g.bench_function("hist_sampled_timer_drop", |b| {
+        b.iter(|| {
+            let _t = sampled_hist.sampled_timer();
         })
     });
     g.finish();

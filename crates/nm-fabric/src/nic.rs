@@ -126,6 +126,12 @@ impl VciCtx {
 /// visible to the receiver only once the clock passes its computed
 /// delivery time.
 ///
+/// A wire with zero latency, zero per-packet and zero per-byte cost
+/// ([`WireModel::ideal`]) delays nothing, so its NIC reads no clock: a
+/// post stamps the packet deliverable at 0 without reserving wire time,
+/// and a poll delivers it at once. On any other model every post, and
+/// every poll that finds a packet, reads the clock.
+///
 /// A NIC owns one or more VCI contexts ([`SimNic::pair_vcis`]); every
 /// context has its own injection ring, wire serialization and completion
 /// stash, so two threads driving different VCIs never touch shared
@@ -133,6 +139,8 @@ impl VciCtx {
 pub struct SimNic {
     name: String,
     model: WireModel,
+    /// The model delays nothing: packets are stamped 0, no clock is read.
+    zero_cost: bool,
     clock: ClockSource,
     vcis: Vec<VciCtx>,
     counters: NicCounters,
@@ -169,9 +177,12 @@ impl SimNic {
             a_vcis.push(VciCtx::new(Arc::clone(&a_to_b), Arc::clone(&b_to_a)));
             b_vcis.push(VciCtx::new(b_to_a, a_to_b));
         }
+        let zero_cost =
+            model.latency_ns == 0 && model.per_packet_ns == 0 && model.ns_per_byte == 0.0;
         let a = SimNic {
             name: format!("{name}.0"),
             model,
+            zero_cost,
             clock: clock.clone(),
             vcis: a_vcis,
             counters: NicCounters::default(),
@@ -179,6 +190,7 @@ impl SimNic {
         let b = SimNic {
             name: format!("{name}.1"),
             model,
+            zero_cost,
             clock,
             vcis: b_vcis,
             counters: NicCounters::default(),
@@ -238,10 +250,17 @@ impl SimNic {
         if ctx.tx.ring.len() >= self.model.tx_depth {
             return Err(TxQueueFull);
         }
-        let now = self.clock.now_ns();
-        let tx_ns = self.model.tx_time_ns(payload.len());
-        let inject = ctx.tx.reserve(now, tx_ns);
-        let deliver_at_ns = inject + tx_ns + self.model.latency_ns;
+        // On a zero-cost wire `inject + 0 + 0` would be the post's own
+        // clock reading, which no later poll's reading is below: 0 says
+        // the same without the clock read or the reservation's CAS.
+        let deliver_at_ns = if self.zero_cost {
+            0
+        } else {
+            let now = self.clock.now_ns();
+            let tx_ns = self.model.tx_time_ns(payload.len());
+            let inject = ctx.tx.reserve(now, tx_ns);
+            inject + tx_ns + self.model.latency_ns
+        };
         let len = payload.len();
         let pkt = WirePacket {
             deliver_at_ns,
@@ -283,13 +302,18 @@ impl SimNic {
     ///
     /// With nothing stashed and an empty rx ring this returns before
     /// reading the clock or taking the stash lock: an idle poll writes
-    /// nothing.
+    /// nothing. On a zero-cost wire no poll reads the clock: every
+    /// packet is stamped 0.
     pub fn poll_recv_vci(&self, vci: usize) -> Option<Bytes> {
         let ctx = &self.vcis[vci];
         if !ctx.maybe_inbound() {
             return None;
         }
-        let now = self.clock.now_ns();
+        let now = if self.zero_cost {
+            0
+        } else {
+            self.clock.now_ns()
+        };
         let mut stash = ctx.stash.lock();
         let pkt = match stash.take() {
             Some(p) => p,
@@ -328,8 +352,9 @@ impl SimNic {
     }
 
     /// Earliest pending delivery time on one VCI context, if any packet
-    /// is in flight toward it. A discrete-event simulator uses this to
-    /// know how far it may advance the virtual clock.
+    /// is in flight toward it (0 on a zero-cost wire: deliverable now).
+    /// A discrete-event simulator uses this to know how far it may
+    /// advance the virtual clock.
     pub fn next_delivery_ns_vci(&self, vci: usize) -> Option<u64> {
         let ctx = &self.vcis[vci];
         let mut stash = ctx.stash.lock();
@@ -391,6 +416,45 @@ mod tests {
         let (a, b, _clock) = manual_pair(WireModel::ideal());
         a.post_send_vci(0, Bytes::from_static(b"now")).unwrap();
         assert_eq!(b.poll_recv_vci(0), Some(Bytes::from_static(b"now")));
+    }
+
+    #[test]
+    fn zero_cost_wire_stamps_packets_deliverable_without_the_clock() {
+        let (a, b, clock) = manual_pair(WireModel::ideal());
+        // Set before the post so that a stamp read off the clock would
+        // show as 5 000; nothing advances it afterwards.
+        clock.advance(5_000);
+        a.post_send_vci(0, Bytes::from_static(b"now")).unwrap();
+        assert_eq!(b.next_delivery_ns_vci(0), Some(0));
+        assert_eq!(b.poll_recv_vci(0), Some(Bytes::from_static(b"now")));
+        assert_eq!(b.next_delivery_ns_vci(0), None);
+    }
+
+    #[test]
+    fn any_cost_keeps_the_stamp() {
+        let costs = [
+            WireModel {
+                latency_ns: 1,
+                ..WireModel::ideal()
+            },
+            WireModel {
+                per_packet_ns: 1,
+                ..WireModel::ideal()
+            },
+            WireModel {
+                ns_per_byte: 1.0,
+                ..WireModel::ideal()
+            },
+        ];
+        for model in costs {
+            let (a, b, clock) = manual_pair(model);
+            clock.advance(5_000);
+            a.post_send_vci(0, Bytes::from_static(b"x")).unwrap();
+            assert_eq!(b.next_delivery_ns_vci(0), Some(5_001), "{model:?}");
+            assert_eq!(b.poll_recv_vci(0), None, "{model:?}");
+            clock.advance(1);
+            assert!(b.poll_recv_vci(0).is_some(), "{model:?}");
+        }
     }
 
     #[test]

@@ -28,6 +28,20 @@
 //! `benches/metrics_overhead.rs` in `nm-bench` and the benchmark's
 //! `metrics.hist_record_ns` probe).
 //!
+//! ## Timers
+//!
+//! A clock read costs more than a record (≈ 30 ns for `Instant::now`
+//! on a 2-CPU x86-64 VM), so a [`Histogram::timer`] — two clock reads
+//! plus one record — is the expensive way in. A per-message operation
+//! uses [`Histogram::sampled_timer`] instead: it reads the clock on one
+//! call in [`SAMPLE_EVERY`] per stripe and records that sample with
+//! weight [`SAMPLE_EVERY`], so `count()` still estimates the number of
+//! calls and the quantiles are those of the sampled calls. The other
+//! calls advance the stripe's tick (a relaxed load and store, no RMW)
+//! and read no clock. The tick sits on the stripe's own cache line, and
+//! each histogram has its own, so two operations timed alternately on
+//! one thread are each sampled one call in 64.
+//!
 //! All atomics in this file are monotonic statistics counters; `Relaxed`
 //! is the module-wide discipline (no ordering is ever inferred from
 //! them).
@@ -53,6 +67,10 @@ pub const MAX_TRACKABLE: u64 = (1 << (SUB_BITS as usize + 1 + SEGMENTS)) - 1;
 /// Independent recorder shards (power of two; threads are assigned
 /// round-robin).
 pub const STRIPES: usize = 8;
+
+/// A [`Histogram::sampled_timer`] reads the clock on one call in this
+/// many per stripe, and records the sample with this weight.
+pub const SAMPLE_EVERY: u64 = 64;
 
 /// Maps a value to its bucket index. Total order preserving, saturating
 /// at [`BUCKETS`]` - 1`.
@@ -114,16 +132,26 @@ pub(crate) fn stripe_index() -> usize {
     })
 }
 
-/// One shard: a flat array of relaxed counters.
+/// One shard: a flat array of relaxed counters, and the sampled
+/// timer's tick on a cache line of its own.
+#[repr(align(64))]
 struct Stripe {
+    /// Sampled-timer calls made through this stripe.
+    tick: AtomicU64,
     buckets: Box<[AtomicU64]>,
 }
 
 impl Stripe {
     fn new() -> Stripe {
         Stripe {
+            tick: AtomicU64::new(0),
             buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
         }
+    }
+
+    #[inline]
+    fn add(&self, value: u64, weight: u64) {
+        self.buckets[bucket_index(value)].fetch_add(weight, Ordering::Relaxed);
     }
 }
 
@@ -144,17 +172,34 @@ impl Histogram {
     /// Records one value. One relaxed `fetch_add`; zero allocation.
     #[inline]
     pub fn record(&self, value: u64) {
-        let idx = bucket_index(value);
-        self.stripes[stripe_index()].buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.stripes[stripe_index()].add(value, 1);
     }
 
     /// Starts a timer that records elapsed nanoseconds into this
-    /// histogram when dropped.
+    /// histogram when dropped. Two clock reads and one record per call.
     #[inline]
     pub fn timer(&self) -> HistTimer<'_> {
         HistTimer {
             hist: self,
             start: Instant::now(),
+        }
+    }
+
+    /// Starts a timer that reads the clock on one call in
+    /// [`SAMPLE_EVERY`] made through this thread's stripe, starting with
+    /// the stripe's first, and records that call with weight
+    /// [`SAMPLE_EVERY`]; every other call reads no clock and records
+    /// nothing.
+    #[inline]
+    pub fn sampled_timer(&self) -> SampledTimer<'_> {
+        let stripe = &self.stripes[stripe_index()];
+        // A plain load and store, not an RMW: two threads sharing the
+        // stripe may both read one tick, which only moves a sample.
+        let tick = stripe.tick.load(Ordering::Relaxed);
+        stripe.tick.store(tick.wrapping_add(1), Ordering::Relaxed);
+        SampledTimer {
+            stripe,
+            start: tick.is_multiple_of(SAMPLE_EVERY).then(Instant::now),
         }
     }
 
@@ -214,6 +259,24 @@ impl Drop for HistTimer<'_> {
     #[inline]
     fn drop(&mut self) {
         self.hist.record(self.elapsed_ns());
+    }
+}
+
+/// A [`Histogram::sampled_timer`]: on a sampled call, records elapsed
+/// wall-clock nanoseconds with weight [`SAMPLE_EVERY`] on drop.
+pub struct SampledTimer<'a> {
+    stripe: &'a Stripe,
+    /// `None` on the calls that are not sampled.
+    start: Option<Instant>,
+}
+
+impl Drop for SampledTimer<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        if let Some(start) = self.start {
+            let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            self.stripe.add(ns, SAMPLE_EVERY);
+        }
     }
 }
 
@@ -424,6 +487,43 @@ mod tests {
             let _t = h.timer();
         }
         assert_eq!(h.snapshot().count(), 1);
+    }
+
+    #[test]
+    fn sampled_timer_fires_on_one_call_in_64() {
+        let h = Histogram::new();
+        for call in 0..10 * SAMPLE_EVERY {
+            drop(h.sampled_timer());
+            // Calls 0, 64, 128, ... are the sampled ones.
+            let samples = call / SAMPLE_EVERY + 1;
+            assert_eq!(h.snapshot().count(), samples * SAMPLE_EVERY, "call {call}");
+        }
+    }
+
+    #[test]
+    fn sampled_timers_alternating_on_one_thread_are_both_sampled() {
+        let (a, b) = (Histogram::new(), Histogram::new());
+        for _ in 0..4 * SAMPLE_EVERY {
+            drop(a.sampled_timer());
+            drop(b.sampled_timer());
+        }
+        assert_eq!(a.snapshot().count(), 4 * SAMPLE_EVERY);
+        assert_eq!(b.snapshot().count(), 4 * SAMPLE_EVERY);
+    }
+
+    #[test]
+    fn a_sample_adds_its_weight_to_one_bucket() {
+        let h = Histogram::new();
+        drop(h.sampled_timer());
+        let buckets = h.snapshot().nonzero();
+        assert_eq!(buckets.len(), 1, "{buckets:?}");
+        assert_eq!(buckets[0].1, SAMPLE_EVERY);
+    }
+
+    #[test]
+    fn a_stripe_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Stripe>(), 64);
+        assert_eq!(std::mem::align_of::<Stripe>(), 64);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! is one bucket-index computation plus one relaxed add — per
 //! operation. No locks, no allocation, no cargo feature on the record
 //! path (`benches/metrics_overhead.rs` in `nm-bench` measures it;
-//! the gate is ≤ 25 ns).
+//! the gate is ≤ 25 ns). A timer adds two clock reads to its record; a
+//! per-message operation takes a sampled timer, which reads the clock
+//! on one call in [`SAMPLE_EVERY`].
 //!
 //! ## Surfaces
 //!
@@ -44,7 +46,7 @@ mod registry;
 pub use counters::{Counter, CounterRegistry, LockStats};
 pub use gauge::Gauge;
 pub use hist::{
-    bucket_bound, bucket_floor, bucket_index, HistTimer, Histogram, HistogramSnapshot, BUCKETS,
-    MAX_TRACKABLE, STRIPES,
+    bucket_bound, bucket_floor, bucket_index, HistTimer, Histogram, HistogramSnapshot,
+    SampledTimer, BUCKETS, MAX_TRACKABLE, SAMPLE_EVERY, STRIPES,
 };
 pub use registry::{metrics, MetricsRegistry, MetricsSnapshot};

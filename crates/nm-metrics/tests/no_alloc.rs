@@ -2,8 +2,9 @@
 //!
 //! A counting wrapper around the system allocator runs as this test
 //! binary's global allocator; once metric handles are resolved, a burst
-//! of `record`/`incr`/`set` calls (including the first call from a
-//! fresh thread, which assigns its stripe) must not allocate at all.
+//! of `record`/`sampled_timer`/`incr`/`set` calls (including the first
+//! call from a fresh thread, which assigns its stripe) must not allocate
+//! at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,6 +45,7 @@ fn record_path_does_not_allocate() {
     // Resolve handles first: registry lookups and histogram creation
     // allocate by design (cold path).
     let hist = nm_metrics::metrics().histogram("test.noalloc.hist");
+    let timed = nm_metrics::metrics().histogram("test.noalloc.sampled");
     let ctr = nm_metrics::metrics().counter("test.noalloc.ctr");
     let gauge = nm_metrics::metrics().gauge("test.noalloc.gauge");
     let stats = nm_metrics::LockStats::new();
@@ -65,6 +67,7 @@ fn record_path_does_not_allocate() {
         let before = allocs();
         for i in 0..100_000u64 {
             hist.record(i % 4096);
+            drop(timed.sampled_timer());
             ctr.incr();
             ctr.add(2);
             gauge.set(i as i64);
@@ -77,6 +80,9 @@ fn record_path_does_not_allocate() {
         }
     }
     assert_eq!(measured, 0, "record path allocated {measured} times");
+    // The sampled timer did run: its samples, with their weight, count
+    // every call.
+    assert!(timed.snapshot().count() >= 100_000);
 
     // A fresh thread's very first record assigns its stripe through a
     // const-initialized thread-local Cell — still no allocation.
@@ -86,6 +92,7 @@ fn record_path_does_not_allocate() {
         .spawn(move || {
             let before = allocs();
             for i in 0..1_000u64 {
+                drop(hist.sampled_timer());
                 hist.record(i);
             }
             allocs() - before
