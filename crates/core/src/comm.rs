@@ -39,10 +39,11 @@ use nm_sync::WaitStrategy;
 use crate::config::CoreConfig;
 use crate::error::CommError;
 use crate::gate::{Gate, GateId};
-use crate::locking::{LockPolicy, SectionKind};
+use crate::locking::{LockPolicy, LockingMode, SectionKind};
 use crate::request::Request;
 use crate::stats::CoreStats;
 use crate::strategy::Strategy;
+use crate::transfer::Lane;
 use crate::wire::{ENTRY_HEADER, FRAME_HEADER, FRAME_SPAN_BYTES, PACKET_HEADER};
 
 /// Builder for a [`CommCore`]: configure, add gates, build.
@@ -214,12 +215,42 @@ impl CommCore {
     /// threads each drive their own set of VCI contexts this way without
     /// contending on the same driver sections; each lane's retransmit
     /// clock is read by the shard that polls it.
+    ///
+    /// In coarse mode a pass that would find nothing is told apart
+    /// before the library-wide lock is taken (see [`CommCore::quiet`]):
+    /// it returns 0 without entering any section.
     pub fn progress_shard(&self, shard: usize, num_shards: usize) -> usize {
         assert!(num_shards > 0 && shard < num_shards, "shard out of range");
+        if self.policy.mode() == LockingMode::Coarse && self.quiet(shard, num_shards) {
+            // What `pass` counts for a pass that finds nothing.
+            self.stats.progress_passes.incr();
+            nm_trace::trace_event!(ProgressPass, 0usize);
+            return 0;
+        }
         let api = self.policy.enter_api();
         let events = self.pass(shard, num_shards);
         drop(api);
         events
+    }
+
+    /// `true` when a pass over `shard` would find nothing to do, read
+    /// without a lock: every part of [`CommCore::pass`] would take its
+    /// early return. No deadline is armed (`service_timers`), every lane
+    /// of the shard is [`Lane::poll_idle`] (`poll_lane`; a reliable lane
+    /// never is, its upkeep reads the clock for due retransmits), and
+    /// every gate is [`Gate::pump_idle`] (`pump_gate`). The hints and
+    /// doorbells are the ones the fine-grain pass skips on, with the same
+    /// argument that nothing is stranded (DESIGN.md, "An idle pass takes
+    /// no lock").
+    fn quiet(&self, shard: usize, num_shards: usize) -> bool {
+        self.timers.is_empty()
+            && self.gates.iter().all(|g| {
+                g.pump_idle()
+                    && g.lanes
+                        .iter()
+                        .filter(|lane| lane.in_shard(shard, num_shards))
+                        .all(Lane::poll_idle)
+            })
     }
 
     /// The progression pass itself; the caller holds the API guard.
@@ -228,7 +259,7 @@ impl CommCore {
         let mut events = self.service_timers();
         for g in &self.gates {
             for lane in &g.lanes {
-                if num_shards == 1 || lane.id % num_shards == shard {
+                if lane.in_shard(shard, num_shards) {
                     events += self.poll_lane(g, lane);
                 }
             }

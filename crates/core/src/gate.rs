@@ -567,11 +567,19 @@ impl Gate {
     /// Collect-queue length as last published — no section taken. Zero
     /// means the queue was empty at some release of the CollectTx
     /// section; whoever pushes afterwards pumps afterwards, so a pass
-    /// that skips on zero strands nothing (DESIGN.md, "Idle passes are
-    /// read-only").
+    /// that skips on zero strands nothing (DESIGN.md, "An idle pass
+    /// takes no lock").
     pub fn tx_len_hint(&self) -> usize {
         // relaxed: advisory; the queue is only touched under its section.
         self.tx_len.load(Ordering::Relaxed)
+    }
+
+    /// `true` when a pump of this gate would find nothing to push: the
+    /// collect queue and every lane's transfer list are empty by their
+    /// length hints. Takes no section. `CommCore::pump_gate` returns on
+    /// it, and the coarse idle check (`CommCore::quiet`) asks it too.
+    pub(crate) fn pump_idle(&self) -> bool {
+        self.tx_len_hint() == 0 && self.lanes.iter().all(Lane::xfer_idle)
     }
 
     /// Whether every lane of this gate is dead (the peer is unreachable).

@@ -105,6 +105,32 @@ impl Lane {
         self.driver.poll_vci(self.vci)
     }
 
+    /// The NIC context's doorbell ([`Driver::has_inbound_vci`]): `false`
+    /// when a poll would find nothing. Takes no section.
+    pub fn has_inbound(&self) -> bool {
+        self.driver.has_inbound_vci(self.vci)
+    }
+
+    /// Whether a pass over lane shard `shard` of `num_shards` polls this
+    /// lane ([`CommCore::progress_shard`]).
+    pub(crate) fn in_shard(&self, shard: usize, num_shards: usize) -> bool {
+        num_shards == 1 || self.id % num_shards == shard
+    }
+
+    /// `true` when a poll of this lane would find nothing to do: no
+    /// reliability upkeep to run and a silent doorbell. Takes no section.
+    /// `CommCore::poll_lane` returns on it, and the coarse idle check
+    /// (`CommCore::quiet`) asks it too.
+    pub(crate) fn poll_idle(&self) -> bool {
+        self.rel.is_none() && !self.has_inbound()
+    }
+
+    /// `true` when the transfer list is empty by its length hint, so a
+    /// flush would find nothing. Takes no section.
+    pub(crate) fn xfer_idle(&self) -> bool {
+        self.xfer_len_hint() == 0
+    }
+
     /// Whether the NIC context reports room for a post. Outside the
     /// lane's section it is a racy hint (the post handles the losing
     /// race).
@@ -150,11 +176,21 @@ impl CommCore {
     /// reliability upkeep. An unreliable lane strips a bare frame's
     /// header and trusts the rest; a reliable lane hands the raw bytes
     /// to its window, which verifies them before anything is decoded.
+    ///
+    /// Each poll rings the lane's doorbell first and enters the lane's
+    /// section only if it rang, so a lane with nothing inbound costs no
+    /// lock cycle, and neither does the poll after the last packet.
     pub(crate) fn poll_lane(&self, g: &Gate, lane: &Lane) -> usize {
         /// Packets polled per lane per progression pass.
         const MAX_POLLS_PER_PASS: usize = 16;
+        if lane.poll_idle() {
+            return 0;
+        }
         let mut events = 0;
         for _ in 0..MAX_POLLS_PER_PASS {
+            if !lane.has_inbound() {
+                break;
+            }
             let s = self.policy.enter(SectionKind::Driver(lane.id));
             let Some(raw) = lane.poll_frame(&s) else {
                 break;
@@ -273,6 +309,9 @@ impl CommCore {
     /// requeue after `WouldBlock` leaves the hint non-zero for the next
     /// pass, so skipping on a zero hint strands nothing.
     pub(crate) fn pump_gate(&self, g: &Gate) -> usize {
+        if g.pump_idle() {
+            return 0;
+        }
         let mut events = 0;
         for nth in 0..g.lanes.len() {
             events += self.flush_xfer(g, nth);
@@ -360,7 +399,7 @@ impl CommCore {
     /// lane's section; see [`CommCore::pump_gate`].
     fn flush_xfer(&self, g: &Gate, nth: usize) -> usize {
         let lane = &g.lanes[nth];
-        if lane.xfer_len_hint() == 0 {
+        if lane.xfer_idle() {
             return 0;
         }
         if lane.is_dead() {

@@ -2,14 +2,15 @@
 //!
 //! Lock acquisitions repeat exactly on any host, so what a pass and a
 //! message may take is pinned here as counts, next to `alloc_budget.rs`:
-//! an idle fine-grain pass takes one `Driver` section per lane and
-//! nothing else (the length hints answer for the collect queue and the
-//! transfer lists, the NIC answers without its stash lock), an 8 B eager
-//! message costs nine lock cycles end to end in fine mode, and the three
-//! locking modes differ by lock cycles in the order the paper's Fig 3
-//! draws them.
-//! On a reliable core a pass adds a second `Driver` section per lane,
-//! the lane's upkeep, and still nothing outside the policy. A lane's
+//! an idle pass takes no lock at all (the length hints answer for the
+//! collect queue and the transfer lists, each lane's doorbell for its
+//! NIC context), and neither does an idle progression-engine pass over
+//! idle cores, in fine or in coarse mode; an 8 B eager message costs
+//! seven lock cycles end to end in fine mode, and the three locking
+//! modes differ by lock cycles in the order the paper's Fig 3 draws
+//! them.
+//! On a reliable core a pass takes one `Driver` section per lane, the
+//! lane's upkeep, and still nothing outside the policy. A lane's
 //! transfer list, reliability window and NIC context share that one
 //! section, so the rendezvous and reliable paths are pinned per family
 //! too.
@@ -25,6 +26,7 @@ use bytes::Bytes;
 
 use nm_core::{CommCore, CoreBuilder, CoreConfig, GateId, LockingMode, ReliabilityConfig};
 use nm_fabric::{Driver, Fabric, LoopbackDriver, WireModel};
+use nm_progress::{PollSource, ProgressEngine};
 
 const G: GateId = GateId(0);
 
@@ -189,30 +191,28 @@ fn data_path_lock_budget() {
     let idle = Families::of(&a, LANES).since(&before);
     assert_eq!(
         idle,
-        Families {
-            driver: PASSES * LANES as u64,
-            ..Families::default()
-        },
-        "an idle pass takes its lanes' Driver sections and nothing else"
+        Families::default(),
+        "an idle pass rings each lane's doorbell and enters no section"
     );
     assert_eq!(
         process_locks() - all_before,
-        idle.driver,
+        0,
         "no lock outside the policy either (NIC stash, timers)"
     );
 
     // One 8 B eager message, fine-grain. Sender: the submit and the
-    // strategy's pop under CollectTx, the post and its own idle poll
-    // under Driver. Receiver: the post and the match under CollectRx,
-    // the poll that finds the packet and the poll that finds no second
-    // one under Driver. Outside the policy: the NIC stash once, and
-    // nothing for the requests (their outcome cells take no lock).
+    // strategy's pop under CollectTx, the post under Driver. Receiver:
+    // the post and the match under CollectRx, the poll that finds the
+    // packet under Driver. The polls that found nothing — the sender's
+    // own and the receiver's second — are spared by the doorbell.
+    // Outside the policy: the NIC stash once, and nothing for the
+    // requests (their outcome cells take no lock).
     let (tx_side, rx_side, fine) = eager_message_cost(LockingMode::Fine);
     assert_eq!(
         tx_side,
         Families {
             collect_tx: 2,
-            driver: 2,
+            driver: 1,
             ..Families::default()
         }
     );
@@ -220,26 +220,82 @@ fn data_path_lock_budget() {
         rx_side,
         Families {
             collect_rx: 2,
-            driver: 2,
+            driver: 1,
             ..Families::default()
         }
     );
     assert_eq!(fine, tx_side.total() + rx_side.total() + 1);
 
-    // Coarse: one library-wide cycle per call (isend takes two: submit,
-    // then transmit). Single: no policy lock at all. The order below is
-    // what the benchmark's quick suite requires of every workload.
+    // Coarse: one library-wide cycle per call that has work (isend takes
+    // two: submit, then transmit); the sender's pass, which finds
+    // nothing, sees so before the lock. Single: no policy lock at all.
+    // The order below is what the benchmark's quick suite requires of
+    // every workload.
     let (tx_side, rx_side, coarse) = eager_message_cost(LockingMode::Coarse);
-    assert_eq!((tx_side.total(), tx_side.global), (3, 3));
+    assert_eq!((tx_side.total(), tx_side.global), (2, 2));
     assert_eq!((rx_side.total(), rx_side.global), (2, 2));
     let (tx_side, rx_side, single) = eager_message_cost(LockingMode::SingleThread);
     assert_eq!(tx_side.total() + rx_side.total(), 0);
     assert_eq!(
         (single, coarse, fine),
-        (1, 6, 9),
-        "lock acquisitions per 8 B eager message (12 in fine mode with locked \
-         request cells, 20 before the hints)"
+        (1, 5, 7),
+        "lock acquisitions per 8 B eager message (1, 6, 9 before the \
+         doorbell; 12 in fine mode with locked request cells, 20 before the \
+         hints)"
     );
+}
+
+/// What a progression thread's pass costs when there is nothing to do
+/// (the paper's §4 engine, ROADMAP item 4): over two idle cores, in fine
+/// and in coarse mode, it enters no section and takes no lock anywhere
+/// in the process — not the engine's source list (the cache holds it),
+/// not the library-wide lock (coarse mode sees the pass is idle before
+/// taking it), not a lane's `Driver` section (the doorbell is silent).
+#[test]
+fn idle_engine_pass_takes_no_lock() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for mode in [LockingMode::Fine, LockingMode::Coarse] {
+        let fabric = Fabric::real_time();
+        let (pa, pb) = fabric.pair(&[WireModel::ideal()], true);
+        let a = core_over(mode, vec![pa.drivers()]);
+        let b = core_over(mode, vec![pb.drivers()]);
+        let payload = Bytes::from_static(b"8 bytes.");
+        deliver(&a, &b, &payload);
+        deliver(&b, &a, &payload);
+        let engine = ProgressEngine::new();
+        engine.register(Arc::clone(&a) as Arc<dyn PollSource>);
+        engine.register(Arc::clone(&b) as Arc<dyn PollSource>);
+        let mut sources = engine.source_cache();
+        // The engine, through its cache, is what delivers this one.
+        let recv = b.irecv(G, 1).unwrap();
+        a.isend(G, 1, payload.clone()).unwrap();
+        while !recv.is_complete() {
+            engine.poll_cached(&mut sources);
+        }
+        assert_eq!(engine.poll_cached(&mut sources), 0, "the pair is quiet");
+        const PASSES: u64 = 10;
+        let (a0, b0, all0) = (Families::of(&a, 1), Families::of(&b, 1), process_locks());
+        let polls = engine.total_polls();
+        for _ in 0..PASSES {
+            assert_eq!(engine.poll_cached(&mut sources), 0);
+        }
+        assert_eq!(engine.total_polls() - polls, PASSES);
+        assert_eq!(
+            Families::of(&a, 1).since(&a0),
+            Families::default(),
+            "{mode:?}"
+        );
+        assert_eq!(
+            Families::of(&b, 1).since(&b0),
+            Families::default(),
+            "{mode:?}"
+        );
+        assert_eq!(
+            process_locks() - all0,
+            0,
+            "{mode:?}: a lock outside the policy"
+        );
+    }
 }
 
 #[test]
@@ -277,10 +333,11 @@ fn reliable_pass_lock_budget() {
     assert_eq!(
         pass,
         Families {
-            driver: 2 * PASSES * LANES as u64,
+            driver: PASSES * LANES as u64,
             ..Families::default()
         },
-        "a reliable pass polls each lane and runs its upkeep, once"
+        "a reliable pass runs each lane's upkeep once; a silent doorbell \
+         spares the poll"
     );
     assert_eq!(
         process_locks() - all_before,
@@ -292,11 +349,14 @@ fn reliable_pass_lock_budget() {
 /// A 1 MiB rendezvous in fine mode over an ideal `SimNic` pair, one
 /// lane, per side. Each of the 64 chunks takes the sender's lane
 /// section twice, once to be queued and once to be popped, encoded and
-/// posted; one more section finds the list empty, and 7 carry the RTS
-/// and the polls. When the transfer list had its own `Vci` lock the
-/// sender took 129 `Vci` (the queueing and the pops) + 71 `Driver` (the
-/// posts and the polls) sections per message, and the receiver the same
-/// 2 + 66 + 67 as now.
+/// posted; one more section finds the list empty, and 2 carry the RTS
+/// and the poll of the CTS. The receiver polls each chunk and the RTS
+/// in one section each and posts the CTS in one. Before the doorbell a
+/// poll that found nothing took a section too: 7 RTS and poll sections
+/// on the sender (136 in all) and 67 on the receiver. When the transfer
+/// list had its own `Vci` lock the sender took 129 `Vci` (the queueing
+/// and the pops) + 71 `Driver` (the posts and the polls) sections per
+/// message.
 #[test]
 fn rendezvous_lock_budget() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -310,7 +370,7 @@ fn rendezvous_lock_budget() {
         Families {
             collect_tx: 4,
             collect_rx: 1,
-            driver: 64 + 65 + 7,
+            driver: 64 + 65 + 2,
             ..Families::default()
         }
     );
@@ -319,7 +379,7 @@ fn rendezvous_lock_budget() {
         Families {
             collect_tx: 2,
             collect_rx: 66,
-            driver: 67,
+            driver: 66,
             ..Families::default()
         }
     );
@@ -328,10 +388,12 @@ fn rendezvous_lock_budget() {
 /// A lossless reliable 1 KiB message in fine mode over a loopback pair,
 /// per side. Every lane section is one of: a post that sequences the
 /// frame in the window and injects it, a poll with the window pass of
-/// what it found, or a pass's upkeep that sends the owed ack. When the
-/// window had its own `Retrans` lock this took 3 `Retrans` + 3
-/// `Driver` sections on the sender and 2 + 3 on the receiver, the post
-/// and the ack each nesting `Driver` inside `Retrans`.
+/// what it found, or a pass's upkeep that sends the owed ack. Before the
+/// doorbell a poll that found nothing took a section too (4 on the
+/// sender, 3 on the receiver). When the window had its own `Retrans`
+/// lock this took 3 `Retrans` + 3 `Driver` sections on the sender and
+/// 2 + 3 on the receiver, the post and the ack each nesting `Driver`
+/// inside `Retrans`.
 #[test]
 fn reliable_message_lock_budget() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -356,7 +418,7 @@ fn reliable_message_lock_budget() {
         tx_side,
         Families {
             collect_tx: 2,
-            driver: 4,
+            driver: 3,
             ..Families::default()
         }
     );
@@ -364,7 +426,7 @@ fn reliable_message_lock_budget() {
         rx_side,
         Families {
             collect_rx: 2,
-            driver: 3,
+            driver: 2,
             ..Families::default()
         }
     );

@@ -794,3 +794,56 @@ fn length_hints_strand_nothing(mode: LockingMode) {
     assert_eq!(a.pending(), nm_core::PendingCounts::default());
     assert_eq!(b.pending(), nm_core::PendingCounts::default());
 }
+
+/// A progression thread makes all the progress while the caller only
+/// waits on request flags: 10⁵ 8 B messages arrive in order, in coarse
+/// and in fine mode, over a `SimNic` and over a loopback pair. The
+/// engine skips a lane whose doorbell is silent and a coarse pass that
+/// looks idle without taking the lock, so a doorbell rung by the
+/// caller's post and missed by the engine would leave a flag unset and
+/// fail the bounded wait.
+#[test]
+fn progression_thread_loses_no_doorbell() {
+    use nm_progress::{IdlePolicy, PollSource, ProgressEngine, ProgressionThread};
+    use std::time::Duration;
+
+    const MSGS: u64 = 100_000;
+    const WINDOW: u64 = 8;
+    const PATIENCE: Duration = Duration::from_secs(30);
+    for mode in [LockingMode::Coarse, LockingMode::Fine] {
+        let config = CoreConfig::default().locking(mode);
+        let pairs = [
+            ("simnic", simnic_pair(config.clone(), WireModel::ideal())),
+            ("loopback", loopback_pair(config)),
+        ];
+        for (wire, (a, b)) in pairs {
+            let engine = Arc::new(ProgressEngine::new());
+            engine.register(Arc::clone(&a) as Arc<dyn PollSource>);
+            engine.register(Arc::clone(&b) as Arc<dyn PollSource>);
+            let progression = ProgressionThread::spawn(engine, None, IdlePolicy::Yield);
+            let mut next = 0u64;
+            while next < MSGS {
+                let recvs: Vec<_> = (0..WINDOW).map(|_| b.irecv(G, 5).unwrap()).collect();
+                let sends: Vec<_> = (next..next + WINDOW)
+                    .map(|i| a.isend(G, 5, Bytes::copy_from_slice(&i.to_le_bytes())))
+                    .collect::<Result<_, _>>()
+                    .unwrap();
+                for r in &recvs {
+                    assert!(
+                        r.flag().wait_timeout(WaitStrategy::Busy, PATIENCE),
+                        "{mode:?} over {wire}: message {next} never arrived"
+                    );
+                    let got = r.take_data().unwrap();
+                    assert_eq!(got[..], next.to_le_bytes(), "{mode:?} over {wire}");
+                    next += 1;
+                }
+                for s in &sends {
+                    assert!(s.flag().wait_timeout(WaitStrategy::Busy, PATIENCE));
+                }
+            }
+            progression.stop();
+            assert_eq!(a.pending(), nm_core::PendingCounts::default());
+            assert_eq!(b.pending(), nm_core::PendingCounts::default());
+        }
+    }
+}

@@ -20,6 +20,7 @@
 //! `FaultStall`, `FaultReorder`).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use bytes::{Bytes, BytesMut};
 
@@ -237,6 +238,10 @@ pub struct ChaosDriver<D> {
     /// plan flips bytes.
     caps: DriverCaps,
     chaos: SpinLock<ChaosState>,
+    /// `held` is not empty, readable without the chaos lock. Written
+    /// only under that lock and only when it changes, so at every
+    /// release of the lock it says whether a packet is held back.
+    holding: AtomicBool,
 }
 
 impl<D: Driver> ChaosDriver<D> {
@@ -261,6 +266,7 @@ impl<D: Driver> ChaosDriver<D> {
                 last_released: 0,
                 stats: ChaosStats::default(),
             }),
+            holding: AtomicBool::new(false),
         }
     }
 
@@ -331,6 +337,45 @@ impl<D: Driver> ChaosDriver<D> {
             }
         }
     }
+
+    /// One poll under the chaos lock: refills the shuffle buffer, ages
+    /// the packets held back and releases one that is due.
+    fn release(&self, st: &mut ChaosState) -> Option<Bytes> {
+        self.fill(st);
+        if st.held.is_empty() {
+            return None;
+        }
+        // Age delayed packets one poll per call.
+        for h in st.held.iter_mut() {
+            h.hold = h.hold.saturating_sub(1);
+        }
+        let ready: Vec<usize> = st
+            .held
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| h.hold == 0)
+            .map(|(i, _)| i)
+            .collect();
+        if ready.is_empty() {
+            return None;
+        }
+        // Only release out of order while more packets are (or may be)
+        // behind; a lone packet is released as-is.
+        let pick = if self.plan.reorder_depth > 1 && ready.len() > 1 {
+            let n = ready.len();
+            ready[(st.next() as usize) % n]
+        } else {
+            ready[0]
+        };
+        let held = st.held.remove(pick).expect("index from enumerate");
+        if held.arrival < st.last_released {
+            st.stats.reordered += 1;
+            metrics::chaos_reordered().incr();
+            trace_event!(FaultReorder, st.held.len() + 1);
+        }
+        st.last_released = st.last_released.max(held.arrival);
+        Some(held.data)
+    }
 }
 
 impl<D: Driver> Driver for ChaosDriver<D> {
@@ -372,40 +417,23 @@ impl<D: Driver> Driver for ChaosDriver<D> {
     fn poll_vci(&self, vci: usize) -> Option<Bytes> {
         debug_assert_eq!(vci, 0);
         let mut st = self.chaos.lock();
-        self.fill(&mut st);
-        if st.held.is_empty() {
-            return None;
+        let out = self.release(&mut st);
+        let holding = !st.held.is_empty();
+        // relaxed: (load and store) the flag publishes nothing — `held`
+        // is only read under the lock — and the lock's release orders it
+        // for the next holder. Stored only on change, so polls that find
+        // nothing do not dirty the line the doorbell reads.
+        if self.holding.load(Ordering::Relaxed) != holding {
+            self.holding.store(holding, Ordering::Relaxed);
         }
-        // Age delayed packets one poll per call.
-        for h in st.held.iter_mut() {
-            h.hold = h.hold.saturating_sub(1);
-        }
-        let ready: Vec<usize> = st
-            .held
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.hold == 0)
-            .map(|(i, _)| i)
-            .collect();
-        if ready.is_empty() {
-            return None;
-        }
-        // Only release out of order while more packets are (or may be)
-        // behind; a lone packet is released as-is.
-        let pick = if self.plan.reorder_depth > 1 && ready.len() > 1 {
-            let n = ready.len();
-            ready[(st.next() as usize) % n]
-        } else {
-            ready[0]
-        };
-        let held = st.held.remove(pick).expect("index from enumerate");
-        if held.arrival < st.last_released {
-            st.stats.reordered += 1;
-            metrics::chaos_reordered().incr();
-            trace_event!(FaultReorder, st.held.len() + 1);
-        }
-        st.last_released = st.last_released.max(held.arrival);
-        Some(held.data)
+        out
+    }
+
+    fn has_inbound_vci(&self, vci: usize) -> bool {
+        debug_assert_eq!(vci, 0);
+        // relaxed: advisory, see `holding`; a held packet still needs
+        // polls to age and be released.
+        self.holding.load(Ordering::Relaxed) || self.inner.has_inbound_vci(0)
     }
 
     fn next_event_ns_vci(&self, vci: usize) -> Option<u64> {

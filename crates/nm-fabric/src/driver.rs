@@ -73,6 +73,17 @@ pub trait Driver: Send + Sync {
     fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError>;
     /// Polls one VCI context for one inbound packet.
     fn poll_vci(&self, vci: usize) -> Option<Bytes>;
+    /// The context's doorbell: `false` when a poll of it would find
+    /// nothing, answered without a lock and safe to ask from any thread
+    /// outside the lane's section. A progression pass rings it before it
+    /// enters a section to poll. It may say `true` for nothing (a packet
+    /// still in flight, a poll that is about to take it), but it says
+    /// `false` while a packet can be polled only if another thread's
+    /// poll of the context is under way and will deliver it. The default
+    /// always says `true`, which is correct for any driver.
+    fn has_inbound_vci(&self, _vci: usize) -> bool {
+        true
+    }
     /// Earliest pending inbound delivery timestamp on one VCI context
     /// (virtual-clock runs).
     fn next_event_ns_vci(&self, _vci: usize) -> Option<u64> {
@@ -140,6 +151,10 @@ impl Driver for SimNicDriver {
         self.nic.poll_recv_vci(vci)
     }
 
+    fn has_inbound_vci(&self, vci: usize) -> bool {
+        self.nic.has_inbound_vci(vci)
+    }
+
     fn next_event_ns_vci(&self, vci: usize) -> Option<u64> {
         self.nic.next_delivery_ns_vci(vci)
     }
@@ -202,6 +217,11 @@ impl Driver for LoopbackDriver {
         debug_assert_eq!(vci, 0);
         self.rx.pop()
     }
+
+    fn has_inbound_vci(&self, vci: usize) -> bool {
+        debug_assert_eq!(vci, 0);
+        !self.rx.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -216,18 +236,42 @@ mod tests {
         Bytes::from(vec![vci as u8, n as u8])
     }
 
+    /// Polls `d` on context `v`, checking that its doorbell rang for
+    /// whatever the poll finds.
+    fn poll<D: Driver>(d: &D, v: usize) -> Option<Bytes> {
+        let rang = d.has_inbound_vci(v);
+        let got = d.poll_vci(v);
+        assert!(
+            rang || got.is_none(),
+            "{}: vci {v} polled a packet its doorbell denied",
+            d.caps().name
+        );
+        got
+    }
+
+    /// Asserts that no context of `d` has its doorbell rung.
+    fn silent<D: Driver>(d: &D) {
+        for v in 0..d.num_vcis() {
+            assert!(!d.has_inbound_vci(v), "{}: vci {v} rings", d.caps().name);
+        }
+    }
+
     /// What the transfer layer relies on from any connected driver pair:
     /// a round trip on every context, `WouldBlock` on a full injection
-    /// ring with recovery after one peer poll, and no leakage between
-    /// contexts.
+    /// ring with recovery after one peer poll, no leakage between
+    /// contexts, and a doorbell that is silent on an empty context, rings
+    /// after a post and never stays silent while a packet can be polled.
     fn conforms<D: Driver>(a: &D, b: &D) {
         assert_eq!(a.num_vcis(), b.num_vcis());
+        silent(a);
+        silent(b);
         for v in 0..a.num_vcis() {
             a.post_vci(v, tagged(v, 0)).unwrap();
-            assert_eq!(b.poll_vci(v), Some(tagged(v, 0)));
+            assert!(b.has_inbound_vci(v), "a post rings the peer's doorbell");
+            assert_eq!(poll(b, v), Some(tagged(v, 0)));
             b.post_vci(v, tagged(v, 1)).unwrap();
-            assert_eq!(a.poll_vci(v), Some(tagged(v, 1)));
-            assert_eq!(a.poll_vci(v), None);
+            assert_eq!(poll(a, v), Some(tagged(v, 1)));
+            assert_eq!(poll(a, v), None);
 
             for n in 0..DEPTH {
                 assert!(a.can_post_vci(v), "vci {v} refused packet {n}");
@@ -237,15 +281,18 @@ mod tests {
             assert_eq!(a.post_vci(v, tagged(v, DEPTH)), Err(PostError::WouldBlock));
             for other in (0..a.num_vcis()).filter(|&o| o != v) {
                 assert!(a.can_post_vci(other), "vci {v} full blocks vci {other}");
-                assert_eq!(b.poll_vci(other), None, "vci {v} visible on {other}");
+                assert!(!b.has_inbound_vci(other), "vci {v} rings vci {other}");
+                assert_eq!(poll(b, other), None, "vci {v} visible on {other}");
             }
-            assert_eq!(b.poll_vci(v), Some(tagged(v, 0)));
+            assert_eq!(poll(b, v), Some(tagged(v, 0)));
             assert!(a.can_post_vci(v), "one poll must free one slot");
             a.post_vci(v, tagged(v, DEPTH)).unwrap();
             for n in 1..=DEPTH {
-                assert_eq!(b.poll_vci(v), Some(tagged(v, n)));
+                assert_eq!(poll(b, v), Some(tagged(v, n)));
             }
-            assert_eq!(b.poll_vci(v), None);
+            assert_eq!(poll(b, v), None);
+            silent(a);
+            silent(b);
         }
     }
 
@@ -285,6 +332,21 @@ mod tests {
             let (a, b) = clean((transparent(a), transparent(b)));
             conforms(&a, &b);
         }
+        // A packet held back rings the doorbell although the wire under
+        // it is empty, until the polls it waits for release it.
+        let (a, b) = LoopbackDriver::pair(DEPTH);
+        let b = ChaosDriver::new(b, FaultPlan::new(1).delay(1.0, 3));
+        a.post_vci(0, tagged(0, 0)).unwrap();
+        let mut polls = 0;
+        while poll(&b, 0).is_none() {
+            assert!(b.inner().rx.is_empty(), "the packet left the wire");
+            assert!(b.has_inbound_vci(0), "a held packet rings");
+            polls += 1;
+            assert!(polls < 8, "a held packet is never released");
+        }
+        assert_eq!(polls, 2, "held for three polls, released by the third");
+        assert_eq!(b.stats().delayed, 1);
+        silent(&b);
         // A plan that flips bytes makes the wire one that can damage a
         // frame, whatever the driver underneath.
         let (a, _) = LoopbackDriver::pair(DEPTH);

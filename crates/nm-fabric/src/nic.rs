@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use nm_metrics::Counter;
-use nm_sync::SpinLock;
+use nm_sync::{CachePadded, SpinLock};
 
 use crate::{ClockSource, MpmcRing, WireModel};
 
@@ -19,11 +19,18 @@ struct WirePacket {
 
 /// One direction of a link: a bounded ring plus the time at which the wire
 /// becomes free again (packets serialize on the wire).
+///
+/// Its byte counts are split by writer: the sending side adds to `sent`
+/// and the receiving side to `delivered`, each on a line of its own, so
+/// a post and a poll never write the same line for them. What is in
+/// flight is the difference.
 struct Wire {
     ring: MpmcRing<WirePacket>,
     next_free_ns: AtomicU64,
-    /// Payload bytes injected but not yet delivered (wire occupancy).
-    occupancy_bytes: AtomicU64,
+    /// Payload bytes injected; written only by posts on this wire.
+    sent_bytes: CachePadded<AtomicU64>,
+    /// Payload bytes delivered; written only by polls of this wire.
+    delivered_bytes: CachePadded<AtomicU64>,
 }
 
 impl Wire {
@@ -31,8 +38,21 @@ impl Wire {
         Wire {
             ring: MpmcRing::new(depth.max(1)),
             next_free_ns: AtomicU64::new(0),
-            occupancy_bytes: AtomicU64::new(0),
+            sent_bytes: CachePadded::new(AtomicU64::new(0)),
+            delivered_bytes: CachePadded::new(AtomicU64::new(0)),
         }
+    }
+
+    /// Payload bytes injected so far.
+    fn sent(&self) -> u64 {
+        // relaxed: a statistic; the ring publishes the packets.
+        self.sent_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Payload bytes delivered so far.
+    fn delivered(&self) -> u64 {
+        // relaxed: a statistic; the ring publishes the packets.
+        self.delivered_bytes.load(Ordering::Relaxed)
     }
 
     /// Reserves wire time for a packet of `tx_ns` serialization cost
@@ -56,17 +76,14 @@ impl Wire {
     }
 }
 
-/// Packet/byte counters of one NIC endpoint.
+/// Packet counters of one NIC endpoint. Its byte counts are the
+/// wires' own: [`SimNic::tx_bytes`] and [`SimNic::rx_bytes`].
 #[derive(Debug, Default)]
 pub struct NicCounters {
     /// Packets injected into the wire.
     pub tx_packets: Counter,
-    /// Payload bytes injected into the wire.
-    pub tx_bytes: Counter,
     /// Packets delivered to this endpoint.
     pub rx_packets: Counter,
-    /// Payload bytes delivered to this endpoint.
-    pub rx_bytes: Counter,
 }
 
 /// One independent hardware context of a NIC — a virtual communication
@@ -272,12 +289,9 @@ impl SimNic {
         // which only makes the model slightly conservative.
         ctx.tx.ring.push(pkt).map_err(|_| TxQueueFull)?;
         self.counters.tx_packets.incr();
-        self.counters.tx_bytes.add(len as u64);
-        // relaxed: occupancy is a diagnostic aggregate; the ring push
-        // above is what publishes the packet.
-        ctx.tx
-            .occupancy_bytes
-            .fetch_add(len as u64, Ordering::Relaxed);
+        // relaxed: a statistic; the ring push above is what publishes
+        // the packet.
+        ctx.tx.sent_bytes.fetch_add(len as u64, Ordering::Relaxed);
         crate::metrics::tx_packets().incr();
         crate::metrics::tx_bytes().add(len as u64);
         crate::metrics::inflight_bytes().add(len as i64);
@@ -322,11 +336,10 @@ impl SimNic {
         if pkt.deliver_at_ns <= now {
             ctx.set_stashed(false);
             self.counters.rx_packets.incr();
-            self.counters.rx_bytes.add(pkt.payload.len() as u64);
-            // relaxed: diagnostic aggregate, mirrors the tx-side add.
+            // relaxed: a statistic, the mirror of the tx-side add.
             ctx.rx
-                .occupancy_bytes
-                .fetch_sub(pkt.payload.len() as u64, Ordering::Relaxed);
+                .delivered_bytes
+                .fetch_add(pkt.payload.len() as u64, Ordering::Relaxed);
             crate::metrics::rx_packets().incr();
             crate::metrics::rx_bytes().add(pkt.payload.len() as u64);
             crate::metrics::inflight_bytes().sub(pkt.payload.len() as i64);
@@ -374,10 +387,22 @@ impl SimNic {
 
     /// Payload bytes this endpoint has injected on one VCI context that
     /// the peer has not yet delivered — the context's outbound wire
-    /// occupancy.
+    /// occupancy: sent − delivered. A snapshot; the delivered count is
+    /// read first, so a packet caught mid-poll counts at most once.
     pub fn inflight_bytes_vci(&self, vci: usize) -> u64 {
-        // relaxed: advisory snapshot of a diagnostic aggregate.
-        self.vcis[vci].tx.occupancy_bytes.load(Ordering::Relaxed)
+        let wire = &self.vcis[vci].tx;
+        let delivered = wire.delivered();
+        wire.sent().saturating_sub(delivered)
+    }
+
+    /// Payload bytes this endpoint has injected, over all its contexts.
+    pub fn tx_bytes(&self) -> u64 {
+        self.vcis.iter().map(|ctx| ctx.tx.sent()).sum()
+    }
+
+    /// Payload bytes delivered to this endpoint, over all its contexts.
+    pub fn rx_bytes(&self) -> u64 {
+        self.vcis.iter().map(|ctx| ctx.rx.delivered()).sum()
     }
 }
 
@@ -543,9 +568,10 @@ mod tests {
         clock.advance(10_000_000);
         b.poll_recv_vci(0).unwrap();
         assert_eq!(a.counters().tx_packets.get(), 1);
-        assert_eq!(a.counters().tx_bytes.get(), 100);
+        assert_eq!(a.tx_bytes(), 100);
         assert_eq!(b.counters().rx_packets.get(), 1);
-        assert_eq!(b.counters().rx_bytes.get(), 100);
+        assert_eq!(b.rx_bytes(), 100);
+        assert_eq!((a.rx_bytes(), b.tx_bytes()), (0, 0));
     }
 
     #[test]
@@ -624,6 +650,8 @@ mod tests {
             assert!(!b.has_inbound_vci(v));
             assert_eq!(a.inflight_bytes_vci(v), 0);
         }
+        // The endpoint's byte counts are the sums of its contexts' wires.
+        assert_eq!((a.tx_bytes(), b.rx_bytes()), (40, 40));
     }
 
     #[test]

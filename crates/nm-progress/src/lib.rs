@@ -14,7 +14,9 @@
 //! * Scheduler integration — [`ProgressEngine::attach`] hooks the engine
 //!   into `nm-sched`'s idle/yield/timer events.
 //! * [`ProgressionThread`] — a dedicated polling thread, optionally bound
-//!   to a chosen core; Fig 8's "polling on CPU n" placements.
+//!   to a chosen core; Fig 8's "polling on CPU n" placements. It keeps a
+//!   [`SourceCache`] of the engine's list and re-takes the list lock only
+//!   when the list's generation moves.
 //! * [`Tasklet`] / [`TaskletEngine`] — Linux-softirq-style deferred work
 //!   with the serialization guarantees (never concurrent with itself,
 //!   re-schedulable while running) whose "complex locking" the paper blames
@@ -43,7 +45,7 @@ mod timer;
 mod wait;
 mod waker_table;
 
-pub use engine::{PollOutcome, PollSource, ProgressEngine, SourceId};
+pub use engine::{PollOutcome, PollSource, ProgressEngine, SourceCache, SourceId};
 pub use offload::{OffloadMode, Offloader};
 pub use progression_thread::{IdlePolicy, ProgressionThread};
 pub use tasklet::{Tasklet, TaskletEngine};

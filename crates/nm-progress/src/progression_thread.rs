@@ -24,6 +24,11 @@ pub enum IdlePolicy {
 /// A thread that repeatedly polls a [`ProgressEngine`], optionally bound
 /// to a specific core.
 ///
+/// It polls through a [`SourceCache`](crate::SourceCache) of the engine
+/// ([`ProgressEngine::poll_cached`]): a pass takes the engine's list lock
+/// only after the list changed, so a pass over idle sources that take no
+/// lock takes none either.
+///
 /// Binding is how Fig 8 places "polling on CPU 0/1/2/3": the application
 /// thread is pinned on core 0 and the progression thread on the core under
 /// study. The cross-core penalty then comes from real cache traffic (on
@@ -51,8 +56,9 @@ impl ProgressionThread {
                 if let Some(c) = core {
                     let _ = nm_topo::affinity::bind_current_thread(c);
                 }
+                let mut sources = engine.source_cache();
                 while !stop2.load(Ordering::Acquire) {
-                    let progressed = engine.poll_all();
+                    let progressed = engine.poll_cached(&mut sources);
                     if progressed == 0 {
                         match policy {
                             IdlePolicy::Spin => std::hint::spin_loop(),

@@ -1,4 +1,6 @@
-//! Model-checked test of the progression-thread completion handoff.
+//! Model-checked tests of the progression thread: its completion
+//! handoff, lane failover, and the source-list generation protocol of
+//! `ProgressEngine::poll_cached`.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"`:
 //!
@@ -19,6 +21,7 @@
 
 use std::sync::Arc;
 
+use nm_progress::{PollOutcome, PollSource, ProgressEngine};
 use nm_sync::sync_shim::atomic::{AtomicBool, Ordering};
 use nm_sync::sync_shim::{cell::UnsafeCell, thread, Mutex};
 use nm_sync::{CompletionFlag, WaitStrategy};
@@ -200,5 +203,69 @@ fn progression_thread_stop_before_wait_still_completes() {
             // SAFETY: join provides the happens-before edge here.
             assert_eq!(unsafe { *p }, 0xfeed);
         });
+    });
+}
+
+/// A source that checks, when polled, that it sees what was written
+/// into it before it was registered, and then says it was polled.
+struct Probe {
+    armed: UnsafeCell<u64>,
+    polled: AtomicBool,
+}
+
+// SAFETY: `armed` is written once, before the probe is registered, and
+// only read by polls; the model checks that registration orders the
+// write before every such read.
+unsafe impl Sync for Probe {}
+
+impl PollSource for Probe {
+    fn poll(&self) -> PollOutcome {
+        self.armed.with(|p| {
+            // SAFETY: see the `Sync` impl.
+            assert_eq!(unsafe { *p }, 7, "polled before it was armed");
+        });
+        self.polled.store(true, Ordering::Release);
+        PollOutcome::Progressed
+    }
+}
+
+/// The real `ProgressEngine` driven the way a `ProgressionThread` drives
+/// it — pass after pass through a `SourceCache`, taking the list lock
+/// only when the list's generation has moved — while the application
+/// thread registers a source. The source must be polled on a later pass
+/// (the application thread waits for it, so a cache that never notices
+/// the new generation exhausts the op budget), and that poll must see
+/// everything written before `register` (the list lock's edge, checked
+/// on the probe's cell).
+#[test]
+fn source_registered_while_polling_is_polled_later() {
+    loom::model(|| {
+        let engine = Arc::new(ProgressEngine::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let poller = {
+            let engine = Arc::clone(&engine);
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                let mut sources = engine.source_cache();
+                while !stop.load(Ordering::Acquire) {
+                    engine.poll_cached(&mut sources);
+                    thread::yield_now();
+                }
+            })
+        };
+        let probe = Arc::new(Probe {
+            armed: UnsafeCell::new(0),
+            polled: AtomicBool::new(false),
+        });
+        probe.armed.with_mut(|p| {
+            // SAFETY: not registered yet, so nothing else can reach it.
+            unsafe { *p = 7 }
+        });
+        engine.register(Arc::clone(&probe) as Arc<dyn PollSource>);
+        while !probe.polled.load(Ordering::Acquire) {
+            thread::yield_now();
+        }
+        stop.store(true, Ordering::Release);
+        poller.join().unwrap();
     });
 }

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use crate::sync_shim::{Condvar, Mutex};
 
-use crate::{Backoff, WaitStrategy};
+use crate::WaitStrategy;
 
 /// `state` bits. `SET`: the flag was signalled. `WAITING`: a thread has
 /// parked, or is about to park, on `cond` since the last `reset`.
@@ -87,7 +87,10 @@ impl CompletionFlag {
     ///
     /// With [`WaitStrategy::Busy`] this is the paper's classic busy wait:
     /// the calling thread polls the network (via `poll`) until the request
-    /// completes. With [`WaitStrategy::FixedSpin`] the thread polls for the
+    /// completes, checking the flag after every poll and one
+    /// `spin_loop` — no backoff, so a completion signalled by another
+    /// core is seen within one pause of landing (an exponential backoff
+    /// to 64 pauses could notice it a microsecond late). With [`WaitStrategy::FixedSpin`] the thread polls for the
     /// window and then blocks; with [`WaitStrategy::Passive`] it blocks
     /// immediately and `poll` is never called.
     pub fn wait_with_poll(&self, strategy: WaitStrategy, mut poll: impl FnMut()) {
@@ -95,17 +98,14 @@ impl CompletionFlag {
             return;
         }
         match strategy.spin_budget() {
-            None => {
-                let mut backoff = Backoff::new();
-                loop {
-                    poll();
-                    if self.is_set() {
-                        nm_trace::trace_event!(WaitSpun, 0u64);
-                        return;
-                    }
-                    backoff.spin();
+            None => loop {
+                poll();
+                if self.is_set() {
+                    nm_trace::trace_event!(WaitSpun, 0u64);
+                    return;
                 }
-            }
+                std::hint::spin_loop();
+            },
             Some(budget) if !budget.is_zero() => {
                 let deadline = Instant::now() + budget;
                 loop {
@@ -139,12 +139,11 @@ impl CompletionFlag {
         let deadline = Instant::now() + timeout;
         match strategy.spin_budget() {
             None => {
-                let mut backoff = Backoff::new();
                 while !self.is_set() {
                     if Instant::now() >= deadline {
                         return self.is_set();
                     }
-                    backoff.spin();
+                    std::hint::spin_loop();
                 }
                 true
             }

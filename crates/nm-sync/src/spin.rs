@@ -14,6 +14,11 @@ use std::ops::{Deref, DerefMut};
 use crate::Backoff;
 use nm_metrics::LockStats;
 
+/// Reads of a held lock word, one pause apart, before a contended
+/// acquire falls back to [`Backoff::snooze`]: about 2 µs at ≈ 17 ns per
+/// pause, the "few microseconds at most" the paper allows a section.
+const FLAT_SPIN_READS: u32 = 128;
+
 /// A raw spinlock: just the lock word, no protected data.
 ///
 /// `nm-core` uses raw spinlocks to guard data structures whose ownership
@@ -84,7 +89,8 @@ impl RawSpin {
         &self.locked as *const _ as usize
     }
 
-    /// Acquires the lock, spinning with exponential backoff while contended.
+    /// Acquires the lock, spinning while contended: flat at first, then
+    /// with exponential backoff and yields.
     #[inline]
     pub fn lock(&self) {
         // Fast path: a single CAS, matching the cost model of the paper's
@@ -128,16 +134,24 @@ impl RawSpin {
         // Timestamping only happens here, on the contended slow path; the
         // fast path above stays a bare CAS plus counter bump.
         let start = std::time::Instant::now();
+        let mut reads = 0;
         let mut backoff = Backoff::new();
         loop {
             // Test-and-test-and-set: spin on a plain load so that waiting
             // cores only hit their local cache line until it is invalidated.
-            // `snooze` keeps this an active wait but yields to the OS once
-            // the spin budget is exhausted, so a preempted lock holder can
+            // The first `FLAT_SPIN_READS` reads are one pause apart, so a
+            // release after a short section is seen within one pause;
+            // after that `snooze` keeps this an active wait but backs off
+            // and then yields to the OS, so a preempted lock holder can
             // run (essential on machines with fewer cores than threads).
             // relaxed: speculative peek; the CAS below is the Acquire.
             while self.locked.load(Ordering::Relaxed) {
-                backoff.snooze();
+                if reads < FLAT_SPIN_READS {
+                    reads += 1;
+                    std::hint::spin_loop();
+                } else {
+                    backoff.snooze();
+                }
             }
             // relaxed: CAS failure publishes nothing; we go back to spinning.
             if self

@@ -55,7 +55,7 @@ fn transfer(rails: &[WireModel], label: &str) -> f64 {
         println!(
             "    rail {i}: {} packets, {} bytes",
             d.counters().tx_packets.get(),
-            d.counters().tx_bytes.get()
+            d.nic().tx_bytes()
         );
     }
     gbps
