@@ -117,9 +117,9 @@ impl CoreBuilder {
                 );
             }
             let gate = Gate::new(GateId(id), drivers, lanes, reliable);
-            // FRAME_SPAN_BYTES is reserved whether or not tracing is
-            // compiled in, so packing decisions are identical across
-            // trace and non-trace builds.
+            // FRAME_SPAN_BYTES is reserved whether or not a recording
+            // is live, so packing decisions are identical across
+            // recorded and unrecorded runs.
             let needed = self.config.eager_threshold
                 + ENTRY_HEADER
                 + PACKET_HEADER

@@ -83,7 +83,7 @@ const ERROR_TAKEN: u8 = 8;
 struct Inner {
     /// Unique id (assigned at post time, never reused).
     id: u64,
-    /// Observability span id (0 when tracing is compiled out). Threaded
+    /// Observability span id (0 when no recording is live). Threaded
     /// through the collect shards, wire frames, and waker table so every
     /// event of this message joins one timeline.
     span: u64,
@@ -148,7 +148,7 @@ impl Request {
         self.inner.id
     }
 
-    /// The request's observability span id (0 = tracing compiled out).
+    /// The request's observability span id (0 = no recording was live).
     pub fn span(&self) -> u64 {
         self.inner.span
     }

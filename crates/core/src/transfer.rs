@@ -450,7 +450,7 @@ impl CommCore {
 
     /// Payload budget for the next arranged packet. The sealed header
     /// and the span word are reserved on every lane, so reliable and
-    /// unreliable lanes, trace and non-trace builds arrange identical
+    /// unreliable lanes, recorded and unrecorded runs arrange identical
     /// packets.
     fn packet_budget(&self, g: &Gate) -> usize {
         let mtu_budget = g.mtu - PACKET_HEADER - FRAME_HEADER - FRAME_SPAN_BYTES;

@@ -35,7 +35,7 @@
 //!
 //! In both formats [`FRAME_SPAN`] marks an 8-byte observability span id
 //! between the flags byte and the packet; frames with span 0 omit it
-//! entirely, so trace-off builds pay zero wire bytes.
+//! entirely, so unrecorded runs pay zero wire bytes.
 //!
 //! Entry kinds:
 //!
@@ -407,7 +407,7 @@ fn seal(mut buf: BytesMut) -> Bytes {
 /// Wraps an encoded packet in a sealed (checksummed) frame.
 ///
 /// `span` is the observability span id of the first message aboard;
-/// `0` ("no span", the value in every trace-off build) clears
+/// `0` ("no span", the value whenever no recording is live) clears
 /// [`FRAME_SPAN`] and the frame carries no span bytes at all.
 pub fn encode_frame(wseq: u32, ack: u32, flags: u8, span: u64, payload: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(frame_header_size(span) + payload.len());

@@ -2,10 +2,8 @@
 //! rail must leave a JSON dump holding the dead rail's retransmit span
 //! timeline — the black box a postmortem actually needs.
 //!
-//! Single test on purpose: the trace rings, the dump slot and the
+//! Single test on purpose: the recording, the dump slot and the
 //! `NOMAD_FLIGHT_DIR` variable are process-global.
-
-#![cfg(feature = "trace")]
 
 use std::sync::Arc;
 
@@ -30,7 +28,8 @@ fn rail_death_dumps_the_retransmit_span_timeline() {
         }
     };
     std::fs::create_dir_all(&dir).unwrap();
-    nm_trace::reset();
+    // Spans exist only while a recording is live; the dump reads them.
+    let recording = nm_trace::record();
     let _ = nm_obs::take_last_dump();
 
     // Rail 0 of the a→b direction drops everything; rail 1 is clean.
@@ -67,6 +66,7 @@ fn rail_death_dumps_the_retransmit_span_timeline() {
     // The kill published a dump; it must carry at least one message
     // timeline with the retransmits the dying rail performed.
     let dump = nm_obs::take_last_dump().expect("rail death must record a flight dump");
+    drop(recording);
     assert!(
         dump.contains("\"reason\": \"rail-dead\""),
         "dump must name the trigger: {dump}"

@@ -139,14 +139,9 @@ impl Driver for LyingDriver {
 #[test]
 fn an_eager_frame_is_bare_unless_the_lane_is_reliable() {
     // An 8 B eager message leaves as entry header 21 + packet header 2 +
-    // payload 8, behind a 1-byte bare header or a 13-byte sealed one,
-    // plus the span word when tracing puts a span aboard. The ring holds
-    // the one frame, so the driver's stale hint never matters here.
-    let span = if nm_trace::enabled() {
-        nm_core::wire::FRAME_SPAN_BYTES
-    } else {
-        0
-    };
+    // payload 8, behind a 1-byte bare header or a 13-byte sealed one; no
+    // recording is live, so no span word rides along. The ring holds the
+    // one frame, so the driver's stale hint never matters here.
     let reliable = CoreConfig::default().reliability(ReliabilityConfig::enabled());
     for (config, frame_len) in [(CoreConfig::default(), 32), (reliable, 44)] {
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -168,7 +163,7 @@ fn an_eager_frame_is_bare_unless_the_lane_is_reliable() {
         }
         assert_eq!(recv.take_data().unwrap(), payload);
         let lens: Vec<usize> = log.lock().unwrap().iter().map(Bytes::len).collect();
-        assert_eq!(lens, [frame_len + span]);
+        assert_eq!(lens, [frame_len]);
     }
 }
 

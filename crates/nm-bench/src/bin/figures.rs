@@ -6,8 +6,8 @@
 //!   --real        measure the real stack (meaningful on multicore hosts)
 //!   --calibrated  feed host-calibrated primitive costs to the simulator
 //!   --from-trace  table1: derive constants from trace events instead of
-//!                 stopwatch timing (needs the `trace` cargo feature;
-//!                 with --real it traces the real stack, otherwise it
+//!                 stopwatch timing (starts its own recording; with
+//!                 --real it traces the real stack, otherwise it
 //!                 replays a bit-deterministic virtual-clock script)
 //!   --folded      table1 --from-trace: also print flamegraph-folded lines
 //!   --dual        fig8: use the dual-socket topology
@@ -756,13 +756,6 @@ fn table1_from_trace(opts: &Options, costs: SimCosts) {
     use nm_bench::fromtrace;
     use nm_trace::TraceReport;
 
-    if !nm_trace::enabled() {
-        eprintln!(
-            "table1 --from-trace needs event tracing compiled in; rerun as\n\
-             \n    cargo run --release --features trace --bin figures -- table1 --from-trace\n"
-        );
-        std::process::exit(2);
-    }
     let (trace, mode) = if opts.real {
         (fromtrace::real_trace(), "traced real stack")
     } else {

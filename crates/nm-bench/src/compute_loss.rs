@@ -54,7 +54,9 @@ fn compute_kernel(stop: &AtomicBool) -> u64 {
     iters
 }
 
-fn run_compute(threads: usize, with_poller: bool, window: Duration) -> f64 {
+/// Runs `threads` compute threads for `window`, optionally beside one
+/// busy-polling thread; returns (iterations, seconds).
+fn run_compute(threads: usize, with_poller: bool, window: Duration) -> (u64, f64) {
     let stop = Arc::new(AtomicBool::new(false));
     let poller = with_poller.then(|| {
         let stop = Arc::clone(&stop);
@@ -80,18 +82,30 @@ fn run_compute(threads: usize, with_poller: bool, window: Duration) -> f64 {
     if let Some(p) = poller {
         p.join().expect("poller");
     }
-    total as f64 / t0.elapsed().as_secs_f64()
+    (total, t0.elapsed().as_secs_f64())
 }
 
+/// Baseline and with-poller windows alternate this many times, so a
+/// burst of load from elsewhere on the host lands on both sides.
+const ROUNDS: u32 = 4;
+
 /// Measures the compute-throughput loss of dedicating one core to
-/// busy polling: `cores` compute threads run for `window`, with and
-/// without an extra spinning thread competing for the cores.
+/// busy polling: `cores` compute threads run for `window` with and
+/// `window` without an extra spinning thread competing for the cores,
+/// each split into `ROUNDS` alternating slices.
 pub fn measure(cores: usize, window: Duration) -> ComputeLoss {
-    let baseline_rate = run_compute(cores, false, window);
-    let with_poller_rate = run_compute(cores, true, window);
+    let slice = window / ROUNDS;
+    let (mut base, mut polled) = ((0, 0.0), (0, 0.0));
+    for _ in 0..ROUNDS {
+        for (with_poller, sum) in [(false, &mut base), (true, &mut polled)] {
+            let (iters, secs) = run_compute(cores, with_poller, slice);
+            sum.0 += iters;
+            sum.1 += secs;
+        }
+    }
     ComputeLoss {
-        baseline_rate,
-        with_poller_rate,
+        baseline_rate: base.0 as f64 / base.1,
+        with_poller_rate: polled.0 as f64 / polled.1,
         cores,
     }
 }

@@ -13,8 +13,8 @@
 //! | context switch | median `ThreadBlock`→`ThreadWake` span |
 //! | offload hop | median `OffloadSubmit`→`OffloadRun` cross-thread gap |
 //!
-//! Requires the `trace` feature; with tracing compiled out the rings stay
-//! empty and every derived constant is zero.
+//! Both scripts start and finish their own recording
+//! ([`nm_trace::record`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,7 +73,7 @@ const REAL_ITERS: usize = 20_000;
 /// evict another's events from the shared per-thread ring.
 pub fn real_trace() -> Trace {
     nm_trace::install_real_clock();
-    nm_trace::reset();
+    let rec = nm_trace::record();
     let mut threads = Vec::new();
 
     // 1. Hot-lock loop: successive LockAcquire gaps = one full cycle.
@@ -144,7 +144,7 @@ pub fn real_trace() -> Trace {
         stop.store(true, Ordering::Release);
         poller.join().expect("offload poller");
     }
-    threads.extend(nm_trace::take_trace().threads);
+    threads.extend(rec.finish().threads);
 
     Trace { threads }
 }
@@ -159,7 +159,7 @@ const SIM_SAMPLES: u64 = 64;
 pub fn sim_trace(costs: &SimCosts) -> Trace {
     let clock = Arc::new(AtomicU64::new(0));
     nm_trace::install_virtual_clock(Arc::clone(&clock));
-    nm_trace::reset();
+    let rec = nm_trace::record();
     let tick = |ns: u64| {
         // relaxed: single-threaded script; the clock is only read back
         // on this same thread via trace timestamps.
@@ -191,7 +191,7 @@ pub fn sim_trace(costs: &SimCosts) -> Trace {
         nm_trace::emit(EventId::OffloadRun, 1, 0);
     }
 
-    let trace = nm_trace::take_trace();
+    let trace = rec.finish();
     nm_trace::install_real_clock();
     trace
 }
@@ -200,58 +200,10 @@ pub fn sim_trace(costs: &SimCosts) -> Trace {
 mod tests {
     use super::*;
 
-    /// Restricts a trace to the calling thread, so parallel tests that
-    /// also emit events cannot perturb these assertions.
-    #[cfg(feature = "trace")]
-    fn own_threads(trace: Trace) -> Trace {
-        let me = std::thread::current();
-        let name = me.name().unwrap_or_default().to_string();
-        Trace {
-            threads: trace
-                .threads
-                .into_iter()
-                .filter(|t| t.name == name)
-                .collect(),
-        }
-    }
-
     #[test]
     fn derive_on_empty_trace_is_zero() {
         let c = derive(&Trace::default());
         assert_eq!(c.lock_cycle_ns, 0);
         assert_eq!(c.offload_hop_ns, 0);
-    }
-
-    /// One test, not two: `sim_trace` installs the process-global trace
-    /// clock, so two tests replaying it on parallel test threads would
-    /// clobber each other's timestamps.
-    #[cfg(feature = "trace")]
-    #[test]
-    fn sim_trace_equals_costs_exactly_and_is_bit_deterministic() {
-        let costs = SimCosts::paper();
-        let a = own_threads(sim_trace(&costs));
-        let c = derive(&a);
-        assert_eq!(c.lock_cycle_ns, costs.lock_cycle_ns);
-        assert_eq!(c.pioman_pass_ns, costs.pioman_pass_ns);
-        assert_eq!(c.ctx_switch_ns, costs.ctx_switch_ns);
-        assert_eq!(c.offload_hop_ns, costs.enqueue_ns + costs.idle_poll_gap_ns);
-
-        let b = own_threads(sim_trace(&costs));
-        let flat = |t: &Trace| {
-            t.threads
-                .iter()
-                .flat_map(|th| th.events.iter().map(|e| (e.ts, e.id, e.a, e.b)))
-                .collect::<Vec<_>>()
-        };
-        assert!(!flat(&a).is_empty(), "sim trace recorded nothing");
-        assert_eq!(flat(&a), flat(&b));
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn without_the_feature_traces_stay_empty() {
-        let costs = SimCosts::paper();
-        assert!(sim_trace(&costs).is_empty());
-        assert_eq!(derive(&sim_trace(&costs)).lock_cycle_ns, 0);
     }
 }

@@ -740,10 +740,6 @@ mod tests {
 
     #[test]
     fn real_clock_end_to_end() {
-        // Warm this thread's trace ring: with the `trace` feature the
-        // first emit allocates it, which can take longer than the wire
-        // latency and make the packet look like it arrived instantly.
-        nm_trace::emit(nm_trace::EventId::NicIdle, 1, 0);
         let clock = ClockSource::real();
         let model = WireModel {
             latency_ns: 200_000, // 200 µs so the test is robust

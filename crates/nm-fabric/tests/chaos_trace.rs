@@ -3,14 +3,12 @@
 //! the always-on stats and the trace ring tell one story, fault by
 //! fault.
 //!
-//! Single test on purpose: the trace rings are process-global, and a
-//! sibling test draining them concurrently would perturb the counts.
-
-#![cfg(feature = "trace")]
+//! Single test on purpose: the recording is process-wide, and a sibling
+//! test running beside it would perturb the counts.
 
 use bytes::Bytes;
 use nm_fabric::{ChaosDriver, Driver, FaultPlan, LoopbackDriver, PostError};
-use nm_trace::{take_trace, EventId};
+use nm_trace::EventId;
 
 /// Polls until the driver stays empty (delayed packets age out).
 fn drain<D: Driver>(d: &D) -> usize {
@@ -30,7 +28,7 @@ fn drain<D: Driver>(d: &D) -> usize {
 
 #[test]
 fn chaos_stats_match_fault_trace_event_counts() {
-    nm_trace::reset();
+    let rec = nm_trace::record();
 
     // Receive-side faults: loss, duplication, corruption, delay.
     let (tx, rx) = LoopbackDriver::pair(512);
@@ -82,7 +80,7 @@ fn chaos_stats_match_fault_trace_event_counts() {
     assert!(reorder_stats.reordered > 0, "reorder plan injected nothing");
 
     // ...and each counter agrees with the trace, event for event.
-    let trace = take_trace();
+    let trace = rec.finish();
     assert_eq!(trace.dropped(), 0, "ring wrapped mid-test");
     let total = |s: &nm_fabric::ChaosStats| {
         [

@@ -33,7 +33,7 @@
 //!   [`export::to_json`].
 //!
 //! See `docs/METRICS.md` for the metric name catalogue and how this
-//! layer differs from the `trace` feature.
+//! layer differs from `nm-trace`'s recordings.
 
 #![warn(missing_docs)]
 

@@ -11,9 +11,9 @@
 //! [`MAX_DUMP_FILES`] files so a retry storm cannot fill a disk).
 //!
 //! The recorder is always on: it costs nothing until a failure happens
-//! (no locks, no allocation on the fast path), and with tracing
-//! compiled out the dump still carries the metrics snapshot — the span
-//! section is just empty.
+//! (no locks, no allocation on the fast path), and with no recording
+//! live the dump still carries the metrics snapshot — the span section
+//! is just empty.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -21,8 +21,8 @@
 //!   self-diagnosing. See `docs/OBSERVABILITY.md`.
 //!
 //! Everything here is read-side: the crate takes no locks on the
-//! communication fast path and works (metrics-only) when the `trace`
-//! feature is compiled out.
+//! communication fast path and works (metrics-only) when no
+//! `nm_trace::record()` recording is live.
 
 #![warn(missing_docs)]
 

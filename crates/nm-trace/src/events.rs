@@ -265,23 +265,29 @@ impl EventId {
     }
 }
 
-/// Records one event in the current thread's ring.
+/// Records one event in the current thread's ring while a recording is
+/// live.
 ///
 /// Takes a bare [`EventId`] variant name (so `cargo xtask lint-trace`
 /// can check sites against the schema by plain text scanning) plus up
-/// to two integer arguments. With the `trace` feature disabled this
-/// expands to a call to an empty `#[inline(always)]` function and
-/// compiles to nothing.
+/// to two integer arguments. It expands to `if enabled() { emit(..) }`,
+/// so with no recording live the arguments are never evaluated.
 #[macro_export]
 macro_rules! trace_event {
     ($name:ident) => {
-        $crate::emit($crate::EventId::$name, 0, 0)
+        if $crate::enabled() {
+            $crate::emit($crate::EventId::$name, 0, 0)
+        }
     };
     ($name:ident, $a:expr) => {
-        $crate::emit($crate::EventId::$name, ($a) as u64, 0)
+        if $crate::enabled() {
+            $crate::emit($crate::EventId::$name, ($a) as u64, 0)
+        }
     };
     ($name:ident, $a:expr, $b:expr) => {
-        $crate::emit($crate::EventId::$name, ($a) as u64, ($b) as u64)
+        if $crate::enabled() {
+            $crate::emit($crate::EventId::$name, ($a) as u64, ($b) as u64)
+        }
     };
 }
 

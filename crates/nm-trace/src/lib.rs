@@ -9,26 +9,29 @@
 //! ## Usage
 //!
 //! Layers emit through the [`trace_event!`] macro with a registered
-//! [`EventId`]:
+//! [`EventId`]; the events are kept only while a [`Recording`] is live:
 //!
 //! ```
+//! nm_trace::trace_event!(ProgressPass, 1); // not recording: dropped
+//! let rec = nm_trace::record();
 //! nm_trace::trace_event!(LockAcquire, 0xdead_beef_u64, 1);
 //! nm_trace::trace_event!(ProgressPass, 3);
+//! let trace = rec.finish();
+//! assert_eq!(trace.count(nm_trace::EventId::ProgressPass), 1);
 //! ```
 //!
-//! After the run, [`take_trace`] drains every thread's ring and
-//! [`TraceReport`] digests it into per-mechanism histograms and
+//! [`TraceReport`] digests a [`Trace`] into per-mechanism histograms and
 //! flamegraph-folded text. `figures table1 --from-trace` derives the
 //! paper's Table 1 constants from these events.
 //!
-//! ## Feature gating
+//! ## Recording
 //!
-//! Everything is behind this crate's `trace` cargo feature. When it is
-//! disabled (the default), [`emit`] is an empty `#[inline(always)]`
-//! function: every `trace_event!` site in the stack compiles to
-//! nothing, no ring is ever allocated, and [`take_trace`] returns an
-//! empty [`Trace`]. Downstream crates re-expose the flag as their own
-//! `trace` feature (pure forwarding — call sites carry no `cfg`).
+//! One build serves traced and untraced runs. With no recording live,
+//! a `trace_event!` is one relaxed load and a not-taken branch: its
+//! arguments are not evaluated, no clock is read, no ring is allocated,
+//! and [`next_span_id`] returns 0, so frames carry no span word.
+//! [`record`] turns every trace point in the process on;
+//! [`Recording::finish`] turns them off and drains the rings.
 //!
 //! ## Timestamps
 //!
@@ -48,23 +51,34 @@ pub use clock::{install_real_clock, install_virtual_clock, now_ns};
 pub use events::{EventId, EventInfo};
 pub use report::{SpanStats, TraceReport};
 pub use ring::{
-    emit, enabled, reset, set_ring_capacity, snapshot_trace, take_trace, ThreadTrace, Trace,
-    TraceEvent,
+    emit, enabled, record, set_ring_capacity, snapshot_trace, take_trace, Recording, ThreadTrace,
+    Trace, TraceEvent,
 };
 pub use span::next_span_id;
 
-#[cfg(all(test, feature = "trace"))]
-mod trace_tests {
+#[cfg(test)]
+mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests of this binary that start a recording or
+    /// assert that none is live: the switch is process-wide.
+    pub(crate) fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn emit_reaches_this_threads_ring() {
-        // Test threads are named after the test; filter to our own ring
-        // so concurrent tests in this binary don't interfere.
+        let _serial = serial();
         let me = std::thread::current().name().unwrap_or("?").to_string();
+        let rec = record();
         trace_event!(PacketTx, 123, 4);
         trace_event!(PacketRx, 5);
-        let trace = snapshot_trace();
+        assert!(enabled());
+        let trace = rec.finish();
         let mine = trace
             .threads
             .iter()
@@ -78,19 +92,15 @@ mod trace_tests {
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].b, 4);
     }
-
-    #[test]
-    fn enabled_reports_feature() {
-        assert!(enabled());
-    }
 }
 
-#[cfg(all(test, not(feature = "trace")))]
+#[cfg(test)]
 mod notrace_tests {
     use super::*;
 
     #[test]
     fn disabled_form_records_nothing() {
+        let _serial = tests::serial();
         assert!(!enabled());
         trace_event!(PacketTx, 1, 2);
         assert!(take_trace().is_empty());

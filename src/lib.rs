@@ -20,8 +20,8 @@
 //! * [`sim`] — discrete-event deterministic twin.
 //! * [`bench`] — the one bench crate: harness library, `figures` binary
 //!   and criterion benches that regenerate the paper's figures.
-//! * [`trace`] — low-overhead event tracing (records only with the
-//!   `trace` cargo feature; see `docs/TRACING.md`).
+//! * [`trace`] — low-overhead event tracing (records only while an
+//!   `nm_trace::record()` recording is live; see `docs/TRACING.md`).
 //! * [`metrics`] — always-on latency histograms, gauges, rate counters
 //!   and the one counters registry, with OpenMetrics/JSON export (see
 //!   `docs/METRICS.md`).

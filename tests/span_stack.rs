@@ -9,10 +9,8 @@
 //! lock-free ring writes; the async waker's span rides the waker
 //! table's existing shard-lock acquisition.
 //!
-//! Single test on purpose: the trace rings are process-global, and a
-//! sibling test draining them concurrently would perturb the counts.
-
-#![cfg(feature = "trace")]
+//! Single test on purpose: the recording is process-wide, and a sibling
+//! test running beside it would perturb the counts.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -57,7 +55,7 @@ fn span_propagation_adds_no_lock_acquisitions() {
     let echoed = Arc::new(Semaphore::new(0));
     let (sent2, echoed2) = (Arc::clone(&sent), Arc::clone(&echoed));
 
-    trace::reset();
+    let rec = trace::record();
     let echo = std::thread::spawn(move || {
         for i in 0..PINGPONGS {
             let r = to_a.irecv(i).expect("echo irecv");
@@ -82,7 +80,7 @@ fn span_propagation_adds_no_lock_acquisitions() {
         assert!(r.is_complete(), "echo {i} not delivered");
     }
     echo.join().unwrap();
-    let trace = trace::take_trace();
+    let trace = rec.finish();
     assert_eq!(trace.dropped(), 0, "ring wrapped mid-test");
 
     // The locking gate: span propagation is piggybacked on existing

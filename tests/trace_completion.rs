@@ -9,10 +9,8 @@
 //! the number of register/re-register rounds is fixed by construction,
 //! not by scheduling.
 //!
-//! Single test on purpose: the trace rings are process-global, and a
-//! sibling test draining them concurrently would perturb the counts.
-
-#![cfg(feature = "trace")]
+//! Single test on purpose: the recording is process-wide, and a sibling
+//! test running beside it would perturb the counts.
 
 use bytes::Bytes;
 
@@ -34,7 +32,7 @@ fn async_batch_has_exact_completion_event_counts() {
     let (a, b) = world.comm_pair();
     let (to_b, to_a) = (a.sole_peer().unwrap(), b.sole_peer().unwrap());
 
-    trace::reset();
+    let rec = trace::record();
 
     // --- queue + handler completions through the core API -------------
     let cq = CompletionQueue::new();
@@ -89,8 +87,8 @@ fn async_batch_has_exact_completion_event_counts() {
         s.expect("send");
     }
 
-    let trace = trace::take_trace();
     assert!(trace::enabled());
+    let trace = rec.finish();
     assert_eq!(trace.dropped(), 0, "ring wrapped mid-test");
 
     // Every completed request delivers exactly once: 2 plain-flag sends,

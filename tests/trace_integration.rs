@@ -8,10 +8,8 @@
 //! spinning emits an unbounded number of poll events, which both wraps
 //! the rings and makes counts scheduling-dependent.
 //!
-//! Single test on purpose: the trace rings are process-global, and a
-//! sibling test draining them concurrently would perturb the counts.
-
-#![cfg(feature = "trace")]
+//! Single test on purpose: the recording is process-wide, and a sibling
+//! test running beside it would perturb the counts.
 
 use std::sync::Arc;
 
@@ -39,7 +37,7 @@ fn traced_sim_pingpong_has_exact_event_counts() {
     let echoed = Arc::new(Semaphore::new(0)); // echo is on the wire
     let (sent2, echoed2) = (Arc::clone(&sent), Arc::clone(&echoed));
 
-    trace::reset();
+    let rec = trace::record();
     let echo = std::thread::spawn(move || {
         for i in 0..PINGPONGS {
             let r = to_a.irecv(i).expect("echo irecv");
@@ -65,9 +63,9 @@ fn traced_sim_pingpong_has_exact_event_counts() {
         assert_eq!(&r.take_data().expect("echo payload")[..], b"traced payload");
     }
     echo.join().unwrap();
-    let trace = trace::take_trace();
-
     assert!(trace::enabled());
+    let trace = rec.finish();
+    assert!(!trace::enabled());
     assert_eq!(trace.dropped(), 0, "ring wrapped mid-test");
 
     // One message per direction per iteration; strict alternation means
