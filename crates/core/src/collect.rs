@@ -57,8 +57,8 @@ impl CommCore {
         }
         let req = Request::new_with(RequestKind::Send, completion);
         self.stats.sends_posted.incr();
-        nm_trace::trace_event!(SubmitBegin, gate.0, data.len());
-        nm_trace::trace_event!(SpanSubmit, req.span(), gate.0);
+        nm_metrics::trace_event!(SubmitBegin, gate.0, data.len());
+        nm_metrics::trace_event!(SpanSubmit, req.span(), gate.0);
         {
             let api = self.policy.enter_api();
             let item = if data.len() <= self.config.eager_threshold {
@@ -97,14 +97,14 @@ impl CommCore {
                 tx.queue.len()
             });
             drop(s);
-            nm_trace::trace_event!(QueueDepth, gate.0, depth);
-            nm_trace::trace_event!(SpanCollect, req.span(), depth);
+            nm_metrics::trace_event!(QueueDepth, gate.0, depth);
+            nm_metrics::trace_event!(SpanCollect, req.span(), depth);
             // Release between submission and transmission, exactly like
             // the paper's coarse mode ("the spinlock is held and released
             // twice: once for submitting ..., once to transmit").
             drop(api);
         }
-        nm_trace::trace_event!(SubmitEnd, gate.0);
+        nm_metrics::trace_event!(SubmitEnd, gate.0);
         // Submission: inline, or deferred to an idle core / tasklet
         // (§4.2) — the expensive part (strategy, encode, doorbell).
         if self.config.offload == OffloadMode::Inline {
@@ -182,7 +182,7 @@ impl CommCore {
         let g = self.gate(gate)?;
         let req = Request::new_with(RequestKind::Recv, completion);
         self.stats.recvs_posted.incr();
-        nm_trace::trace_event!(SpanSubmit, req.span(), gate.0);
+        nm_metrics::trace_event!(SpanSubmit, req.span(), gate.0);
         enum Then {
             Nothing,
             Complete(u64, Bytes),
@@ -249,7 +249,7 @@ impl CommCore {
         if let Then::Complete(tag, data) = then {
             req.complete_with_tagged_data(tag, data);
         }
-        nm_trace::trace_event!(RecvPosted, gate.0);
+        nm_metrics::trace_event!(RecvPosted, gate.0);
         Ok(req)
     }
 
@@ -258,12 +258,12 @@ impl CommCore {
     /// span, 0 = none); completions emit `SpanDeliver` against it so
     /// the receive side joins the sender's timeline.
     pub(crate) fn dispatch(&self, g: &Gate, raw: Bytes, wire_span: u64) {
-        nm_trace::trace_event!(DispatchBegin, g.id.0, raw.len());
+        nm_metrics::trace_event!(DispatchBegin, g.id.0, raw.len());
         let entries = match decode_packet(raw) {
             Ok(e) => e,
             Err(_) => {
                 self.stats.wire_errors.incr();
-                nm_trace::trace_event!(DispatchEnd, g.id.0);
+                nm_metrics::trace_event!(DispatchEnd, g.id.0);
                 return;
             }
         };
@@ -355,7 +355,7 @@ impl CommCore {
             match act {
                 After::CompleteRecv(req, tag, data) => {
                     if wire_span != 0 {
-                        nm_trace::trace_event!(SpanDeliver, wire_span, req.span());
+                        nm_metrics::trace_event!(SpanDeliver, wire_span, req.span());
                     }
                     req.complete_with_tagged_data(tag, data);
                 }
@@ -365,7 +365,7 @@ impl CommCore {
         if queued_cts {
             self.pump_gate(g);
         }
-        nm_trace::trace_event!(DispatchEnd, g.id.0);
+        nm_metrics::trace_event!(DispatchEnd, g.id.0);
     }
 
     /// Matches one in-order eager message against the posted receives, or

@@ -224,7 +224,7 @@ impl CommCore {
         if self.policy.mode() == LockingMode::Coarse && self.quiet(shard, num_shards) {
             // What `pass` counts for a pass that finds nothing.
             self.stats.progress_passes.incr();
-            nm_trace::trace_event!(ProgressPass, 0usize);
+            nm_metrics::trace_event!(ProgressPass, 0usize);
             return 0;
         }
         let api = self.policy.enter_api();
@@ -265,7 +265,7 @@ impl CommCore {
             }
             events += self.pump_gate(g);
         }
-        nm_trace::trace_event!(ProgressPass, events);
+        nm_metrics::trace_event!(ProgressPass, events);
         events
     }
 

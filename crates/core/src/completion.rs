@@ -58,9 +58,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use nm_metrics::trace_event;
 use nm_progress::WakerTable;
 use nm_sync::{Semaphore, SpinLock, WaitStrategy};
-use nm_trace::trace_event;
 
 use crate::metrics;
 use crate::request::{Request, RequestKind};

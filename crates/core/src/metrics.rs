@@ -20,82 +20,28 @@
 //! per-index precision); a non-zero value means the tables in
 //! `core::locking` need growing.
 
-use std::sync::{Arc, OnceLock};
-
-use nm_metrics::{Counter, Gauge, Histogram};
-
-macro_rules! global_hist {
-    ($fn_name:ident, $metric:literal, $doc:literal) => {
-        #[doc = $doc]
-        pub fn $fn_name() -> &'static Arc<Histogram> {
-            static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-            H.get_or_init(|| nm_metrics::metrics().histogram($metric))
-        }
-    };
+nm_metrics::metric_handles! {
+    /// Latency of `CommCore::isend` (post to return, ns; one call in 64,
+    /// weight 64).
+    pub fn send_hist() -> Histogram = histogram("core.send_ns");
+    /// Latency of `CommCore::irecv`/`irecv_any` (post to return, ns; one
+    /// call in 64, weight 64).
+    pub fn recv_hist() -> Histogram = histogram("core.recv_ns");
+    /// Latency of `CommCore::wait` (call to completion, ns).
+    pub fn wait_hist() -> Histogram = histogram("core.wait_ns");
+    /// Locks created beyond the fixed lock-order class tables (demoted to
+    /// a shared overflow class).
+    pub fn lockclass_overflow() -> Counter = counter("core.lockclass_overflow");
+    /// Posted receives currently waiting in the per-gate matching bins.
+    pub fn posted_depth() -> Gauge = gauge("core.posted_depth");
+    /// Unexpected messages currently buffered in the per-gate matching
+    /// bins.
+    pub fn unexpected_depth() -> Gauge = gauge("core.unexpected_depth");
+    /// Completion events currently queued across all completion queues.
+    pub fn cq_depth() -> Gauge = gauge("core.cq_depth");
+    /// Latency of fire-and-forget completion handlers (delivery-context
+    /// run time, ns).
+    pub fn handler_hist() -> Histogram = histogram("core.handler_ns");
+    /// Requests finished by `Request::cancel` before completing.
+    pub fn cancelled() -> Counter = counter("core.requests.cancelled");
 }
-
-macro_rules! global_counter {
-    ($fn_name:ident, $metric:literal, $doc:literal) => {
-        #[doc = $doc]
-        pub fn $fn_name() -> &'static Arc<Counter> {
-            static C: OnceLock<Arc<Counter>> = OnceLock::new();
-            C.get_or_init(|| nm_metrics::metrics().counter($metric))
-        }
-    };
-}
-
-macro_rules! global_gauge {
-    ($fn_name:ident, $metric:literal, $doc:literal) => {
-        #[doc = $doc]
-        pub fn $fn_name() -> &'static Arc<Gauge> {
-            static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-            G.get_or_init(|| nm_metrics::metrics().gauge($metric))
-        }
-    };
-}
-
-global_hist!(
-    send_hist,
-    "core.send_ns",
-    "Latency of `CommCore::isend` (post to return, ns; one call in 64, weight 64)."
-);
-global_hist!(
-    recv_hist,
-    "core.recv_ns",
-    "Latency of `CommCore::irecv`/`irecv_any` (post to return, ns; one call in 64, weight 64)."
-);
-global_hist!(
-    wait_hist,
-    "core.wait_ns",
-    "Latency of `CommCore::wait` (call to completion, ns)."
-);
-global_counter!(
-    lockclass_overflow,
-    "core.lockclass_overflow",
-    "Locks created beyond the fixed lock-order class tables (demoted to a shared overflow class)."
-);
-global_gauge!(
-    posted_depth,
-    "core.posted_depth",
-    "Posted receives currently waiting in the per-gate matching bins."
-);
-global_gauge!(
-    unexpected_depth,
-    "core.unexpected_depth",
-    "Unexpected messages currently buffered in the per-gate matching bins."
-);
-global_gauge!(
-    cq_depth,
-    "core.cq_depth",
-    "Completion events currently queued across all completion queues."
-);
-global_hist!(
-    handler_hist,
-    "core.handler_ns",
-    "Latency of fire-and-forget completion handlers (delivery-context run time, ns)."
-);
-global_counter!(
-    cancelled,
-    "core.requests.cancelled",
-    "Requests finished by `Request::cancel` before completing."
-);

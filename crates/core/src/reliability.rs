@@ -127,7 +127,7 @@ impl CommCore {
             }
         };
         if frame.span != 0 {
-            nm_trace::trace_event!(SpanWireRx, frame.span, frame.wseq);
+            nm_metrics::trace_event!(SpanWireRx, frame.span, frame.wseq);
         }
         let r = &self.config.reliability;
         cell.with(s, |rel| {
@@ -216,7 +216,7 @@ impl CommCore {
                 return Err(entries);
             }
             if span != 0 {
-                nm_trace::trace_event!(SpanWireTx, span, wseq);
+                nm_metrics::trace_event!(SpanWireTx, span, wseq);
             }
             rel.next_tx_wseq = wseq.wrapping_add(1);
             rel.ack_piggybacked();
@@ -319,9 +319,9 @@ impl CommCore {
         }
         rel.ack_piggybacked();
         self.stats.retransmits.incr();
-        nm_trace::trace_event!(Retransmit, lane.id, wseq);
+        nm_metrics::trace_event!(Retransmit, lane.id, wseq);
         if span != 0 {
-            nm_trace::trace_event!(SpanRetx, span, wseq);
+            nm_metrics::trace_event!(SpanRetx, span, wseq);
         }
         true
     }
@@ -334,7 +334,7 @@ impl CommCore {
             return 0; // another thread ran the failover
         }
         self.stats.rails_failed.incr();
-        nm_trace::trace_event!(RailDead, g.id.0, lane.id);
+        nm_metrics::trace_event!(RailDead, g.id.0, lane.id);
         // Unacknowledged frames are still entries: a surviving lane
         // encodes them under its own sequence space. Spans ride along
         // so the restriped retry tail stays attributable.
@@ -355,7 +355,7 @@ impl CommCore {
         if g.unreachable() {
             self.fail_gate(g);
         }
-        nm_obs::flight::record_failure("rail-dead", 0, 0);
+        nm_metrics::flight::record_failure("rail-dead", 0, 0);
         1
     }
 

@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
+use nm_metrics::trace_event;
 use nm_sync::{CompletionFlag, WaitStrategy};
-use nm_trace::trace_event;
 
 use crate::completion::{Completion, CompletionEvent};
 use crate::error::CommError;
@@ -130,7 +130,7 @@ impl Request {
         Request {
             inner: Arc::new(Inner {
                 id: next_id(),
-                span: nm_trace::next_span_id(),
+                span: nm_metrics::trace::next_span_id(),
                 kind,
                 completion,
                 state: AtomicU8::new(0),
@@ -299,7 +299,7 @@ impl Request {
         }
         self.publish(None, None, Some(CommError::Timeout));
         self.deliver();
-        nm_obs::flight::record_failure("timeout", self.inner.id, self.inner.span);
+        nm_metrics::flight::record_failure("timeout", self.inner.id, self.inner.span);
         true
     }
 
@@ -316,7 +316,7 @@ impl Request {
         self.publish(None, None, Some(error));
         self.deliver();
         if let Some(reason) = reason {
-            nm_obs::flight::record_failure(reason, self.inner.id, self.inner.span);
+            nm_metrics::flight::record_failure(reason, self.inner.id, self.inner.span);
         }
     }
 

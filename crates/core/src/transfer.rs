@@ -213,7 +213,7 @@ impl CommCore {
                 continue;
             };
             if frame.span != 0 {
-                nm_trace::trace_event!(SpanWireRx, frame.span, 0);
+                nm_metrics::trace_event!(SpanWireRx, frame.span, 0);
             }
             self.stats.packets_rx.incr();
             self.dispatch(g, frame.payload, frame.span);
@@ -295,7 +295,7 @@ impl CommCore {
         let frame = encode_bare_frame(span, &entries);
         let posted = lane.post_frame(s, frame);
         if posted.is_ok() && span != 0 {
-            nm_trace::trace_event!(SpanWireTx, span, 0);
+            nm_metrics::trace_event!(SpanWireTx, span, 0);
         }
         posted.map_err(|PostError::WouldBlock| entries)
     }
@@ -349,11 +349,11 @@ impl CommCore {
             // complete events but ride the carrier's wire attribution.
             let span = items.iter().map(|i| i.span).find(|&s| s != 0).unwrap_or(0);
             let lane = &g.lanes[nth];
-            nm_trace::trace_event!(TransmitBegin, g.id.0, nth);
+            nm_metrics::trace_event!(TransmitBegin, g.id.0, nth);
             let s = self.policy.enter(SectionKind::Driver(lane.id));
             let posted = self.post_packet(lane, &s, entries, span);
             drop(s);
-            nm_trace::trace_event!(TransmitEnd, g.id.0, posted.is_ok());
+            nm_metrics::trace_event!(TransmitEnd, g.id.0, posted.is_ok());
             match posted {
                 Ok(()) => {
                     self.stats.packets_tx.incr();
@@ -413,9 +413,9 @@ impl CommCore {
                     return None;
                 }
                 let mut item = q.pop_front()?;
-                nm_trace::trace_event!(TransmitBegin, g.id.0, nth);
+                nm_metrics::trace_event!(TransmitBegin, g.id.0, nth);
                 let res = self.post_packet(lane, &s, std::mem::take(&mut item.entries), item.span);
-                nm_trace::trace_event!(TransmitEnd, g.id.0, res.is_ok());
+                nm_metrics::trace_event!(TransmitEnd, g.id.0, res.is_ok());
                 match res {
                     Ok(()) => Some(item),
                     Err(entries) => {

@@ -29,8 +29,8 @@ fn rail_death_dumps_the_retransmit_span_timeline() {
     };
     std::fs::create_dir_all(&dir).unwrap();
     // Spans exist only while a recording is live; the dump reads them.
-    let recording = nm_trace::record();
-    let _ = nm_obs::take_last_dump();
+    let recording = nm_metrics::trace::record();
+    let _ = nm_metrics::flight::take_last_dump();
 
     // Rail 0 of the a→b direction drops everything; rail 1 is clean.
     // Frames on rail 0 retransmit until the rail is declared dead and
@@ -65,7 +65,7 @@ fn rail_death_dumps_the_retransmit_span_timeline() {
 
     // The kill published a dump; it must carry at least one message
     // timeline with the retransmits the dying rail performed.
-    let dump = nm_obs::take_last_dump().expect("rail death must record a flight dump");
+    let dump = nm_metrics::flight::take_last_dump().expect("rail death must record a flight dump");
     drop(recording);
     assert!(
         dump.contains("\"reason\": \"rail-dead\""),

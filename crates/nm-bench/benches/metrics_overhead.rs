@@ -2,7 +2,7 @@
 //!
 //! The layer's contract is one relaxed atomic add — or one log-linear
 //! histogram record — per operation, ≤ 25 ns on the reference host in
-//! release mode (docs/METRICS.md). A timer adds two clock reads to its
+//! release mode (docs/OBSERVABILITY.md). A timer adds two clock reads to its
 //! record, a sampled timer one sample per 64 calls; both are priced
 //! here. These benches measure each record
 //! primitive through a pre-resolved handle (the cold registry lookup is

@@ -19,7 +19,7 @@
 //!
 //! The `bench` subcommand produces the machine-readable regression
 //! baseline of the deterministic virtual-clock figures consumed by
-//! `cargo xtask bench-check` (docs/METRICS.md). Wall-clock numbers of the real stack
+//! `cargo xtask bench-check` (docs/REPRODUCING.md). Wall-clock numbers of the real stack
 //! are gated by the stand-alone `benchmark/` package instead.
 //!
 //! Default mode is the deterministic simulator with the paper's cost
@@ -754,7 +754,7 @@ fn table1(opts: &Options, costs: SimCosts) {
 /// hops alone.
 fn table1_from_trace(opts: &Options, costs: SimCosts) {
     use nm_bench::fromtrace;
-    use nm_trace::TraceReport;
+    use nm_metrics::trace::TraceReport;
 
     let (trace, mode) = if opts.real {
         (fromtrace::real_trace(), "traced real stack")
@@ -809,8 +809,8 @@ const BENCH_SIZES: &[usize] = &[4, 64, 1024, 16384];
 
 /// Critical-path latency breakdown per locking mode: the deterministic
 /// virtual-clock model in `nm_bench::breakdown`, decomposed by the
-/// production span assembler (`nm-obs`). Components always sum exactly
-/// to the end-to-end total.
+/// production span assembler (`nm_metrics::spans`). Components always
+/// sum exactly to the end-to-end total.
 fn breakdown_report(opts: &Options, costs: SimCosts) {
     let rows = nm_bench::breakdown::all_breakdowns(costs);
     if opts.csv {
@@ -933,8 +933,8 @@ fn bench(opts: &Options, costs: SimCosts) {
         }
     }
     // Critical-path breakdown: per-mode latency decomposition through
-    // the nm-obs span assembler (appended last so the records above keep
-    // their historical positions in the file).
+    // the span assembler (appended last so the records above keep their
+    // historical positions in the file).
     for (mode, b) in nm_bench::breakdown::all_breakdowns(costs) {
         for (component, v) in b.components() {
             records.push(BenchRecord::sim(

@@ -4,10 +4,11 @@
 //! of one eager message prices every lifecycle stage from [`SimCosts`]
 //! and the Myri-10G wire model, emits the same `Span*` events the real
 //! stack emits, and runs them through the *production* assembler
-//! ([`nm_obs::assemble`] + [`nm_obs::Breakdown`]). The numbers are
-//! exactly reproducible on any host, so `breakdown/<mode>/<component>`
-//! records gate in `BENCH_FIGURES.json`, and by construction of the
-//! assembler the five components sum exactly to the end-to-end total.
+//! ([`nm_metrics::spans::assemble`] + [`nm_metrics::spans::Breakdown`]).
+//! The numbers are exactly reproducible on any host, so
+//! `breakdown/<mode>/<component>` records gate in `BENCH_FIGURES.json`,
+//! and by construction of the assembler the five components sum exactly
+//! to the end-to-end total.
 //!
 //! Modes mirror the paper's locking comparison:
 //!
@@ -20,9 +21,9 @@
 //!   appears as a separate component instead of polluting "wire".
 
 use nm_fabric::WireModel;
-use nm_obs::{assemble, Breakdown};
+use nm_metrics::spans::{assemble, Breakdown};
+use nm_metrics::trace::{EventId, ThreadTrace, Trace, TraceEvent};
 use nm_sim::SimCosts;
-use nm_trace::{EventId, ThreadTrace, Trace, TraceEvent};
 
 /// The modeled locking modes, in report order.
 pub const MODES: [&str; 4] = ["singlethread", "coarse", "fine", "fine-loss"];

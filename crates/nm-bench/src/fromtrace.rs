@@ -3,8 +3,8 @@
 //! [`calibrate`](crate::calibrate) times each mechanism with a stopwatch
 //! around it; this module instead *replays the evidence*: it runs the
 //! instrumented stack (or a deterministic virtual-clock script), drains
-//! the [`nm_trace`] rings, and derives the same constants from event
-//! timestamps alone:
+//! the [`nm_metrics::trace`] rings, and derives the same constants from
+//! event timestamps alone:
 //!
 //! | constant | derivation |
 //! |---|---|
@@ -14,15 +14,15 @@
 //! | offload hop | median `OffloadSubmit`→`OffloadRun` cross-thread gap |
 //!
 //! Both scripts start and finish their own recording
-//! ([`nm_trace::record`]).
+//! ([`nm_metrics::trace::record`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use nm_metrics::trace::{EventId, SpanStats, Trace, TraceReport};
 use nm_progress::{Offloader, PollOutcome, ProgressEngine};
 use nm_sim::SimCosts;
 use nm_sync::{Semaphore, SpinLock};
-use nm_trace::{EventId, SpanStats, Trace, TraceReport};
 
 /// Paper constants re-derived from trace timestamps (ns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,8 +72,7 @@ const REAL_ITERS: usize = 20_000;
 /// combined trace. Each workload is drained separately so one cannot
 /// evict another's events from the shared per-thread ring.
 pub fn real_trace() -> Trace {
-    nm_trace::install_real_clock();
-    let rec = nm_trace::record();
+    let rec = nm_metrics::trace::record();
     let mut threads = Vec::new();
 
     // 1. Hot-lock loop: successive LockAcquire gaps = one full cycle.
@@ -83,7 +82,7 @@ pub fn real_trace() -> Trace {
             *lock.lock() += 1;
         }
     }
-    threads.extend(nm_trace::take_trace().threads);
+    threads.extend(nm_metrics::trace::take_trace().threads);
 
     // 2. Progression passes over one idle source.
     {
@@ -93,7 +92,7 @@ pub fn real_trace() -> Trace {
             engine.poll_all();
         }
     }
-    threads.extend(nm_trace::take_trace().threads);
+    threads.extend(nm_metrics::trace::take_trace().threads);
 
     // 3. Semaphore pingpong: every hop blocks, so each ThreadBlock→
     //    ThreadWake span is one real sleep + wake.
@@ -114,7 +113,7 @@ pub fn real_trace() -> Trace {
         }
         peer.join().expect("pingpong peer");
     }
-    threads.extend(nm_trace::take_trace().threads);
+    threads.extend(nm_metrics::trace::take_trace().threads);
 
     // 4. Idle-core offload: submissions queued here, drained by a
     //    dedicated poller thread (the Fig 9 placement).
@@ -158,8 +157,7 @@ const SIM_SAMPLES: u64 = 64;
 /// runs (offload hop = `enqueue_ns + idle_poll_gap_ns`).
 pub fn sim_trace(costs: &SimCosts) -> Trace {
     let clock = Arc::new(AtomicU64::new(0));
-    nm_trace::install_virtual_clock(Arc::clone(&clock));
-    let rec = nm_trace::record();
+    let rec = nm_metrics::trace::record_virtual(Arc::clone(&clock));
     let tick = |ns: u64| {
         // relaxed: single-threaded script; the clock is only read back
         // on this same thread via trace timestamps.
@@ -170,30 +168,28 @@ pub fn sim_trace(costs: &SimCosts) -> Trace {
     // it even if stray lock events share the trace.
     const LOCK: u64 = 0x51D0DE;
     for _ in 0..=SIM_SAMPLES {
-        nm_trace::emit(EventId::LockAcquire, LOCK, 0);
-        nm_trace::emit(EventId::LockRelease, LOCK, 0);
+        nm_metrics::trace::emit(EventId::LockAcquire, LOCK, 0);
+        nm_metrics::trace::emit(EventId::LockRelease, LOCK, 0);
         tick(costs.lock_cycle_ns);
     }
     for _ in 0..SIM_SAMPLES {
-        nm_trace::emit(EventId::PollPassBegin, 0, 0);
+        nm_metrics::trace::emit(EventId::PollPassBegin, 0, 0);
         tick(costs.pioman_pass_ns);
-        nm_trace::emit(EventId::PollPassEnd, 0, 0);
+        nm_metrics::trace::emit(EventId::PollPassEnd, 0, 0);
         tick(costs.poll_pass_ns);
     }
     for _ in 0..SIM_SAMPLES {
-        nm_trace::emit(EventId::ThreadBlock, 0, 0);
+        nm_metrics::trace::emit(EventId::ThreadBlock, 0, 0);
         tick(costs.ctx_switch_ns);
-        nm_trace::emit(EventId::ThreadWake, 0, 0);
+        nm_metrics::trace::emit(EventId::ThreadWake, 0, 0);
     }
     for _ in 0..SIM_SAMPLES {
-        nm_trace::emit(EventId::OffloadSubmit, 1, 0);
+        nm_metrics::trace::emit(EventId::OffloadSubmit, 1, 0);
         tick(costs.enqueue_ns + costs.idle_poll_gap_ns);
-        nm_trace::emit(EventId::OffloadRun, 1, 0);
+        nm_metrics::trace::emit(EventId::OffloadRun, 1, 0);
     }
 
-    let trace = rec.finish();
-    nm_trace::install_real_clock();
-    trace
+    rec.finish()
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! results (the `nm-sim` models and the real-library chaos sweep) as a
 //! flat list of records and writes them to the repo root, where
 //! `cargo xtask bench-check` compares a fresh run against the committed
-//! baseline (docs/METRICS.md describes the refresh procedure). The
+//! baseline (docs/REPRODUCING.md describes the refresh procedure). The
 //! schema is deliberately tiny so the dep-free parser in `xtask` stays
 //! tiny too:
 //!
@@ -24,6 +24,8 @@
 
 use std::io::Write as _;
 use std::path::Path;
+
+use nm_metrics::export::json_str;
 
 /// One benchmark result.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,23 +59,6 @@ fn fmt_f64(v: f64) -> String {
         // want visible in the diff, not a parse error.
         "null".to_string()
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Renders records as the `BENCH_FIGURES.json` document.

@@ -6,12 +6,12 @@
 //! library's chaos runs and break their run-to-run determinism.
 
 use nm_bench::fromtrace::{derive, sim_trace};
+use nm_metrics::trace::Trace;
 use nm_sim::SimCosts;
-use nm_trace::Trace;
 
-/// One test, not two: `sim_trace` installs the process-global trace
-/// clock, so two tests replaying it on parallel test threads would
-/// clobber each other's timestamps.
+/// One test, not two: `sim_trace` records on its own virtual clock, and
+/// live recordings share one clock, so two replays on parallel test
+/// threads would collide.
 #[test]
 fn sim_trace_equals_costs_exactly_and_is_bit_deterministic() {
     let costs = SimCosts::paper();
@@ -31,5 +31,8 @@ fn sim_trace_equals_costs_exactly_and_is_bit_deterministic() {
     };
     assert!(!flat(&a).is_empty(), "sim trace recorded nothing");
     assert_eq!(flat(&a), flat(&b));
-    assert!(!nm_trace::enabled(), "the replay stops its recording");
+    assert!(
+        !nm_metrics::trace::enabled(),
+        "the replay stops its recording"
+    );
 }

@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use bytes::{Bytes, BytesMut};
 
+use nm_metrics::trace_event;
 use nm_sync::SpinLock;
-use nm_trace::trace_event;
 
 use crate::{metrics, ClockSource, Driver, DriverCaps, PostError};
 

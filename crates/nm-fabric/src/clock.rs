@@ -1,7 +1,7 @@
 //! Time sources: real monotonic time and manual (virtual) time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A nanosecond clock the fabric timestamps packets with.
@@ -17,11 +17,11 @@ pub enum ClockSource {
 }
 
 impl ClockSource {
-    /// The process-wide real monotonic clock: every call shares one
-    /// anchor, taken on first use, so readings compare across callers.
+    /// The process-wide real monotonic clock: every call shares the
+    /// process's one anchor ([`nm_metrics::clock::anchor`]), so readings
+    /// compare across callers and with trace timestamps.
     pub fn real() -> Self {
-        static ANCHOR: OnceLock<Instant> = OnceLock::new();
-        ClockSource::Real(*ANCHOR.get_or_init(Instant::now))
+        ClockSource::Real(nm_metrics::clock::anchor())
     }
 
     /// A virtual clock starting at 0.

@@ -7,94 +7,38 @@
 //! not yet delivered, summed over all links. Per-context occupancy is
 //! queryable directly through [`crate::SimNic::inflight_bytes_vci`].
 
-use std::sync::{Arc, OnceLock};
+nm_metrics::metric_handles! {
+    /// Packets injected into any wire.
+    pub fn tx_packets() -> Counter = counter("fabric.tx_packets");
+    /// Payload bytes injected into any wire.
+    pub fn tx_bytes() -> Counter = counter("fabric.tx_bytes");
+    /// Packets delivered by any NIC endpoint.
+    pub fn rx_packets() -> Counter = counter("fabric.rx_packets");
+    /// Payload bytes delivered by any NIC endpoint.
+    pub fn rx_bytes() -> Counter = counter("fabric.rx_bytes");
+    /// Bytes currently in flight (injected, not yet delivered) across all
+    /// wires.
+    pub fn inflight_bytes() -> Gauge = gauge("fabric.inflight_bytes");
 
-use nm_metrics::{Counter, Gauge};
+    /// Packets dropped by chaos fault injection.
+    pub fn chaos_lost() -> Counter = counter("fabric.chaos.lost");
+    /// Extra packet copies delivered by chaos fault injection.
+    pub fn chaos_duplicated() -> Counter = counter("fabric.chaos.duplicated");
+    /// Packets byte-corrupted by chaos fault injection.
+    pub fn chaos_corrupted() -> Counter = counter("fabric.chaos.corrupted");
+    /// Packets held back (jitter) by chaos fault injection.
+    pub fn chaos_delayed() -> Counter = counter("fabric.chaos.delayed");
+    /// Transient NIC stall windows opened by chaos fault injection.
+    pub fn chaos_stalls() -> Counter = counter("fabric.chaos.stalls");
+    /// Packets released out of arrival order by chaos fault injection.
+    pub fn chaos_reordered() -> Counter = counter("fabric.chaos.reordered");
 
-macro_rules! global_counter {
-    ($fn_name:ident, $metric:literal, $doc:literal) => {
-        #[doc = $doc]
-        pub fn $fn_name() -> &'static Arc<Counter> {
-            static C: OnceLock<Arc<Counter>> = OnceLock::new();
-            C.get_or_init(|| nm_metrics::metrics().counter($metric))
-        }
-    };
-}
-
-global_counter!(
-    tx_packets,
-    "fabric.tx_packets",
-    "Packets injected into any wire."
-);
-global_counter!(
-    tx_bytes,
-    "fabric.tx_bytes",
-    "Payload bytes injected into any wire."
-);
-global_counter!(
-    rx_packets,
-    "fabric.rx_packets",
-    "Packets delivered by any NIC endpoint."
-);
-global_counter!(
-    rx_bytes,
-    "fabric.rx_bytes",
-    "Payload bytes delivered by any NIC endpoint."
-);
-
-global_counter!(
-    chaos_lost,
-    "fabric.chaos.lost",
-    "Packets dropped by chaos fault injection."
-);
-global_counter!(
-    chaos_duplicated,
-    "fabric.chaos.duplicated",
-    "Extra packet copies delivered by chaos fault injection."
-);
-global_counter!(
-    chaos_corrupted,
-    "fabric.chaos.corrupted",
-    "Packets byte-corrupted by chaos fault injection."
-);
-global_counter!(
-    chaos_delayed,
-    "fabric.chaos.delayed",
-    "Packets held back (jitter) by chaos fault injection."
-);
-global_counter!(
-    chaos_stalls,
-    "fabric.chaos.stalls",
-    "Transient NIC stall windows opened by chaos fault injection."
-);
-global_counter!(
-    chaos_reordered,
-    "fabric.chaos.reordered",
-    "Packets released out of arrival order by chaos fault injection."
-);
-
-global_counter!(
-    vci_tx_packets,
-    "fabric.vci.tx_packets",
-    "Packets injected through a multi-VCI NIC context."
-);
-global_counter!(
-    vci_rx_packets,
-    "fabric.vci.rx_packets",
-    "Packets delivered through a multi-VCI NIC context."
-);
-
-/// Bytes currently in flight (injected, not yet delivered) across all
-/// wires.
-pub fn inflight_bytes() -> &'static Arc<Gauge> {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| nm_metrics::metrics().gauge("fabric.inflight_bytes"))
-}
-
-/// Bytes currently in flight on multi-VCI NIC contexts. Single-context
-/// NICs account only to `fabric.inflight_bytes`; per-VCI occupancy is
-/// queryable directly through [`crate::SimNic::inflight_bytes_vci`].
-pub fn vci_inflight_bytes() -> &'static Arc<Gauge> {
-    static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-    G.get_or_init(|| nm_metrics::metrics().gauge("fabric.vci.inflight_bytes"))
+    /// Packets injected through a multi-VCI NIC context.
+    pub fn vci_tx_packets() -> Counter = counter("fabric.vci.tx_packets");
+    /// Packets delivered through a multi-VCI NIC context.
+    pub fn vci_rx_packets() -> Counter = counter("fabric.vci.rx_packets");
+    /// Bytes currently in flight on multi-VCI NIC contexts. Single-context
+    /// NICs account only to `fabric.inflight_bytes`; per-VCI occupancy is
+    /// queryable directly through [`crate::SimNic::inflight_bytes_vci`].
+    pub fn vci_inflight_bytes() -> Gauge = gauge("fabric.vci.inflight_bytes");
 }

@@ -302,9 +302,9 @@ impl SimNic {
             crate::metrics::vci_tx_packets().incr();
             crate::metrics::vci_inflight_bytes().add(len as i64);
         }
-        nm_trace::trace_event!(PacketTx, len);
+        nm_metrics::trace_event!(PacketTx, len);
         if was_idle {
-            nm_trace::trace_event!(NicIdle, 0u64);
+            nm_metrics::trace_event!(NicIdle, 0u64);
         }
         Ok(())
     }
@@ -350,11 +350,11 @@ impl SimNic {
                 crate::metrics::vci_rx_packets().incr();
                 crate::metrics::vci_inflight_bytes().sub(pkt.payload.len() as i64);
             }
-            nm_trace::trace_event!(PacketRx, pkt.payload.len());
+            nm_metrics::trace_event!(PacketRx, pkt.payload.len());
             if ctx.rx.ring.is_empty() {
                 // Last in-flight packet delivered: the sending side's
                 // injection queue (this wire) is drained — NIC idle.
-                nm_trace::trace_event!(NicIdle, 1u64);
+                nm_metrics::trace_event!(NicIdle, 1u64);
             }
             Some(pkt.payload)
         } else {

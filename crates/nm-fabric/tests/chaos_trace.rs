@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use nm_fabric::{ChaosDriver, Driver, FaultPlan, LoopbackDriver, PostError};
-use nm_trace::EventId;
+use nm_metrics::trace::EventId;
 
 /// Polls until the driver stays empty (delayed packets age out).
 fn drain<D: Driver>(d: &D) -> usize {
@@ -28,7 +28,7 @@ fn drain<D: Driver>(d: &D) -> usize {
 
 #[test]
 fn chaos_stats_match_fault_trace_event_counts() {
-    let rec = nm_trace::record();
+    let rec = nm_metrics::trace::record();
 
     // Receive-side faults: loss, duplication, corruption, delay.
     let (tx, rx) = LoopbackDriver::pair(512);

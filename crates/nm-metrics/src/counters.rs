@@ -9,8 +9,8 @@
 //!
 //! [`Counter`] and [`LockStats`] live here so the always-on metrics
 //! layer owns the one registry every layer shares; every crate imports
-//! them from `nm_metrics`. Unlike the ring-buffer tracer, nothing in
-//! this file is behind a cargo feature: the global lock aggregates are
+//! them from `nm_metrics`. Unlike the ring-buffer tracer, which writes
+//! only while a recording is live, the global lock aggregates are
 //! maintained unconditionally. Every [`Counter`] is striped over
 //! cache-line-padded lanes, so threads that share nothing else (two
 //! flows on two gates bumping the same `CoreStats`) do not bounce a

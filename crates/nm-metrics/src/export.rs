@@ -69,9 +69,9 @@ pub fn to_openmetrics(s: &MetricsSnapshot) -> String {
     out
 }
 
-/// Minimal JSON string escaping (metric names are ASCII identifiers,
-/// but be safe).
-fn json_str(s: &str) -> String {
+/// Renders `s` as a JSON string literal, quotes included: the one
+/// escaper for metric names, flight-dump reasons and bench records.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -18,6 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::export::json_str;
 use crate::spans::{assemble, Breakdown, SpanTimeline};
 
 /// Most recent span timelines kept in a dump (newest by last event).
@@ -30,22 +31,6 @@ pub const MAX_DUMP_FILES: u64 = 16;
 static LAST: Mutex<Option<String>> = Mutex::new(None);
 /// Dump sequence number (names the `NOMAD_FLIGHT_DIR` files).
 static SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn breakdown_json(b: &Breakdown) -> String {
     let comps: Vec<String> = b
@@ -87,7 +72,7 @@ fn render_dump(
         .iter()
         .map(|t| timeline_json(t, t.peer.and_then(|p| by_span.get(&p))))
         .collect();
-    let metrics = nm_metrics::export::to_json(&nm_metrics::metrics().snapshot());
+    let metrics = crate::export::to_json(&crate::metrics().snapshot());
     format!(
         "{{\n\"reason\": {},\n\"request_id\": {},\n\"span\": {},\n\"timelines\": [\n{}\n],\n\"metrics\": {}}}\n",
         json_str(reason),
@@ -105,7 +90,7 @@ fn render_dump(
 /// `request_id`/`span` identify the failing request when the trigger
 /// was a request-level error (0/0 for rail-level triggers).
 pub fn record_failure(reason: &str, request_id: u64, span: u64) {
-    let trace = nm_trace::snapshot_trace();
+    let trace = crate::trace::snapshot_trace();
     let timelines = assemble(&trace);
     let dump = render_dump(reason, request_id, span, timelines);
     if let Ok(dir) = std::env::var("NOMAD_FLIGHT_DIR") {
@@ -138,7 +123,7 @@ pub fn take_last_dump() -> Option<String> {
 mod tests {
     use super::*;
     use crate::spans::SpanEvent;
-    use nm_trace::EventId;
+    use crate::trace::EventId;
 
     fn tl(span: u64, events: Vec<(u64, EventId, u64)>) -> SpanTimeline {
         SpanTimeline {

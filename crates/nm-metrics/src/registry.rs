@@ -2,8 +2,8 @@
 //!
 //! One registry ([`metrics`]) owns every named counter, gauge and
 //! histogram in the stack. Lookups take a mutex and are cold-path only:
-//! call sites resolve their handles once (typically in a
-//! `OnceLock`) and then record through the lock-free handle. A
+//! call sites resolve their handles once (through [`crate::metric_handles!`])
+//! and then record through the lock-free handle. A
 //! [`MetricsSnapshot`] is a cheap, consistent-enough copy (each metric
 //! is read atomically; the set is not globally atomic, which is fine
 //! for statistics) that renders to OpenMetrics text or JSON (see
@@ -177,6 +177,38 @@ impl MetricsSnapshot {
 pub fn metrics() -> &'static MetricsRegistry {
     static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
     REGISTRY.get_or_init(MetricsRegistry::default)
+}
+
+/// Declares handles into [`metrics`]: each item becomes a function that
+/// resolves its metric by name on first call and returns the cached
+/// handle after that (one `OnceLock` read).
+///
+/// ```
+/// nm_metrics::metric_handles! {
+///     /// Requests served.
+///     pub fn served() -> Counter = counter("example.served");
+///     /// Time to serve one request, ns.
+///     fn serve_hist() -> Histogram = histogram("example.serve_ns");
+/// }
+/// served().incr();
+/// serve_hist().record(120);
+/// assert_eq!(nm_metrics::metrics().snapshot().counter("example.served"), Some(1));
+/// ```
+///
+/// The lookup is the [`MetricsRegistry`] method for the kind:
+/// `counter`, `gauge` or `histogram`.
+#[macro_export]
+macro_rules! metric_handles {
+    ($($(#[$doc:meta])* $vis:vis fn $name:ident() -> $kind:ident = $lookup:ident($metric:literal);)*) => {
+        $(
+            $(#[$doc])*
+            $vis fn $name() -> &'static ::std::sync::Arc<$crate::$kind> {
+                static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::$kind>> =
+                    ::std::sync::OnceLock::new();
+                HANDLE.get_or_init(|| $crate::metrics().$lookup($metric))
+            }
+        )*
+    };
 }
 
 #[cfg(test)]

@@ -2,23 +2,24 @@
 //! one ring per thread, drained after the run).
 //!
 //! Recording is a run-time state: trace points write only while a
-//! [`Recording`] from [`record`] is live. Off, a trace point is one
-//! relaxed load of the live count and a not-taken branch; no clock is
-//! read and no ring is allocated.
+//! [`Recording`] from [`record`] or [`record_virtual`] is live. Off, a
+//! trace point is one relaxed load of the live count and a not-taken
+//! branch; no clock is read and no ring is allocated.
 //!
 //! Each thread owns one ring; a write is a handful of `Relaxed` stores
 //! plus one `Release` cursor bump — no locks, no allocation, no
 //! cross-thread traffic on the hot path. Rings overwrite their oldest
 //! slot when full and count total writes, so the drain reports exactly
 //! how many events were dropped. Rings are registered globally (and
-//! kept alive by an `Arc` even after their thread exits) so
-//! [`take_trace`] can collect every thread's events post-run.
+//! kept alive by an `Arc` after their thread exits) so [`take_trace`]
+//! can collect every thread's events post-run; a resetting drain then
+//! lets go of the rings whose threads are gone.
 //!
 //! Draining while writers are still emitting is safe (all slot access
 //! is atomic) but a wrapping writer can tear a slot being read; drain
 //! after the traced workload quiesces for exact counts.
 
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -27,7 +28,9 @@ use crate::events::EventId;
 /// One decoded trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Timestamp from [`crate::now_ns`] (real or virtual nanoseconds).
+    /// Timestamp: nanoseconds since the process's real-time anchor
+    /// ([`record`]), or the virtual counter's value
+    /// ([`record_virtual`]).
     pub ts: u64,
     /// What happened.
     pub id: EventId,
@@ -40,7 +43,7 @@ pub struct TraceEvent {
 /// The drained events of one thread, in emission order.
 #[derive(Debug, Clone, Default)]
 pub struct ThreadTrace {
-    /// Registration index of the thread's ring (stable, dense).
+    /// The ring's number: unique in the process, in registration order.
     pub thread: u64,
     /// The thread's name at ring creation (test harness threads are
     /// named after their test).
@@ -183,17 +186,55 @@ impl ThreadRing {
 }
 
 static RING_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_CAP);
-static REGISTRY: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
+/// Numbers the rings: a ring keeps its number after the rings before
+/// it are released.
+static NEXT_RING: AtomicU64 = AtomicU64::new(0);
 
-/// The registered rings. A panic elsewhere cannot leave the list half
-/// updated (a push or a drain either happened or did not), so a
+/// The registered rings and the clock of the live recordings.
+struct Registry {
+    rings: Vec<Arc<ThreadRing>>,
+    /// The virtual counter of a [`record_virtual`] session; `None`
+    /// stamps with the real-time anchor.
+    clock: Option<Arc<AtomicU64>>,
+}
+
+impl Registry {
+    /// Drains every ring. A resetting drain also lets go of the rings
+    /// only the registry still holds (their threads have exited), after
+    /// their events are in the returned trace.
+    fn drain(&mut self, reset: bool) -> Trace {
+        let trace = Trace {
+            threads: self.rings.iter().map(|r| r.drain(reset)).collect(),
+        };
+        if reset {
+            self.rings.retain(|r| Arc::strong_count(r) > 1);
+        }
+        trace
+    }
+}
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    rings: Vec::new(),
+    clock: None,
+});
+
+/// Counts recording sessions (a session runs while at least one
+/// [`Recording`] is live). Written under the registry lock before the
+/// live count is raised.
+static SESSION: AtomicU64 = AtomicU64::new(0);
+
+/// The registry. A panic elsewhere cannot leave it half updated (a
+/// push, a drain or a clock swap either happened or did not), so a
 /// poisoned lock is taken as is.
-fn registry() -> MutexGuard<'static, Vec<Arc<ThreadRing>>> {
+fn registry() -> MutexGuard<'static, Registry> {
     REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
     static RING: OnceCell<Arc<ThreadRing>> = const { OnceCell::new() };
+    /// This thread's copy of (session, clock), refreshed from the
+    /// registry when a new session has started.
+    static CLOCK: RefCell<(u64, Option<Arc<AtomicU64>>)> = const { RefCell::new((0, None)) };
 }
 
 fn with_ring(f: impl FnOnce(&ThreadRing)) {
@@ -201,15 +242,36 @@ fn with_ring(f: impl FnOnce(&ThreadRing)) {
         let ring = cell.get_or_init(|| {
             let mut registry = registry();
             let ring = Arc::new(ThreadRing::new(
-                registry.len() as u64,
+                // relaxed: a unique-number counter; only uniqueness
+                // matters, and the registry lock orders the pushes.
+                NEXT_RING.fetch_add(1, Ordering::Relaxed),
                 std::thread::current().name().unwrap_or("?").to_string(),
                 RING_CAP.load(Ordering::Relaxed),
             ));
-            registry.push(Arc::clone(&ring));
+            registry.rings.push(Arc::clone(&ring));
             ring
         });
         f(ring);
     });
+}
+
+/// The timestamp of an event emitted now, on the live session's clock.
+fn now_ns() -> u64 {
+    CLOCK.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        // relaxed: `emit` has acquired the live count, which `start`
+        // raised after writing the session number.
+        if cache.0 != SESSION.load(Ordering::Relaxed) {
+            let registry = registry();
+            *cache = (SESSION.load(Ordering::Relaxed), registry.clock.clone());
+        }
+        match &cache.1 {
+            None => crate::clock::anchor().elapsed().as_nanos() as u64,
+            // relaxed: a counter read for a timestamp; no other memory
+            // is published through it.
+            Some(ns) => ns.load(Ordering::Relaxed),
+        }
+    })
 }
 
 /// How many [`Recording`]s are live. Alone on its cache line: every
@@ -239,8 +301,10 @@ pub fn enabled() -> bool {
 #[cold]
 #[inline(never)]
 pub fn emit(id: EventId, a: u64, b: u64) {
-    if enabled() {
-        let ts = crate::clock::now_ns();
+    // acquire: pairs with the release increment in `start`, so a thread
+    // that sees the recording live also sees its session's clock.
+    if LIVE.0.load(Ordering::Acquire) != 0 {
+        let ts = now_ns();
         with_ring(|ring| ring.write(ts, id, a, b));
     }
 }
@@ -251,55 +315,91 @@ pub fn set_ring_capacity(cap: usize) {
     RING_CAP.store(cap.max(1), Ordering::Relaxed);
 }
 
-fn collect(registry: &[Arc<ThreadRing>], reset: bool) -> Trace {
-    Trace {
-        threads: registry.iter().map(|r| r.drain(reset)).collect(),
-    }
-}
-
 /// A live recording: from [`record`] until [`Recording::finish`] or
 /// drop, every trace point in the process writes to its thread's ring.
 ///
-/// Recordings share one set of rings. A second recording started while
-/// one is live sees the first one's events, and finishing either drains
-/// them all; tests that record side by side filter the [`Trace`] to
-/// their own threads.
+/// Recordings share one set of rings and one clock. A second recording
+/// started while one is live sees the first one's events, and finishing
+/// either drains them all; tests that record side by side filter the
+/// [`Trace`] to their own threads.
 #[must_use = "trace points record only while the Recording is held"]
 #[derive(Debug)]
 pub struct Recording(());
 
-/// Starts recording. The first live recording starts from empty rings.
+/// Starts recording, stamping events in nanoseconds since the
+/// process's real-time anchor ([`crate::clock::anchor`]). The first
+/// live recording starts from empty rings.
+///
+/// # Panics
+/// If a [`record_virtual`] recording is live: live recordings share
+/// one clock.
 pub fn record() -> Recording {
-    let registry = registry();
-    if LIVE.0.fetch_add(1, Ordering::Relaxed) == 0 {
-        collect(&registry, true);
+    start(None)
+}
+
+/// Starts recording on virtual time: events are stamped with `ns`, the
+/// counter of the fabric's manual `ClockSource`, so a simulated run
+/// traces bit-identically across hosts.
+///
+/// # Panics
+/// If a recording on another clock is live: live recordings share one
+/// clock.
+pub fn record_virtual(ns: Arc<AtomicU64>) -> Recording {
+    start(Some(ns))
+}
+
+fn start(clock: Option<Arc<AtomicU64>>) -> Recording {
+    let mut registry = registry();
+    // relaxed: the live count changes only under the registry lock.
+    if LIVE.0.load(Ordering::Relaxed) == 0 {
+        registry.drain(true);
+        registry.clock = clock;
+        SESSION.fetch_add(1, Ordering::Relaxed);
+    } else {
+        let same = match (&registry.clock, &clock) {
+            (None, None) => true,
+            (Some(live), Some(new)) => Arc::ptr_eq(live, new),
+            _ => false,
+        };
+        assert!(
+            same,
+            "a recording on another clock is live: live recordings share one clock"
+        );
     }
+    // release: publishes the session's clock to `emit`'s acquire load.
+    LIVE.0.fetch_add(1, Ordering::Release);
     Recording(())
 }
 
 impl Recording {
     /// Stops this recording and drains every thread's ring.
     pub fn finish(self) -> Trace {
-        let registry = registry();
-        drop(self);
-        collect(&registry, true)
+        let mut registry = registry();
+        // relaxed: under the registry lock, like every live-count change.
+        LIVE.0.fetch_sub(1, Ordering::Relaxed);
+        std::mem::forget(self);
+        registry.drain(true)
     }
 }
 
 impl Drop for Recording {
     fn drop(&mut self) {
+        // The registry lock keeps `start`'s look at the live count and
+        // the clock consistent with this stop.
+        let _registry = registry();
+        // relaxed: under the registry lock, like every live-count change.
         LIVE.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 /// Drains every thread's ring, resetting them for the next run.
 pub fn take_trace() -> Trace {
-    collect(&registry(), true)
+    registry().drain(true)
 }
 
 /// Copies every thread's ring without resetting.
 pub fn snapshot_trace() -> Trace {
-    collect(&registry(), false)
+    registry().drain(false)
 }
 
 #[cfg(test)]
@@ -422,5 +522,52 @@ mod tests {
         assert_eq!(t.dropped, 2);
         assert_eq!(t.events.len(), 1);
         assert_eq!(t.events[0].a, 2);
+    }
+
+    /// A thread that emits and exits leaves its events to the next
+    /// drain, and its ring to no one after that: a resetting drain lets
+    /// go of the rings only the registry holds.
+    #[test]
+    fn exited_threads_rings_are_released_after_a_resetting_drain() {
+        let _serial = crate::tests::serial();
+        let rec = record();
+        let threads: Vec<_> = (0..16u64)
+            .map(|i| {
+                std::thread::Builder::new()
+                    .name(format!("short-lived-{i}"))
+                    .spawn(move || emit(EventId::PacketTx, i, 0))
+                    .unwrap()
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let short_lived = |trace: &Trace| {
+            trace
+                .threads
+                .iter()
+                .filter(|t| t.name.starts_with("short-lived-"))
+                .map(|t| (t.thread, t.events.len()))
+                .collect::<Vec<_>>()
+        };
+        let first = short_lived(&rec.finish());
+        assert_eq!(first.len(), 16);
+        assert!(first.iter().all(|&(_, events)| events == 1));
+        let mut numbers: Vec<u64> = first.iter().map(|&(n, _)| n).collect();
+        numbers.sort_unstable();
+        numbers.dedup();
+        assert_eq!(numbers.len(), 16, "ring numbers are unique");
+
+        let second = record().finish();
+        assert!(short_lived(&second).is_empty(), "exited rings released");
+    }
+
+    /// Live recordings share one clock.
+    #[test]
+    #[should_panic(expected = "live recordings share one clock")]
+    fn a_second_recording_on_another_clock_panics() {
+        let _serial = crate::tests::serial();
+        let _virtual = record_virtual(Arc::new(AtomicU64::new(0)));
+        let _real = record();
     }
 }

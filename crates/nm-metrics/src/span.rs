@@ -5,9 +5,9 @@
 //! [`next_span_id`]), stored on the request, threaded through the
 //! collect shards and transfer layer, and carried in the reliability
 //! wire header so receive-side and retransmit events on the *other*
-//! rank join the same span. The `Span*` events in [`crate::EventId`]
-//! all carry the span id in `a`; `nm-obs` stitches them into
-//! per-message timelines offline.
+//! rank join the same span. The `Span*` events in
+//! [`crate::trace::EventId`] all carry the span id in `a`;
+//! [`crate::spans`] stitches them into per-message timelines offline.
 //!
 //! Span id `0` is reserved and means "no span": control-only frames
 //! (pure acks), requests created while no recording is live, and
@@ -24,7 +24,7 @@ static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 /// `fetch_add`), 0 ("no span") otherwise.
 #[inline]
 pub fn next_span_id() -> u64 {
-    if !crate::enabled() {
+    if !crate::ring::enabled() {
         return 0;
     }
     // relaxed: a unique-id counter; only uniqueness matters, nothing
@@ -39,7 +39,7 @@ mod tests {
     #[test]
     fn span_ids_are_nonzero_and_distinct() {
         let _serial = crate::tests::serial();
-        let rec = crate::record();
+        let rec = crate::trace::record();
         let a = next_span_id();
         let b = next_span_id();
         rec.finish();

@@ -13,12 +13,12 @@
 
 use std::collections::BTreeMap;
 
-use nm_trace::{EventId, Trace};
+use crate::trace::{EventId, Trace};
 
 /// One span-tagged event in a message's timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Timestamp ([`nm_trace::now_ns`] domain of the emitting rank).
+    /// Timestamp (the clock domain of the emitting rank's recording).
     pub ts: u64,
     /// Which lifecycle step ([`EventId::SpanSubmit`]..=[`EventId::SpanWake`]).
     pub id: EventId,
@@ -236,7 +236,7 @@ impl Breakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nm_trace::{ThreadTrace, TraceEvent};
+    use crate::trace::{ThreadTrace, TraceEvent};
 
     fn trace_of(events: Vec<TraceEvent>) -> Trace {
         Trace {

@@ -30,7 +30,7 @@
 //! `Result<(), MpiError>`, forwarding `nm-core`'s own fallible waits —
 //! the two layers share one error story via `From<CommError>`.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -40,12 +40,11 @@ use nm_sync::WaitStrategy;
 
 use crate::future::{RecvFuture, SendFuture};
 
-/// Latency of facade-level blocking waits ([`Endpoint::wait`] /
-/// [`Comm::wait`], ns) — the application-visible wait cost, one layer
-/// above `core.wait_ns`.
-fn mpi_wait_hist() -> &'static Arc<nm_metrics::Histogram> {
-    static H: OnceLock<Arc<nm_metrics::Histogram>> = OnceLock::new();
-    H.get_or_init(|| nm_metrics::metrics().histogram("mpi.wait_ns"))
+nm_metrics::metric_handles! {
+    /// Latency of facade-level blocking waits ([`Endpoint::wait`] /
+    /// [`Comm::wait`], ns) — the application-visible wait cost, one layer
+    /// above `core.wait_ns`.
+    fn mpi_wait_hist() -> Histogram = histogram("mpi.wait_ns");
 }
 
 /// Errors surfaced by the MPI façade.

@@ -242,14 +242,6 @@ impl World {
         assert!(n >= 2, "a world needs at least two ranks");
         config.validate()?;
 
-        // Route the tracer's clock through the fabric's: manual (sim)
-        // clocks make traces bit-deterministic, real clocks stay real.
-        if let ClockSource::Manual(ns) = &config.clock {
-            nm_trace::install_virtual_clock(Arc::clone(ns));
-        } else {
-            nm_trace::install_real_clock();
-        }
-
         let fabric = Fabric::new(config.clock.clone());
         let ports = fabric.clique(n, &config.rails, config.thread_safe_drivers);
 

@@ -189,7 +189,7 @@ impl ProgressEngine {
         self.polls.incr();
         crate::metrics::polls_counter().incr();
         // The begin→end span is the paper's ~200 ns "PIOMan pass".
-        nm_trace::trace_event!(PollPassBegin);
+        nm_metrics::trace_event!(PollPassBegin);
         let mut progressed = 0;
         for (_, source) in list {
             if source.poll() == PollOutcome::Progressed {
@@ -209,7 +209,7 @@ impl ProgressEngine {
             crate::metrics::empty_poll_streak().set(streak as i64);
             crate::metrics::empty_poll_streak_max().record_max(streak as i64);
         }
-        nm_trace::trace_event!(PollPassEnd, progressed);
+        nm_metrics::trace_event!(PollPassEnd, progressed);
         progressed
     }
 

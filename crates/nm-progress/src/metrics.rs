@@ -7,57 +7,17 @@
 //! depth) and the consecutive-empty-poll streak that signals an idle or
 //! starved engine.
 
-use std::sync::{Arc, OnceLock};
-
-use nm_metrics::{Counter, Gauge};
-
-macro_rules! global_counter {
-    ($fn_name:ident, $metric:literal, $doc:literal) => {
-        #[doc = $doc]
-        pub fn $fn_name() -> &'static Arc<Counter> {
-            static C: OnceLock<Arc<Counter>> = OnceLock::new();
-            C.get_or_init(|| nm_metrics::metrics().counter($metric))
-        }
-    };
+nm_metrics::metric_handles! {
+    /// Polling passes across all engines (rate = polls/sec).
+    pub fn polls_counter() -> Counter = counter("progress.polls");
+    /// Source passes that reported progress, across all engines.
+    pub fn progressions_counter() -> Counter = counter("progress.progressions");
+    /// Current run of consecutive poll passes with zero progress.
+    pub fn empty_poll_streak() -> Gauge = gauge("progress.empty_poll_streak");
+    /// High watermark of the consecutive-empty-poll streak.
+    pub fn empty_poll_streak_max() -> Gauge = gauge("progress.empty_poll_streak_max");
+    /// Deferred submissions queued but not yet executed.
+    pub fn offload_backlog() -> Gauge = gauge("progress.offload_backlog");
+    /// Tasklets queued on runner threads, awaiting execution.
+    pub fn tasklet_depth() -> Gauge = gauge("progress.tasklet_depth");
 }
-
-macro_rules! global_gauge {
-    ($fn_name:ident, $metric:literal, $doc:literal) => {
-        #[doc = $doc]
-        pub fn $fn_name() -> &'static Arc<Gauge> {
-            static G: OnceLock<Arc<Gauge>> = OnceLock::new();
-            G.get_or_init(|| nm_metrics::metrics().gauge($metric))
-        }
-    };
-}
-
-global_counter!(
-    polls_counter,
-    "progress.polls",
-    "Polling passes across all engines (rate = polls/sec)."
-);
-global_counter!(
-    progressions_counter,
-    "progress.progressions",
-    "Source passes that reported progress, across all engines."
-);
-global_gauge!(
-    empty_poll_streak,
-    "progress.empty_poll_streak",
-    "Current run of consecutive poll passes with zero progress."
-);
-global_gauge!(
-    empty_poll_streak_max,
-    "progress.empty_poll_streak_max",
-    "High watermark of the consecutive-empty-poll streak."
-);
-global_gauge!(
-    offload_backlog,
-    "progress.offload_backlog",
-    "Deferred submissions queued but not yet executed."
-);
-global_gauge!(
-    tasklet_depth,
-    "progress.tasklet_depth",
-    "Tasklets queued on runner threads, awaiting execution."
-);

@@ -126,13 +126,13 @@ impl Offloader {
                 self.queue.push(Box::new(job));
                 self.deferred.incr();
                 crate::metrics::offload_backlog().add(1);
-                nm_trace::trace_event!(OffloadSubmit, self.mode as usize);
+                nm_metrics::trace_event!(OffloadSubmit, self.mode as usize);
             }
             OffloadMode::Tasklet => {
                 self.queue.push(Box::new(job));
                 self.deferred.incr();
                 crate::metrics::offload_backlog().add(1);
-                nm_trace::trace_event!(OffloadSubmit, self.mode as usize);
+                nm_metrics::trace_event!(OffloadSubmit, self.mode as usize);
                 let (engine, tasklet) = self
                     .tasklet
                     .as_ref()
@@ -153,7 +153,7 @@ impl Offloader {
             crate::metrics::offload_backlog().sub(1);
             // Matched FIFO against OffloadSubmit: the gap is the offload
             // hop (Fig 9's 400 ns idle-core / ~3.1 µs tasklet placement).
-            nm_trace::trace_event!(OffloadRun, self.mode as usize);
+            nm_metrics::trace_event!(OffloadRun, self.mode as usize);
             job();
             ran += 1;
         }

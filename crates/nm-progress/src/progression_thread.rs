@@ -65,7 +65,7 @@ impl ProgressionThread {
                             IdlePolicy::Yield => std::thread::yield_now(),
                             IdlePolicy::Park(d) => {
                                 std::thread::sleep(d);
-                                nm_trace::trace_event!(ProgressionWake);
+                                nm_metrics::trace_event!(ProgressionWake);
                             }
                         }
                     }

@@ -133,7 +133,7 @@ impl TaskletEngine {
             ) {
                 Ok(_) => {
                     if enqueue {
-                        nm_trace::trace_event!(TaskletSched, Arc::as_ptr(tasklet) as usize);
+                        nm_metrics::trace_event!(TaskletSched, Arc::as_ptr(tasklet) as usize);
                         self.shared.pending.push(Arc::clone(tasklet));
                         crate::metrics::tasklet_depth().add(1);
                         let _g = self.shared.lock.lock();
@@ -190,7 +190,7 @@ fn run_one(shared: &Arc<Shared>, tasklet: Arc<Tasklet>) {
     let prev = tasklet.state.swap(RUNNING, Ordering::AcqRel);
     debug_assert_eq!(prev, SCHEDULED, "tasklet dequeued in state {prev}");
     // The TaskletSched→TaskletRun gap is the SCHED→RUN hand-off cost.
-    nm_trace::trace_event!(TaskletRun, Arc::as_ptr(&tasklet) as usize);
+    nm_metrics::trace_event!(TaskletRun, Arc::as_ptr(&tasklet) as usize);
     (tasklet.func)();
     tasklet.runs.incr();
     // RUNNING -> IDLE, unless someone requested a re-run meanwhile.

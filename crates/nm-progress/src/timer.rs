@@ -23,8 +23,8 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use nm_metrics::trace_event;
 use nm_sync::SpinLock;
-use nm_trace::trace_event;
 
 /// Handle to one scheduled deadline (for cancellation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -36,8 +36,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::task::Waker;
 
+use nm_metrics::trace_event;
 use nm_sync::{SpinLock, WakerCell};
-use nm_trace::trace_event;
 
 /// Shard count; ids are distributed by low bits. Power of two.
 const SHARDS: usize = 8;

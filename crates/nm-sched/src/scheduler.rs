@@ -82,7 +82,7 @@ impl WorkerCtx {
     /// Cooperative yield: fires the context-switch hooks (where PIOMan
     /// polls the network in the paper) without descheduling the task.
     pub fn yield_now(&self) {
-        nm_trace::trace_event!(CtxSwitch, self.worker);
+        nm_metrics::trace_event!(CtxSwitch, self.worker);
         self.inner.hooks.fire(HookEvent::Yield {
             worker: self.worker,
         });
@@ -275,7 +275,7 @@ fn worker_loop(index: usize, local: Deque<Task>, inner: Arc<Inner>, core: Option
             inner.worker_stats[index].executed.incr();
             task(&ctx);
             // Task boundary = context switch point.
-            nm_trace::trace_event!(CtxSwitch, index);
+            nm_metrics::trace_event!(CtxSwitch, index);
             inner.hooks.fire(HookEvent::Yield { worker: index });
             continue;
         }
@@ -283,7 +283,7 @@ fn worker_loop(index: usize, local: Deque<Task>, inner: Arc<Inner>, core: Option
             return;
         }
         // Nothing runnable: this is the "idle core" the paper exploits.
-        nm_trace::trace_event!(IdleHook, index);
+        nm_metrics::trace_event!(IdleHook, index);
         inner.hooks.fire(HookEvent::Idle { worker: index });
         let mut g = inner.idle_lock.lock();
         // Re-check under the lock to avoid sleeping through a wakeup.

@@ -60,7 +60,7 @@ impl CompletionFlag {
     /// blocked waiter this takes no lock and makes no `notify` call.
     pub fn signal(&self) {
         let prev = self.state.fetch_or(SET, Ordering::AcqRel);
-        nm_trace::trace_event!(FlagSignal);
+        nm_metrics::trace_event!(FlagSignal);
         if prev & WAITING != 0 {
             // A waiter set `WAITING` under the mutex and holds it until
             // `cond.wait` releases it, so once we hold the mutex it is
@@ -101,7 +101,7 @@ impl CompletionFlag {
             None => loop {
                 poll();
                 if self.is_set() {
-                    nm_trace::trace_event!(WaitSpun, 0u64);
+                    nm_metrics::trace_event!(WaitSpun, 0u64);
                     return;
                 }
                 std::hint::spin_loop();
@@ -111,7 +111,7 @@ impl CompletionFlag {
                 loop {
                     poll();
                     if self.is_set() {
-                        nm_trace::trace_event!(WaitSpun, 1u64);
+                        nm_metrics::trace_event!(WaitSpun, 1u64);
                         return;
                     }
                     std::hint::spin_loop();
@@ -119,11 +119,11 @@ impl CompletionFlag {
                         break;
                     }
                 }
-                nm_trace::trace_event!(WaitBlocked, 1u64);
+                nm_metrics::trace_event!(WaitBlocked, 1u64);
                 self.block();
             }
             _ => {
-                nm_trace::trace_event!(WaitBlocked, 2u64);
+                nm_metrics::trace_event!(WaitBlocked, 2u64);
                 self.block();
             }
         }
@@ -173,11 +173,11 @@ impl CompletionFlag {
         if self.announce_waiter() {
             return;
         }
-        nm_trace::trace_event!(ThreadBlock);
+        nm_metrics::trace_event!(ThreadBlock);
         while !self.is_set() {
             self.cond.wait(&mut guard);
         }
-        nm_trace::trace_event!(ThreadWake);
+        nm_metrics::trace_event!(ThreadWake);
     }
 
     fn block_until(&self, deadline: Instant) -> bool {
@@ -185,13 +185,13 @@ impl CompletionFlag {
         if self.announce_waiter() {
             return true;
         }
-        nm_trace::trace_event!(ThreadBlock);
+        nm_metrics::trace_event!(ThreadBlock);
         while !self.is_set() {
             if self.cond.wait_until(&mut guard, deadline).timed_out() {
                 return self.is_set();
             }
         }
-        nm_trace::trace_event!(ThreadWake);
+        nm_metrics::trace_event!(ThreadWake);
         true
     }
 }

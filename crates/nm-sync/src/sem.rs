@@ -159,13 +159,13 @@ impl Semaphore {
         if state.permits <= 0 {
             // The ThreadBlock→ThreadWake span around an actual condvar
             // sleep is the paper's ~750 ns blocking context switch.
-            nm_trace::trace_event!(ThreadBlock);
+            nm_metrics::trace_event!(ThreadBlock);
             state.blocked += 1;
             while state.permits <= 0 {
                 self.cond.wait(&mut state);
             }
             state.blocked -= 1;
-            nm_trace::trace_event!(ThreadWake);
+            nm_metrics::trace_event!(ThreadWake);
         }
         state.permits -= 1;
     }

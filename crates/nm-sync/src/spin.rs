@@ -103,7 +103,7 @@ impl RawSpin {
         {
             self.stats.record_acquire(false);
             self.note_acquired();
-            nm_trace::trace_event!(LockAcquire, self.lock_id(), 0u64);
+            nm_metrics::trace_event!(LockAcquire, self.lock_id(), 0u64);
             return;
         }
         self.lock_contended();
@@ -162,7 +162,7 @@ impl RawSpin {
                 crate::stats::lock_wait_hist().record(start.elapsed().as_nanos() as u64);
                 self.stats.record_acquire(true);
                 self.note_acquired();
-                nm_trace::trace_event!(LockAcquire, self.lock_id(), 1u64);
+                nm_metrics::trace_event!(LockAcquire, self.lock_id(), 1u64);
                 return;
             }
         }
@@ -179,7 +179,7 @@ impl RawSpin {
         if ok {
             self.stats.record_acquire(false);
             self.note_acquired();
-            nm_trace::trace_event!(LockAcquire, self.lock_id(), 0u64);
+            nm_metrics::trace_event!(LockAcquire, self.lock_id(), 0u64);
         }
         ok
     }
@@ -196,7 +196,7 @@ impl RawSpin {
             "RawSpin::unlock called on an unlocked lock"
         );
         self.note_released();
-        nm_trace::trace_event!(LockRelease, self.lock_id());
+        nm_metrics::trace_event!(LockRelease, self.lock_id());
         self.locked.store(false, Ordering::Release);
     }
 

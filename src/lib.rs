@@ -20,11 +20,11 @@
 //! * [`sim`] — discrete-event deterministic twin.
 //! * [`bench`] — the one bench crate: harness library, `figures` binary
 //!   and criterion benches that regenerate the paper's figures.
-//! * [`trace`] — low-overhead event tracing (records only while an
-//!   `nm_trace::record()` recording is live; see `docs/TRACING.md`).
-//! * [`metrics`] — always-on latency histograms, gauges, rate counters
-//!   and the one counters registry, with OpenMetrics/JSON export (see
-//!   `docs/METRICS.md`).
+//! * [`metrics`] — observability: always-on latency histograms, gauges,
+//!   rate counters and the one counters registry with OpenMetrics/JSON
+//!   export; event tracing while a `metrics::trace::record()` recording
+//!   is live; per-message span timelines and the failure flight recorder
+//!   (see `docs/OBSERVABILITY.md`).
 //!
 //! ## Quickstart
 //!
@@ -54,10 +54,8 @@ pub use nm_core as core;
 pub use nm_fabric as fabric;
 pub use nm_metrics as metrics;
 pub use nm_mpi as mpi;
-pub use nm_obs as obs;
 pub use nm_progress as progress;
 pub use nm_sched as sched;
 pub use nm_sim as sim;
 pub use nm_sync as sync;
 pub use nm_topo as topo;
-pub use nm_trace as trace;

@@ -16,10 +16,10 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use nomad::fabric::{ClockSource, WireModel};
+use nomad::metrics::spans::{assemble, Breakdown};
+use nomad::metrics::trace::{self, EventId};
 use nomad::mpi::{ThreadLevel, World, WorldBuilder};
-use nomad::obs::{assemble, Breakdown};
 use nomad::sync::Semaphore;
-use nomad::trace::{self, EventId};
 
 const PINGPONGS: u64 = 16;
 

@@ -16,23 +16,27 @@ use bytes::Bytes;
 
 use nomad::core::{Completion, CompletionQueue, GateId};
 use nomad::fabric::{ClockSource, WireModel};
+use nomad::metrics::trace::{self, EventId};
 use nomad::mpi::exec::{block_on_with, join_all};
 use nomad::mpi::{ThreadLevel, World, WorldBuilder};
 use nomad::sync::WaitStrategy;
-use nomad::trace::{self, EventId};
 
 const OPS: u64 = 16;
 
 #[test]
 fn async_batch_has_exact_completion_event_counts() {
+    let clock = ClockSource::manual();
+    let ClockSource::Manual(ns) = clock.clone() else {
+        unreachable!("a manual clock")
+    };
     let config = WorldBuilder::new(ThreadLevel::Multiple)
-        .clock(ClockSource::manual())
+        .clock(clock)
         .rails(vec![WireModel::ideal()]);
     let world = World::with_config(2, config);
     let (a, b) = world.comm_pair();
     let (to_b, to_a) = (a.sole_peer().unwrap(), b.sole_peer().unwrap());
 
-    let rec = trace::record();
+    let rec = trace::record_virtual(ns);
 
     // --- queue + handler completions through the core API -------------
     let cq = CompletionQueue::new();

@@ -14,8 +14,8 @@ use bytes::Bytes;
 use nomad::core::wire::{decode_bare_frame, FRAME_SPAN_BYTES};
 use nomad::core::{CommCore, CoreBuilder, CoreConfig, GateId};
 use nomad::fabric::{Driver, DriverCaps, LoopbackDriver, PostError};
+use nomad::metrics::trace::{self, EventId};
 use nomad::mpi::{ThreadLevel, World};
-use nomad::trace::{self, EventId};
 
 const G: GateId = GateId(0);
 

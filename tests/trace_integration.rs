@@ -14,20 +14,23 @@
 use std::sync::Arc;
 
 use nomad::fabric::{ClockSource, WireModel};
+use nomad::metrics::trace::{self, EventId, TraceReport};
 use nomad::mpi::{ThreadLevel, World, WorldBuilder};
 use nomad::sync::Semaphore;
-use nomad::trace::{self, EventId, TraceReport};
 
 const PINGPONGS: u64 = 32;
 
 #[test]
 fn traced_sim_pingpong_has_exact_event_counts() {
     // Manual clock + ideal wire: everything is deliverable at t = 0, so
-    // the pingpong runs to completion without advancing time, and
-    // `World::try_with_config` routes the trace clock to the same
-    // virtual time base as the fabric.
+    // the pingpong runs to completion without advancing time, and the
+    // recording stamps events with the fabric's virtual time.
+    let clock = ClockSource::manual();
+    let ClockSource::Manual(ns) = clock.clone() else {
+        unreachable!("a manual clock")
+    };
     let config = WorldBuilder::new(ThreadLevel::Multiple)
-        .clock(ClockSource::manual())
+        .clock(clock)
         .rails(vec![WireModel::ideal()]);
     let world = World::with_config(2, config);
     let (a, b) = world.comm_pair();
@@ -37,7 +40,7 @@ fn traced_sim_pingpong_has_exact_event_counts() {
     let echoed = Arc::new(Semaphore::new(0)); // echo is on the wire
     let (sent2, echoed2) = (Arc::clone(&sent), Arc::clone(&echoed));
 
-    let rec = trace::record();
+    let rec = trace::record_virtual(ns);
     let echo = std::thread::spawn(move || {
         for i in 0..PINGPONGS {
             let r = to_a.irecv(i).expect("echo irecv");

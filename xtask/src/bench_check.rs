@@ -7,8 +7,9 @@
 //! the baseline **exactly**. The `chaos/*` records run the real
 //! `nm-core` reliability layer on that clock; the rest come from the
 //! `nm-sim` models. Any drift means a model or the library changed, and
-//! the baseline must be consciously refreshed (see docs/METRICS.md). Wall-clock numbers of the real stack are gated by
-//! the stand-alone `benchmark/` package (`benchmark/README.md`).
+//! the baseline must be consciously refreshed (see docs/REPRODUCING.md).
+//! Wall-clock numbers of the real stack are gated by the stand-alone
+//! `benchmark/` package (`benchmark/README.md`).
 //!
 //! xtask is dependency-free; the JSON reader lives in [`crate::json`]
 //! and covers the subset the bench schema uses.
@@ -90,7 +91,7 @@ pub fn run(root: &Path, args: &[String]) -> ExitCode {
         eprintln!(
             "bench-check: if the change is intentional, refresh the baseline\n  \
              (cargo run --release -p nm-bench --bin figures -- bench --json)\n  \
-             and commit the new {BENCH_FILE} — see docs/METRICS.md."
+             and commit the new {BENCH_FILE} — see docs/REPRODUCING.md."
         );
         ExitCode::FAILURE
     }

@@ -37,6 +37,10 @@
 //!    happens to be named `wait`) carries a `// handler-ok: <why>`
 //!    comment within three lines.
 //!
+//! An allow-list file or hot-path crate that names nothing on disk is an
+//! error too (`stale-lint-path`): a renamed or moved entry would otherwise
+//! silently exempt, or check, nothing.
+//!
 //! The lint is text-based on purpose: it runs in under a second with no
 //! compilation, and the patterns involved are unambiguous in this codebase.
 //! String literals could in principle fool it; don't put `unsafe` in one.
@@ -57,7 +61,7 @@ const RELAXED_ALLOW_LIST: &[&str] = &[
     "crates/nm-metrics/src/hist.rs",
     // Per-thread trace rings: module docs state the Relaxed-stores +
     // Release-cursor publication protocol once for the whole file.
-    "crates/nm-trace/src/ring.rs",
+    "crates/nm-metrics/src/ring.rs",
 ];
 
 /// Path prefixes exempt from the Relaxed rule. `compat/` holds vendored
@@ -149,7 +153,29 @@ pub fn lint_tree(root: &Path) -> (usize, Vec<Finding>) {
         checked += 1;
         lint_file(&rel, &text, &mut violations);
     }
+    violations.extend(stale_paths(root, RELAXED_ALLOW_LIST, HOT_PATH_CRATES));
     (checked, violations)
+}
+
+/// Allow-list files and hot-path crates that do not exist under `root`.
+fn stale_paths(root: &Path, allow_list: &[&str], hot_path_crates: &[&str]) -> Vec<Finding> {
+    let missing_files = allow_list.iter().filter(|f| !root.join(f).is_file());
+    let missing_crates = hot_path_crates
+        .iter()
+        .filter(|c| !root.join(c).join("src").is_dir());
+    missing_files
+        .map(|f| (f, "RELAXED_ALLOW_LIST file"))
+        .chain(missing_crates.map(|c| (c, "HOT_PATH_CRATES crate")))
+        .map(|(path, what)| {
+            Finding::new(
+                "stale-lint-path",
+                Severity::Error,
+                "xtask/src/lint_concurrency.rs",
+                0,
+                format!("{what} `{path}` does not exist: it checks nothing — move or remove it"),
+            )
+        })
+        .collect()
 }
 
 /// Call patterns that install a completion handler; the closure argument
@@ -445,6 +471,22 @@ mod tests {
         let mut v = Vec::new();
         lint_file(rel, text, &mut v);
         v.iter().map(|x| x.rule.to_string()).collect()
+    }
+
+    #[test]
+    fn missing_allow_list_and_hot_path_entries_are_errors() {
+        let root = crate::workspace_root();
+        let stale = stale_paths(
+            &root,
+            &["crates/nm-metrics/src/ring.rs", "crates/gone/src/ring.rs"],
+            &["crates/core", "crates/gone"],
+        );
+        let messages: Vec<&str> = stale.iter().map(|f| f.message.as_str()).collect();
+        assert_eq!(stale.len(), 2, "{messages:?}");
+        assert!(stale.iter().all(|f| f.rule == "stale-lint-path"));
+        assert!(messages[0].contains("`crates/gone/src/ring.rs`"));
+        assert!(messages[1].contains("`crates/gone`"));
+        assert!(stale_paths(&root, RELAXED_ALLOW_LIST, HOT_PATH_CRATES).is_empty());
     }
 
     #[test]

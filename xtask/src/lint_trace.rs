@@ -1,29 +1,23 @@
-//! `cargo xtask lint-trace`: keeps `trace_event!` call sites and the
-//! registered schema in `crates/nm-trace/src/events.rs` from drifting
-//! apart.
+//! `cargo xtask lint-trace`: keeps the event list, the metric
+//! declarations and `docs/OBSERVABILITY.md` from drifting apart.
 //!
 //! Two rules:
 //!
-//! 1. **Every emitted event is registered.** Each `trace_event!(Name, ...)`
-//!    site in the workspace must name a variant of `EventId` — an
-//!    unregistered name would be a compile error, but `trace_event!`
-//!    sites inside `#[cfg]`-gated or macro-generated code can dodge the
-//!    compiler, and this lint also runs without compiling anything.
-//! 2. **Every registered event is emitted (or schema-only by design).**
-//!    A variant with no `trace_event!`/`emit(` site anywhere is dead
-//!    schema: either instrument it or retire it. Variants exercised only
-//!    through `EventId::Name` expressions (tests, replay scripts like
-//!    `nm-bench`'s `fromtrace`) count as used.
-//!
-//! A third rule keeps the *metrics* catalogue honest the same way:
-//!
-//! 3. **`docs/METRICS.md` and the metric registrations agree.** Every
-//!    dotted metric name registered in the workspace
-//!    (`histogram("x")` / `counter("x")` / `gauge("x")` call sites and
-//!    the `global_hist!`/`global_counter!`/`global_gauge!` wrappers)
-//!    must appear backticked in the catalogue, and every name the
-//!    catalogue lists must still be registered somewhere. `test.` and
-//!    `bench.` names are scaffolding and exempt.
+//! 1. **Every registered event is emitted (or schema-only by design).**
+//!    A variant of the `events!` list in `crates/nm-metrics/src/events.rs`
+//!    with no `trace_event!`/`emit(` site anywhere is dead schema: either
+//!    instrument it or retire it. Variants exercised only through
+//!    `EventId::Name` expressions (tests, replay scripts like `nm-bench`'s
+//!    `fromtrace`) count as used. An *unregistered* name needs no rule:
+//!    `trace_event!` expands to a path into `EventId`, so it does not
+//!    compile.
+//! 2. **The metric catalogue and the metric registrations agree.** Every
+//!    dotted metric name registered in the workspace (the
+//!    `histogram("x")` / `counter("x")` / `gauge("x")` lookups, which
+//!    `metric_handles!` items spell too) must appear backticked in the
+//!    catalogue, and every name the catalogue lists must still be
+//!    registered somewhere. `test.` and `bench.` names are scaffolding
+//!    and exempt.
 //!
 //! The scan is textual, like `lint-concurrency`: it runs in milliseconds
 //! and the `trace_event!(Identifier` shape is unambiguous in this
@@ -34,11 +28,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::process::ExitCode;
 
-/// Where the schema lives, relative to the workspace root.
-const EVENTS_RS: &str = "crates/nm-trace/src/events.rs";
+/// Where the event list lives, relative to the workspace root.
+const EVENTS_RS: &str = "crates/nm-metrics/src/events.rs";
 
-/// The metric catalogue, relative to the workspace root.
-const METRICS_MD: &str = "docs/METRICS.md";
+/// The observability doc holding the metric catalogue, relative to the
+/// workspace root.
+const METRICS_MD: &str = "docs/OBSERVABILITY.md";
 
 /// `true` for the dotted-name shape metrics use (`core.send_ns`):
 /// lowercase/digit/underscore segments joined by at least one dot.
@@ -62,22 +57,11 @@ fn doc_metric_names(md: &str) -> BTreeSet<String> {
 }
 
 /// Scans one file for metric registrations, recording
-/// `name -> (file, line)` for the first site of each name. Covers
-/// direct `histogram("x")`/`counter("x")`/`gauge("x")` calls and the
-/// `global_hist!`-style wrappers whose name literal sits on a later
-/// line of the macro invocation.
+/// `name -> (file, line)` for the first site of each name: every
+/// `histogram("x")`/`counter("x")`/`gauge("x")` lookup, which is also
+/// how `metric_handles!` items name theirs.
 fn scan_metrics(rel: &str, text: &str, names: &mut BTreeMap<String, (String, usize)>) {
     const CALLS: [&str; 3] = ["histogram(\"", "counter(\"", "gauge(\""];
-    const MACROS: [&str; 3] = ["global_hist!(", "global_counter!(", "global_gauge!("];
-    let record = |name: &str, line: usize, names: &mut BTreeMap<String, (String, usize)>| {
-        if is_metric_name(name) && !name.starts_with("test.") && !name.starts_with("bench.") {
-            names
-                .entry(name.to_string())
-                .or_insert_with(|| (rel.to_string(), line));
-        }
-    };
-    // A `global_*!(` opener still waiting for its name literal.
-    let mut pending_macro = false;
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.split("//").next().unwrap_or_default();
         for call in CALLS {
@@ -85,29 +69,22 @@ fn scan_metrics(rel: &str, text: &str, names: &mut BTreeMap<String, (String, usi
             while let Some(pos) = rest.find(call) {
                 let after = &rest[pos + call.len()..];
                 if let Some(name) = after.split('"').next() {
-                    record(name, idx + 1, names);
+                    if is_metric_name(name)
+                        && !name.starts_with("test.")
+                        && !name.starts_with("bench.")
+                    {
+                        names
+                            .entry(name.to_string())
+                            .or_insert_with(|| (rel.to_string(), idx + 1));
+                    }
                 }
                 rest = after;
-            }
-        }
-        if MACROS.iter().any(|m| line.contains(m)) {
-            pending_macro = true;
-        }
-        if pending_macro {
-            // First string literal of the invocation is the metric name
-            // (the handle fn name before it is a bare identifier).
-            let mut parts = line.split('"');
-            if parts.next().is_some() {
-                if let Some(name) = parts.next() {
-                    record(name, idx + 1, names);
-                    pending_macro = false;
-                }
             }
         }
     }
 }
 
-/// Rule 3: the catalogue and the registrations must match exactly.
+/// Rule 2: the catalogue and the registrations must match exactly.
 fn check_metrics(doc: &BTreeSet<String>, code: &BTreeMap<String, (String, usize)>) -> Vec<Finding> {
     let mut problems = Vec::new();
     for (name, (file, line)) in code {
@@ -138,24 +115,22 @@ fn check_metrics(doc: &BTreeSet<String>, code: &BTreeMap<String, (String, usize)
     problems
 }
 
-/// Extracts the registered variant names from the `EventId` enum block.
+/// Extracts the registered variant names from the `events!` list the
+/// `EventId` enum is generated from.
 fn registered_variants(events_src: &str) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    let mut in_enum = false;
+    let mut in_list = false;
     for line in events_src.lines() {
         let t = line.trim();
-        if t.starts_with("pub enum EventId") {
-            in_enum = true;
-            continue;
-        }
-        if in_enum {
-            if t == "}" {
-                break;
-            }
-            // Variant lines look like `LockAcquire = 1,`.
-            if let Some((name, rest)) = t.split_once('=') {
-                let name = name.trim();
-                if rest.trim_end_matches(',').trim().parse::<u16>().is_ok()
+        if t == "events! {" {
+            in_list = true;
+        } else if in_list && t == "}" {
+            break;
+        } else if in_list {
+            // Rows look like `LockAcquire = 1, "nm-sync", "a=lock id";`.
+            if let Some((name, rest)) = t.split_once(" = ") {
+                let raw = rest.split(',').next().unwrap_or_default();
+                if raw.parse::<u16>().is_ok()
                     && name.chars().next().is_some_and(|c| c.is_ascii_uppercase())
                     && name.chars().all(|c| c.is_ascii_alphanumeric())
                 {
@@ -210,30 +185,14 @@ fn check(
     sites: &[(String, usize, String)],
     referenced: &BTreeSet<String>,
 ) -> Vec<Finding> {
-    let mut problems = Vec::new();
-    for (file, line, name) in sites {
-        if !registered.contains(name) {
-            problems.push(Finding::new(
-                "trace-unregistered-event",
-                Severity::Error,
-                file.clone(),
-                *line,
-                format!(
-                    "trace_event!({name}) is not a registered \
-                     EventId variant — add it to {EVENTS_RS}"
-                ),
-            ));
-        }
-    }
-    // Count emissions per registered variant (macro sites + direct
-    // EventId:: references, which cover emit() calls and replay scripts).
-    let mut emitted: BTreeMap<&str, usize> = BTreeMap::new();
-    for (_, _, name) in sites {
-        *emitted.entry(name.as_str()).or_insert(0) += 1;
-    }
-    for name in registered {
-        if !emitted.contains_key(name.as_str()) && !referenced.contains(name) {
-            problems.push(Finding::new(
+    // An event is used by a macro site or a direct `EventId::` reference
+    // (which covers emit() calls and replay scripts).
+    let emitted: BTreeSet<&str> = sites.iter().map(|(_, _, name)| name.as_str()).collect();
+    registered
+        .iter()
+        .filter(|name| !emitted.contains(name.as_str()) && !referenced.contains(*name))
+        .map(|name| {
+            Finding::new(
                 "trace-dead-event",
                 Severity::Error,
                 EVENTS_RS,
@@ -242,10 +201,9 @@ fn check(
                     "EventId::{name} is registered but never \
                      emitted or referenced anywhere — instrument it or retire it"
                 ),
-            ));
-        }
-    }
-    problems
+            )
+        })
+        .collect()
 }
 
 pub fn run(root: &Path, args: &[String]) -> ExitCode {
@@ -324,8 +282,8 @@ pub fn run(root: &Path, args: &[String]) -> ExitCode {
             eprintln!("{p}");
         }
         eprintln!(
-            "\nlint-trace: {} problem(s). The schema in {EVENTS_RS} is the \
-             single source of truth (docs/TRACING.md).",
+            "\nlint-trace: {} problem(s). The event list in {EVENTS_RS} and \
+             the catalogue in {METRICS_MD} are the sources of truth.",
             problems.len()
         );
         ExitCode::FAILURE
@@ -337,11 +295,16 @@ mod tests {
     use super::*;
 
     const FAKE_EVENTS: &str = r#"
-pub enum EventId {
+macro_rules! events {
+    ($($name:ident = $raw:literal, $layer:literal, $args:literal;)*) => {};
+}
+
+events! {
     // ---- layer ----
-    LockAcquire = 1,
-    LockRelease = 2,
-    PacketTx = 64,
+    /// Docs do not count.
+    LockAcquire = 1, "nm-sync", "a=lock id";
+    LockRelease = 2, "nm-sync", "a=lock id";
+    PacketTx = 64, "nm-fabric", "a=bytes";
 }
 "#;
 
@@ -371,16 +334,6 @@ pub enum EventId {
         assert_eq!(sites.len(), 3);
         assert_eq!(sites[1].2, "PacketTx");
         assert!(refs.contains("LockAcquire"));
-    }
-
-    #[test]
-    fn unregistered_site_is_a_problem() {
-        let sites = vec![("a.rs".into(), 3, "NotAnEvent".into())];
-        let problems = check(&registered(), &sites, &BTreeSet::new());
-        assert_eq!(problems.len(), 1 + registered().len());
-        assert_eq!(problems[0].rule, "trace-unregistered-event");
-        assert_eq!((problems[0].file.as_str(), problems[0].line), ("a.rs", 3));
-        assert!(problems[0].message.contains("NotAnEvent"));
     }
 
     #[test]
@@ -414,11 +367,11 @@ pub enum EventId {
     fn metric_scan_sees_calls_and_global_macros() {
         let src = r#"
             let h = nm_metrics::metrics().histogram("core.send_ns");
-            global_counter!(
-                polls_counter,
-                "progress.polls",
-                "Polling passes."
-            );
+            nm_metrics::metric_handles! {
+                /// Polling passes ("rate" in polls/sec).
+                pub fn polls_counter() -> Counter = counter("progress.polls");
+                fn streak() -> Gauge = gauge("test.streak");
+            }
             metrics().gauge("test.reg.gauge");
         "#;
         let mut names = BTreeMap::new();

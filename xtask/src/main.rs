@@ -5,12 +5,12 @@
 //!
 //! * `lint-concurrency` — concurrency rules that rustc/clippy cannot
 //!   express (see `docs/CONCURRENCY.md`).
-//! * `lint-trace` — `trace_event!` sites must match the registered
-//!   `EventId` schema, and every registered event must be emitted
-//!   somewhere (see `docs/TRACING.md`).
+//! * `lint-trace` — every event of the `EventId` list must be emitted
+//!   somewhere, and the metric catalogue must match the registered
+//!   metric names (see `docs/OBSERVABILITY.md`).
 //! * `bench-check` — reruns `figures bench --json` and compares the
 //!   fresh results against the committed `BENCH_FIGURES.json` baseline
-//!   (see `docs/METRICS.md`).
+//!   (see `docs/REPRODUCING.md`).
 //! * `analyze-locks` — whole-program static lock-order analysis:
 //!   extracts every classed acquisition site, builds a conservative
 //!   may-hold-while-acquiring graph, reports potential deadlock cycles,
@@ -70,8 +70,8 @@ fn print_usage() {
          lint-concurrency   check memory-ordering justifications, hot-path\n                     \
          primitive bans and SAFETY comment coverage\n                     \
          (--json / --out <path> for the shared finding schema)\n  \
-         lint-trace         check trace_event! sites against the registered\n                     \
-         EventId schema (and that no event is dead)\n                     \
+         lint-trace         check that every registered event is emitted and\n                     \
+         that the metric catalogue matches the registrations\n                     \
          (--json / --out <path>)\n  \
          bench-check        rerun `figures bench --json` and compare against\n                     \
          the committed BENCH_FIGURES.json baseline\n  \
