@@ -222,9 +222,10 @@ impl BytesMut {
         self.buf.extend_from_slice(s);
     }
 
-    /// Creates a buffer of `len` zero bytes.
-    pub fn zeroed(len: usize) -> Self {
-        BytesMut { buf: vec![0; len] }
+    /// Sets the length to `new_len`: truncates, or appends copies of
+    /// `value` to fill the buffer up to it.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.buf.resize(new_len, value);
     }
 
     /// Converts the accumulated bytes into an immutable [`Bytes`]; the

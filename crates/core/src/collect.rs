@@ -2,9 +2,7 @@
 //! list, receive posting and tag matching, dispatch of inbound packets,
 //! and the resequencer that releases messages in send order.
 
-use std::collections::BTreeMap;
-
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use nm_progress::OffloadMode;
 
@@ -12,13 +10,13 @@ use crate::comm::CommCore;
 use crate::completion::Completion;
 use crate::error::CommError;
 use crate::gate::{
-    seq_lt, Gate, GateId, Parked, PendingRts, PostedRecv, RdvRecv, RdvSend, RxState, TagPattern,
-    UnexpectedMsg,
+    seq_lt, Gate, GateId, Landing, Parked, PendingRts, PostedRecv, RdvRecv, RdvSend, RxState,
+    TagPattern, UnexpectedMsg,
 };
 use crate::locking::SectionKind;
 use crate::request::{Request, RequestKind};
 use crate::strategy::{SendItem, SendItemKind};
-use crate::wire::{decode_packet, Entry};
+use crate::wire::{decode_packet, decode_packet_with_body, Entry};
 
 /// Effects that must run outside the collect section (completions signal
 /// condvars; CTS starts chunk distribution over rails).
@@ -209,15 +207,7 @@ impl CommCore {
                         let msg = rx.take_unexpected_matching(pattern).expect("peeked");
                         then = Then::Complete(msg.tag, msg.data);
                     } else if let Some(rts) = rx.take_pending_rts(pattern) {
-                        rx.rdv_in_insert(RdvRecv {
-                            tag: rts.tag,
-                            seq: rts.seq,
-                            total: rts.total,
-                            received: 0,
-                            buf: BytesMut::zeroed(rts.total as usize),
-                            req: req.clone(),
-                            chunks: BTreeMap::new(),
-                        });
+                        rx.rdv_in_insert(RdvRecv::new(rts.tag, rts.seq, rts.total, req.clone()));
                         self.stats.rdv_accepted.incr();
                         then = Then::PumpCts(rts.tag, rts.seq);
                     } else {
@@ -253,13 +243,19 @@ impl CommCore {
         Ok(req)
     }
 
-    /// Decodes one inbound packet and applies its entries. `wire_span`
-    /// is the span the carrying frame advertised (the sender's message
-    /// span, 0 = none); completions emit `SpanDeliver` against it so
-    /// the receive side joins the sender's timeline.
-    pub(crate) fn dispatch(&self, g: &Gate, raw: Bytes, wire_span: u64) {
-        nm_metrics::trace_event!(DispatchBegin, g.id.0, raw.len());
-        let entries = match decode_packet(raw) {
+    /// Decodes one inbound packet and applies its entries. `body` is the
+    /// body of a two-part frame, the payload of the packet's one `DATA`
+    /// entry. `wire_span` is the span the carrying frame advertised (the
+    /// sender's message span, 0 = none); completions emit `SpanDeliver`
+    /// against it so the receive side joins the sender's timeline.
+    pub(crate) fn dispatch(&self, g: &Gate, raw: Bytes, body: Option<Bytes>, wire_span: u64) {
+        let packet_len = || raw.len() + body.as_ref().map_or(0, Bytes::len);
+        nm_metrics::trace_event!(DispatchBegin, g.id.0, packet_len());
+        let decoded = match body {
+            None => decode_packet(raw),
+            Some(body) => decode_packet_with_body(raw, body),
+        };
+        let entries = match decoded {
             Ok(e) => e,
             Err(_) => {
                 self.stats.wire_errors.incr();
@@ -307,23 +303,18 @@ impl CommCore {
                             self.stats.wire_errors.incr();
                             return;
                         }
-                        let (start, end) = (offset as usize, offset as usize + data.len());
-                        if end > r.buf.len() {
-                            self.stats.wire_errors.incr();
-                            return;
-                        }
-                        if !r.mark_chunk(offset, data.len() as u32) {
-                            // Redelivered chunk: the bytes are already in
-                            // place; counting it again would complete a
-                            // short reassembly.
-                            self.stats.dup_dropped.incr();
-                            return;
-                        }
-                        r.buf[start..end].copy_from_slice(&data);
-                        r.received += data.len() as u32;
-                        if r.received == r.total {
-                            let done = rx.rdv_in_remove(seq).expect("reassembly just updated");
-                            after.push(After::CompleteRecv(done.req, done.tag, done.buf.freeze()));
+                        match r.land(offset, &data) {
+                            Landing::Duplicate => self.stats.dup_dropped.incr(),
+                            Landing::Invalid => self.stats.wire_errors.incr(),
+                            Landing::Landed if r.is_complete() => {
+                                let done = rx.rdv_in_remove(seq).expect("reassembly just updated");
+                                after.push(After::CompleteRecv(
+                                    done.req,
+                                    done.tag,
+                                    done.buf.freeze(),
+                                ));
+                            }
+                            Landing::Landed => {}
                         }
                     }),
                 }
@@ -386,15 +377,7 @@ impl CommCore {
         let PendingRts { tag, seq, total } = rts;
         if let Some(p) = rx.take_posted(tag) {
             let recv_span = p.req.span();
-            rx.rdv_in_insert(RdvRecv {
-                tag,
-                seq,
-                total,
-                received: 0,
-                buf: BytesMut::zeroed(total as usize),
-                req: p.req,
-                chunks: BTreeMap::new(),
-            });
+            rx.rdv_in_insert(RdvRecv::new(tag, seq, total, p.req));
             self.stats.rdv_accepted.incr();
             cts_out.push((tag, seq, recv_span));
         } else if !rx.push_pending_rts(rts) {

@@ -217,7 +217,7 @@ impl CommCore {
     /// clock is read by the shard that polls it.
     ///
     /// In coarse mode a pass that would find nothing is told apart
-    /// before the library-wide lock is taken (see [`CommCore::quiet`]):
+    /// before the library-wide lock is taken (see `CommCore::quiet`):
     /// it returns 0 without entering any section.
     pub fn progress_shard(&self, shard: usize, num_shards: usize) -> usize {
         assert!(num_shards > 0 && shard < num_shards, "shard out of range");

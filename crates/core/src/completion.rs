@@ -13,7 +13,8 @@
 //!   [`CompletionQueue`]; any number of drainer threads `poll()`/`wait()`
 //!   it. One queue serves unbounded outstanding operations.
 //! * [`Completion::Handler`] — run a fire-and-forget closure from the
-//!   delivery context. See [reentrancy rules](#handler-reentrancy-rules).
+//!   delivery context, under the re-entrancy rules of
+//!   [`CompletionHandler`].
 //! * [`Completion::Waker`] — wake the async future awaiting this request
 //!   via the progress engine's [`WakerTable`]; the `nm-mpi` facade's
 //!   `send_async`/`recv_async` use this.
@@ -22,36 +23,6 @@
 //! is invoked, so `Request::is_complete`/`take_data` observed from a
 //! queue drainer, handler, or woken future always see the terminal
 //! state.
-//!
-//! # Handler reentrancy rules
-//!
-//! Handlers run in the *delivery context*: inside `progress()`/`wait()`
-//! of whichever thread advanced the library, with the core API lock
-//! held. Therefore a handler must not:
-//!
-//! * call back into the communication API (`isend`, `irecv`, `wait`,
-//!   `progress` — deadlock on the API lock under coarse locking);
-//! * block (`flag.wait(..)`, `std::thread::park`, semaphore acquires —
-//!   nothing can make progress until the handler returns; `cargo xtask
-//!   lint-concurrency` rejects blocking waits inside handler closures);
-//! * run long: its latency is charged to the delivering thread and
-//!   recorded in the `core.handler_ns` histogram.
-//!
-//! A handler that needs to post follow-up communication should push into
-//! a [`CompletionQueue`] (or any user queue) and let a non-delivery
-//! thread do the posting.
-//!
-//! # Queue locking
-//!
-//! The ISSUE asks for an MPMC queue; this one is a `VecDeque` under a
-//! spinlock classed `core.cq` with a semaphore carrying the permit
-//! count. Push and pop are O(1) few-instruction critical sections —
-//! the shape the paper prefers spinlocks for — and, unlike an ad-hoc
-//! lock-free ring, the lock participates in `lockcheck` and
-//! `cargo xtask analyze-locks`, which is what keeps the delivery path
-//! (`core.api-global → core.cq`) deadlock-checked. Permits are the
-//! source of truth: a permit is released only *after* the event is
-//! queued, so an acquired permit always finds an item.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -102,12 +73,31 @@ impl CompletionEvent {
     }
 }
 
-/// A fire-and-forget completion callback. See the
-/// [module docs](self#handler-reentrancy-rules) for what a handler may do.
+/// A fire-and-forget completion callback.
+///
+/// # Re-entrancy rules
+///
+/// Handlers run in the *delivery context*: inside `progress()`/`wait()`
+/// of whichever thread advanced the library, with the core API lock
+/// held. Therefore a handler must not:
+///
+/// * call back into the communication API (`isend`, `irecv`, `wait`,
+///   `progress` — deadlock on the API lock under coarse locking);
+/// * block (`flag.wait(..)`, `std::thread::park`, semaphore acquires —
+///   nothing can make progress until the handler returns; `cargo xtask
+///   lint-concurrency` rejects blocking waits inside handler closures);
+/// * run long: its latency is charged to the delivering thread and
+///   recorded in the `core.handler_ns` histogram.
+///
+/// A handler that needs to post follow-up communication should push into
+/// a [`CompletionQueue`] (or any user queue) and let a non-delivery
+/// thread do the posting.
 pub type CompletionHandler = Arc<dyn Fn(&CompletionEvent) + Send + Sync>;
 
 /// How a request's completion is delivered, chosen per operation at
-/// `isend_with`/`irecv_with` time. See the [module docs](self).
+/// `isend_with`/`irecv_with` time. In every case the request's flag is
+/// signalled before the object is invoked, so a queue drainer, a
+/// handler or a woken future always sees the terminal state.
 #[derive(Clone, Default)]
 pub enum Completion {
     /// Signal the request's `CompletionFlag` only (the classic API).
@@ -157,7 +147,16 @@ impl fmt::Debug for Completion {
 /// carry every outstanding operation of a server — completion stops
 /// costing one blocked thread per request.
 ///
-/// See the [module docs](self#queue-locking) for the locking rationale.
+/// # Queue locking
+///
+/// The queue is a `VecDeque` under a spinlock classed `core.cq`, with
+/// a semaphore carrying the permit count. Push and pop are O(1) few-instruction critical sections —
+/// the shape the paper prefers spinlocks for — and, unlike an ad-hoc
+/// lock-free ring, the lock participates in `lockcheck` and
+/// `cargo xtask analyze-locks`, which is what keeps the delivery path
+/// (`core.api-global → core.cq`) deadlock-checked. Permits are the
+/// source of truth: a permit is released only *after* the event is
+/// queued, so an acquired permit always finds an item.
 pub struct CompletionQueue {
     /// FIFO of delivered events, spinlock-classed `core.cq`.
     cq_items: SpinLock<VecDeque<CompletionEvent>>,

@@ -82,25 +82,94 @@ pub(crate) struct RdvRecv {
     pub tag: u64,
     pub seq: u32,
     pub total: u32,
+    /// Payload bytes landed so far; each byte counts once, since no two
+    /// landed chunks overlap.
     pub received: u32,
+    /// Allocated for `total` bytes but not zeroed: it holds what has
+    /// landed up to the highest chunk end, and zeros only in the gaps
+    /// below it that chunks still to come will fill.
     pub buf: BytesMut,
     pub req: Request,
-    /// Offsets (→ lengths) already written, so a redelivered DATA chunk
-    /// cannot double-count `received` and complete with torn data.
+    /// Offset → length of every chunk landed, so a redelivered chunk
+    /// or one overlapping a landed range cannot count `received` twice
+    /// and complete the reassembly with a hole in it.
     pub chunks: BTreeMap<u32, u32>,
 }
 
+/// What [`RdvRecv::land`] did with a chunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Landing {
+    /// Copied into place and counted.
+    Landed,
+    /// The very chunk already landed: a redelivery, dropped.
+    Duplicate,
+    /// Empty, past the end of the message, or overlapping a landed
+    /// chunk without being it: a chunk no sender cuts, dropped.
+    Invalid,
+}
+
 impl RdvRecv {
-    /// Records the chunk at `offset`; `false` if it was already received
-    /// (a duplicate the caller must drop).
-    pub fn mark_chunk(&mut self, offset: u32, len: u32) -> bool {
-        match self.chunks.entry(offset) {
-            std::collections::btree_map::Entry::Occupied(_) => false,
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(len);
-                true
-            }
+    /// A reassembly of `total` bytes, nothing landed yet.
+    pub fn new(tag: u64, seq: u32, total: u32, req: Request) -> Self {
+        RdvRecv {
+            tag,
+            seq,
+            total,
+            received: 0,
+            buf: BytesMut::with_capacity(total as usize),
+            req,
+            chunks: BTreeMap::new(),
         }
+    }
+
+    /// `true` once every byte has landed.
+    pub fn is_complete(&self) -> bool {
+        self.received == self.total
+    }
+
+    /// Copies the chunk `data` at `offset` into the buffer, with the one
+    /// copy the payload takes on this side: an in-order chunk extends
+    /// the buffer, a chunk past its end zero-fills only the gap before
+    /// it, and a chunk below its end overwrites the zeros of a gap.
+    pub fn land(&mut self, offset: u32, data: &[u8]) -> Landing {
+        let fits = (offset as u64 + data.len() as u64) <= self.total as u64;
+        if !fits || data.is_empty() {
+            return Landing::Invalid;
+        }
+        if !self.mark_chunk(offset, data.len() as u32) {
+            return if self.chunks.get(&offset) == Some(&(data.len() as u32)) {
+                Landing::Duplicate
+            } else {
+                Landing::Invalid
+            };
+        }
+        let start = offset as usize;
+        if start > self.buf.len() {
+            self.buf.resize(start, 0);
+        }
+        let below = (self.buf.len() - start).min(data.len());
+        self.buf[start..start + below].copy_from_slice(&data[..below]);
+        self.buf.extend_from_slice(&data[below..]);
+        self.received += data.len() as u32;
+        Landing::Landed
+    }
+
+    /// Records the non-empty chunk `[offset, offset + len)`; `false`,
+    /// recording nothing, if it intersects a chunk already recorded.
+    /// Only the neighbours a new chunk would sit between are looked at:
+    /// the recorded chunks never overlap, so no other can reach it.
+    fn mark_chunk(&mut self, offset: u32, len: u32) -> bool {
+        let end = offset as u64 + len as u64;
+        let before = self.chunks.range(..=offset).next_back();
+        if before.is_some_and(|(&o, &l)| o as u64 + l as u64 > offset as u64) {
+            return false;
+        }
+        let after = self.chunks.range(offset..).next();
+        if after.is_some_and(|(&o, _)| (o as u64) < end) {
+            return false;
+        }
+        self.chunks.insert(offset, len);
+        true
     }
 }
 
@@ -742,18 +811,41 @@ mod tests {
     }
 
     #[test]
+    fn chunks_land_in_any_order_and_each_byte_once() {
+        // 40 bytes in 16-byte chunks: [0, 16), [16, 32) and a short last
+        // chunk [32, 40).
+        let msg: Vec<u8> = (1..=40).collect();
+        let mut r = RdvRecv::new(1, 0, 40, Request::new(RequestKind::Recv));
+        assert!(r.buf.is_empty(), "nothing is written before a chunk lands");
+        // Chunk 2 first: only the gap before it is zeroed.
+        assert_eq!(r.land(32, &msg[32..]), Landing::Landed);
+        assert_eq!(r.buf.len(), 40);
+        assert!(r.buf[..32].iter().all(|&b| b == 0));
+        assert_eq!(r.land(0, &msg[..16]), Landing::Landed);
+        assert_eq!(r.land(0, &msg[..16]), Landing::Duplicate);
+        // Overlapping a landed chunk, or reaching past the message, or
+        // empty: a chunk no sender cuts.
+        for (offset, range) in [(8, 8..24), (24, 24..40), (0, 0..8)] {
+            assert_eq!(
+                r.land(offset, &msg[range.clone()]),
+                Landing::Invalid,
+                "{range:?}"
+            );
+        }
+        assert_eq!(r.land(33, &msg[32..]), Landing::Invalid, "past the end");
+        assert_eq!(r.land(20, &[]), Landing::Invalid, "empty");
+        assert!(!r.is_complete());
+        assert_eq!(r.received, 24);
+        assert_eq!(r.land(16, &msg[16..32]), Landing::Landed);
+        assert!(r.is_complete());
+        assert_eq!(&r.buf[..], &msg[..]);
+    }
+
+    #[test]
     fn rdv_in_keyed_by_seq() {
         let mut rx = RxState::default();
         for seq in [4u32, 8] {
-            rx.rdv_in_insert(RdvRecv {
-                tag: 1,
-                seq,
-                total: 2,
-                received: 0,
-                buf: BytesMut::new(),
-                req: Request::new(RequestKind::Recv),
-                chunks: BTreeMap::new(),
-            });
+            rx.rdv_in_insert(RdvRecv::new(1, seq, 2, Request::new(RequestKind::Recv)));
         }
         assert_eq!(rx.rdv_in_len(), 2);
         rx.rdv_in_get_mut(8).unwrap().received = 1;

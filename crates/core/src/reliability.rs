@@ -22,6 +22,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 
+use nm_fabric::WireFrame;
+
 use crate::comm::CommCore;
 use crate::error::CommError;
 use crate::gate::{seq_lt, Gate, RdvSend};
@@ -98,7 +100,8 @@ impl CommCore {
     /// Runs one raw frame through the lane's receive window: verifies
     /// its checksum (a mismatch counts `corrupt_dropped` before any
     /// field is read; a sealed frame that is not reliable, or does not
-    /// decode, counts `wire_errors`), processes its cumulative ack,
+    /// decode, counts `wire_errors`, and so does a frame in two parts,
+    /// which no sealed frame is), processes its cumulative ack,
     /// suppresses duplicates, buffers out-of-order arrivals, and returns
     /// the packets released for dispatch (in wire order), each paired
     /// with the span its frame carried (0 = none). The caller holds the
@@ -113,8 +116,12 @@ impl CommCore {
         lane: &Lane,
         s: &Section<'_>,
         cell: &Protected<RelState>,
-        raw: Bytes,
+        raw: WireFrame,
     ) -> Vec<(Bytes, u64)> {
+        let (raw, None) = raw.into_parts() else {
+            self.stats.wire_errors.incr();
+            return Vec::new();
+        };
         let frame = match decode_frame(raw) {
             Ok(frame) if frame.reliable() => frame,
             Err(WireError::BadChecksum { .. }) => {
@@ -212,7 +219,7 @@ impl CommCore {
             }
             let wseq = rel.next_tx_wseq;
             let frame = encode_packet_frame(wseq, rel.rx_expected, FRAME_RELIABLE, span, &entries);
-            if lane.post_frame(s, frame).is_err() {
+            if lane.post_frame(s, frame.into()).is_err() {
                 return Err(entries);
             }
             if span != 0 {
@@ -291,7 +298,7 @@ impl CommCore {
                 let frame = encode_frame(behind_hole, rel.rx_expected, flags, 0, &[]);
                 // NIC full: leave ack_pending set; piggybacking or the
                 // next pass will carry it.
-                if lane.post_frame(&s, frame).is_ok() {
+                if lane.post_frame(&s, frame.into()).is_ok() {
                     rel.ack_pending = false;
                     self.stats.acks_tx.incr();
                     events += 1;
@@ -314,7 +321,7 @@ impl CommCore {
         let head = rel.unacked.front().expect("caller checked the head");
         let (wseq, span) = (head.wseq, head.span);
         let frame = encode_packet_frame(wseq, rel.rx_expected, FRAME_RELIABLE, span, &head.entries);
-        if lane.post_frame(s, frame).is_err() {
+        if lane.post_frame(s, frame.into()).is_err() {
             return false;
         }
         rel.ack_piggybacked();

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use nm_fabric::{Driver, PostError};
+use nm_fabric::{Driver, PostError, WireFrame};
 
 use crate::comm::CommCore;
 use crate::error::CommError;
@@ -21,8 +21,8 @@ use crate::reliability::RelState;
 use crate::request::Request;
 use crate::strategy::SendItem;
 use crate::wire::{
-    decode_bare_frame, encode_bare_frame, Entry, ENTRY_HEADER, FRAME_HEADER, FRAME_SPAN_BYTES,
-    PACKET_HEADER,
+    decode_bare_frame, encode_bare_frame, encode_bare_head, Entry, ENTRY_HEADER, FRAME_HEADER,
+    FRAME_SPAN_BYTES, PACKET_HEADER,
 };
 
 /// A packet queued in a transfer-layer list, still as its entries: the
@@ -85,18 +85,18 @@ impl Lane {
 
     /// Injects one encoded frame: the one post path, taken by data
     /// frames, acks and retransmits alike. `s` is the lane's section.
-    pub fn post_frame(&self, s: &Section<'_>, frame: Bytes) -> Result<(), PostError> {
+    pub fn post_frame(&self, s: &Section<'_>, frame: WireFrame) -> Result<(), PostError> {
         debug_assert!(
             s.covers(SectionKind::Driver(self.id)),
             "post outside lane {}",
             self.id
         );
-        self.driver.post_vci(self.vci, frame)
+        self.driver.post_frame_vci(self.vci, frame)
     }
 
     /// Takes one inbound frame off the lane's completion ring. `s` is
     /// the lane's section.
-    pub fn poll_frame(&self, s: &Section<'_>) -> Option<Bytes> {
+    pub fn poll_frame(&self, s: &Section<'_>) -> Option<WireFrame> {
         debug_assert!(
             s.covers(SectionKind::Driver(self.id)),
             "poll outside lane {}",
@@ -170,12 +170,23 @@ impl Lane {
     }
 }
 
+/// The two-part bare frame of a packet that is one `DATA` entry: its
+/// encoded head, then the chunk itself, a slice of the caller's buffer.
+/// Kept out of line so that the post of an eager packet carries none of
+/// it.
+#[inline(never)]
+fn data_frame(span: u64, tag: u64, seq: u32, offset: u32, data: &Bytes) -> WireFrame {
+    let head = encode_bare_head(span, tag, seq, offset, data.len());
+    WireFrame::from_parts(head, Some(data.clone()))
+}
+
 impl CommCore {
     /// Polls one lane's completion ring, unwraps each frame and
     /// dispatches everything deliverable, then runs the lane's
     /// reliability upkeep. An unreliable lane strips a bare frame's
-    /// header and trusts the rest; a reliable lane hands the raw bytes
-    /// to its window, which verifies them before anything is decoded.
+    /// header and trusts the rest, passing a two-part frame's body on
+    /// as its chunk; a reliable lane hands the raw frame to its window,
+    /// which verifies it before anything is decoded.
     ///
     /// Each poll rings the lane's doorbell first and enters the lane's
     /// section only if it rang, so a lane with nothing inbound costs no
@@ -203,12 +214,13 @@ impl CommCore {
                 drop(s);
                 for (packet, span) in released {
                     self.stats.packets_rx.incr();
-                    self.dispatch(g, packet, span);
+                    self.dispatch(g, packet, None, span);
                 }
                 continue;
             }
             drop(s);
-            let Ok(frame) = decode_bare_frame(raw) else {
+            let (head, body) = raw.into_parts();
+            let Ok(frame) = decode_bare_frame(head) else {
                 self.stats.wire_errors.incr();
                 continue;
             };
@@ -216,7 +228,7 @@ impl CommCore {
                 nm_metrics::trace_event!(SpanWireRx, frame.span, 0);
             }
             self.stats.packets_rx.incr();
-            self.dispatch(g, frame.payload, frame.span);
+            self.dispatch(g, frame.payload, body, frame.span);
         }
         if let Some(rel) = &lane.rel {
             events += self.upkeep(g, lane, rel);
@@ -279,9 +291,12 @@ impl CommCore {
     /// all arrive here as entries.
     ///
     /// On an unreliable lane the frame is bare: one flags byte before
-    /// the packet, no checksum. A reliable lane seals and sequences it
-    /// through its window (`CommCore::post_reliable`). `Err` is
-    /// `WouldBlock` and hands the entries back for requeueing.
+    /// the packet, no checksum. A packet that is one `DATA` entry leaves
+    /// in two parts, its encoded head and the chunk, a slice of the
+    /// caller's buffer, so the sender copies none of its bytes. A
+    /// reliable lane seals and sequences every packet through its window
+    /// (`CommCore::post_reliable`). `Err` is `WouldBlock` and hands the
+    /// entries back for requeueing.
     fn post_packet(
         &self,
         lane: &Lane,
@@ -292,7 +307,15 @@ impl CommCore {
         if let Some(rel) = &lane.rel {
             return self.post_reliable(lane, s, rel, entries, span);
         }
-        let frame = encode_bare_frame(span, &entries);
+        let frame = match entries.as_slice() {
+            [Entry::Data {
+                tag,
+                seq,
+                offset,
+                data,
+            }] => data_frame(span, *tag, *seq, *offset, data),
+            _ => encode_bare_frame(span, &entries).into(),
+        };
         let posted = lane.post_frame(s, frame);
         if posted.is_ok() && span != 0 {
             nm_metrics::trace_event!(SpanWireTx, span, 0);

@@ -31,7 +31,12 @@
 //! no sequencing. Like MX or InfiniBand, the lane trusts its wire to
 //! deliver bytes intact; a core without reliability refuses a driver
 //! that says it may damage a frame. The only flag a bare frame carries
-//! is [`FRAME_SPAN`].
+//! is [`FRAME_SPAN`]. A bare frame whose packet is one `DATA` entry
+//! leaves in two parts ([`nm_fabric::WireFrame`]): the head
+//! ([`encode_bare_head`]) and the chunk itself, a slice of the caller's
+//! buffer. Its bytes on the wire are the one-part frame's; the receiver
+//! decodes the head and takes the body as the entry's payload
+//! ([`decode_packet_with_body`]).
 //!
 //! In both formats [`FRAME_SPAN`] marks an 8-byte observability span id
 //! between the flags byte and the packet; frames with span 0 omit it
@@ -161,11 +166,7 @@ impl Entry {
                 offset,
                 data,
             } => {
-                buf.put_u8(KIND_DATA);
-                buf.put_u64(*tag);
-                buf.put_u32(*seq);
-                buf.put_u32(*offset);
-                buf.put_u32(data.len() as u32);
+                put_data_header(buf, *tag, *seq, *offset, data.len());
                 buf.put_slice(data);
             }
         }
@@ -486,6 +487,30 @@ pub fn encode_bare_frame(span: u64, entries: &[Entry]) -> Bytes {
     buf.freeze()
 }
 
+/// Writes a `DATA` entry's header: everything but the chunk.
+fn put_data_header(buf: &mut BytesMut, tag: u64, seq: u32, offset: u32, len: usize) {
+    buf.put_u8(KIND_DATA);
+    buf.put_u64(tag);
+    buf.put_u32(seq);
+    buf.put_u32(offset);
+    buf.put_u32(len as u32);
+}
+
+/// The head of the two-part bare frame that carries one `DATA` entry: the
+/// flags byte, the span word if `span != 0`, the packet header and the
+/// entry header, for a chunk of `len` bytes at `offset`. The chunk
+/// follows it on the wire as the frame's body, so head and chunk
+/// together are, byte for byte, the `encode_bare_frame` of that entry.
+pub fn encode_bare_head(span: u64, tag: u64, seq: u32, offset: u32, len: usize) -> Bytes {
+    let size = BARE_HEADER + span_size(span) + PACKET_HEADER + ENTRY_HEADER;
+    let mut buf = BytesMut::with_capacity(size);
+    put_flags_and_span(&mut buf, 0, span);
+    buf.put_u16(1);
+    put_data_header(&mut buf, tag, seq, offset, len);
+    debug_assert_eq!(buf.len(), size);
+    buf.freeze()
+}
+
 /// Strips a bare frame's header; `wseq` and `ack` decode as 0. Nothing
 /// is verified but the format: any flag other than [`FRAME_SPAN`] (a
 /// sealed frame's [`FRAME_RELIABLE`] or [`FRAME_ACK_ONLY`], or an
@@ -554,6 +579,43 @@ pub fn decode_packet(mut packet: Bytes) -> Result<Vec<Entry>, WireError> {
         return Err(WireError::Malformed("trailing bytes"));
     }
     Ok(entries)
+}
+
+/// Decodes the packet of a two-part frame: `packet` holds one `DATA`
+/// entry's header and ends where its payload would begin, and `body` is
+/// that payload. Any other shape — more entries, another kind, bytes
+/// after the header, a length the body does not have — is malformed.
+/// Kept out of line so that the dispatch of an eager packet carries
+/// none of it.
+#[inline(never)]
+pub fn decode_packet_with_body(mut packet: Bytes, body: Bytes) -> Result<Vec<Entry>, WireError> {
+    if packet.remaining() < PACKET_HEADER {
+        return Err(WireError::Truncated);
+    }
+    if packet.get_u16() != 1 {
+        return Err(WireError::Malformed(
+            "a body on a packet that is not one entry",
+        ));
+    }
+    if packet.remaining() < ENTRY_HEADER {
+        return Err(WireError::Truncated);
+    }
+    if packet.get_u8() != KIND_DATA {
+        return Err(WireError::Malformed("a body on an entry other than DATA"));
+    }
+    let tag = packet.get_u64();
+    let seq = packet.get_u32();
+    let offset = packet.get_u32();
+    let len = packet.get_u32() as usize;
+    if packet.has_remaining() || len != body.len() {
+        return Err(WireError::Malformed("a body that is not the DATA payload"));
+    }
+    Ok(vec![Entry::Data {
+        tag,
+        seq,
+        offset,
+        data: body,
+    }])
 }
 
 #[cfg(test)]
@@ -849,6 +911,81 @@ mod tests {
             assert_eq!((frame.wseq, frame.ack, frame.span), (0, 0, span));
             assert_eq!(&frame.payload[..], &packet[..]);
         }
+    }
+
+    #[test]
+    fn a_two_part_data_frame_is_the_one_part_frame_byte_for_byte() {
+        let data = Bytes::from((0..=255u8).cycle().take(1000).collect::<Vec<u8>>());
+        let entry = Entry::Data {
+            tag: 0x0102_0304_0506_0708,
+            seq: 0x0A0B_0C0D,
+            offset: 0x0010_0000,
+            data: data.clone(),
+        };
+        for span in [0, 0xBEEF] {
+            let head =
+                encode_bare_head(span, 0x0102_0304_0506_0708, 0x0A0B_0C0D, 0x0010_0000, 1000);
+            assert_eq!(
+                head.len(),
+                1 + span_size(span) + PACKET_HEADER + ENTRY_HEADER
+            );
+            let one_part = encode_bare_frame(span, std::slice::from_ref(&entry));
+            assert_eq!(
+                [&head[..], &data[..]].concat(),
+                &one_part[..],
+                "span {span:#x}"
+            );
+            let frame = decode_bare_frame(head).expect("head decodes");
+            assert_eq!(frame.span, span);
+            let entries = decode_packet_with_body(frame.payload, data.clone()).expect("decode");
+            assert_eq!(entries, std::slice::from_ref(&entry));
+        }
+    }
+
+    #[test]
+    fn a_body_fits_only_one_data_entry_that_ends_the_head() {
+        let body = Bytes::from_static(b"chunk");
+        let data = Entry::Data {
+            tag: 1,
+            seq: 2,
+            offset: 0,
+            data: Bytes::new(),
+        };
+        let cts = Entry::Cts { tag: 1, seq: 2 };
+        let cases = [
+            (
+                encode_packet(std::slice::from_ref(&cts)),
+                "a body on an entry other than DATA",
+            ),
+            (
+                encode_packet(&[data.clone(), cts]),
+                "a body on a packet that is not one entry",
+            ),
+            (
+                encode_packet(std::slice::from_ref(&data)),
+                "a body that is not the DATA payload",
+            ),
+            (
+                encode_packet(&[data.clone(), data]),
+                "a body on a packet that is not one entry",
+            ),
+        ];
+        for (packet, why) in cases {
+            assert_eq!(
+                decode_packet_with_body(packet, body.clone()),
+                Err(WireError::Malformed(why))
+            );
+        }
+        let head = encode_bare_head(0, 1, 2, 0, body.len() + 1);
+        let packet = decode_bare_frame(head).unwrap().payload;
+        assert_eq!(
+            decode_packet_with_body(packet.clone(), body.clone()),
+            Err(WireError::Malformed("a body that is not the DATA payload"))
+        );
+        assert_eq!(
+            decode_packet_with_body(packet.slice(..PACKET_HEADER + 3), body),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]

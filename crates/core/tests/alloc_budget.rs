@@ -6,10 +6,11 @@
 //! gated here rather than on a clock: an eager message costs exactly
 //! eight allocations and a fixed number of bytes (nine and 1032 B while
 //! each posted receive allocated a fresh tag bin; an emptied bin is now
-//! kept as the gate's spare), a rendezvous
-//! allocates each payload byte twice (the frame it leaves in, the
-//! buffer it is reassembled in), nothing is encoded before it can be
-//! posted, and a peer's entry count cannot size an allocation.
+//! kept as the gate's spare), a rendezvous allocates each payload byte
+//! once, in the buffer it is reassembled in (its chunks leave as slices
+//! of the caller's buffer, behind a head of their own), nothing is
+//! encoded before it can be posted, and a peer's entry count cannot
+//! size an allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -143,22 +144,30 @@ fn data_path_allocation_budget() {
         "bytes allocated per 8 B eager message (budget exactly 904)"
     );
 
-    // Rendezvous: every payload byte is allocated once in the frame it
-    // leaves in and once in the reassembly buffer, plus headers.
+    // Rendezvous: every payload byte is allocated once, in the
+    // reassembly buffer; each of the 64 chunks adds a frame head and the
+    // box holding its two parts.
     let big = Bytes::from((0..MIB).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
     for _ in 0..2 {
         deliver(&a, &b, &big);
     }
     const RDV_MSGS: u64 = 4;
-    let (_, bytes) = measure(|| {
+    let (allocs, bytes) = measure(|| {
         for _ in 0..RDV_MSGS {
             deliver(&a, &b, &big);
         }
     });
     let per_byte = bytes as f64 / (RDV_MSGS * MIB as u64) as f64;
     assert!(
-        per_byte <= 2.05,
-        "{per_byte:.3} bytes allocated per payload byte of a 1 MiB rendezvous (budget 2.05)"
+        per_byte <= 1.05,
+        "{per_byte:.3} bytes allocated per payload byte of a 1 MiB rendezvous (budget 1.05)"
+    );
+    // Exact: 286 while each chunk was copied into a one-part frame of
+    // its own, and one more per chunk for the box of a two-part frame.
+    assert_eq!(
+        allocs,
+        350 * RDV_MSGS,
+        "allocations per 1 MiB rendezvous message (budget exactly 350)"
     );
 
     // Encode at post time: behind a shallow ring (depth 1 rounds up to

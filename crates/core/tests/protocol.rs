@@ -520,7 +520,8 @@ fn corrupt_packets_are_counted_and_skipped() {
         // Nothing at all.
         &b""[..],
     ] {
-        da.post_vci(0, Bytes::copy_from_slice(garbage)).unwrap();
+        da.post_frame_vci(0, Bytes::copy_from_slice(garbage).into())
+            .unwrap();
     }
     while b.progress() > 0 {}
     assert_eq!(b.stats().wire_errors.get(), 3);
@@ -551,10 +552,115 @@ fn duplicate_cts_is_ignored() {
         .add_gate(vec![Arc::clone(&db) as Arc<dyn Driver>])
         .build();
     // Send a spurious CTS from b's side of the wire toward a.
-    db.post_vci(0, encode_bare_frame(0, &[Entry::Cts { tag: 1, seq: 99 }]))
-        .unwrap();
+    db.post_frame_vci(
+        0,
+        encode_bare_frame(0, &[Entry::Cts { tag: 1, seq: 99 }]).into(),
+    )
+    .unwrap();
     while a.progress() > 0 {}
     assert_eq!(a.stats().wire_errors.get(), 1);
+}
+
+/// Frames for `b`, posted straight onto the wire from a side that runs
+/// no core: `b`'s replies pile up unread on that side.
+fn craft(wire: &LoopbackDriver, head: Bytes, body: Option<Bytes>) {
+    wire.post_frame_vci(0, nm_fabric::WireFrame::from_parts(head, body))
+        .unwrap();
+}
+
+#[test]
+fn an_overlapping_data_chunk_is_a_wire_error() {
+    use nm_core::wire::{encode_bare_frame, Entry};
+    // A 32-byte rendezvous whose second chunk starts inside the first.
+    // Counting it would reach 32 received bytes with [24, 32) never
+    // written; it must be dropped, and the real second chunk completes
+    // the message.
+    let (da, db) = LoopbackDriver::pair(64);
+    let b = CoreBuilder::new(CoreConfig::default().eager_threshold(8))
+        .add_gate(vec![Arc::new(db) as Arc<dyn Driver>])
+        .build();
+    let recv = b.irecv(G, 1).unwrap();
+    let data = |offset: u32, fill: u8| Entry::Data {
+        tag: 1,
+        seq: 0,
+        offset,
+        data: Bytes::from(vec![fill; 16]),
+    };
+    let rts = Entry::Rts {
+        tag: 1,
+        seq: 0,
+        total: 32,
+    };
+    for entry in [rts, data(0, 1), data(8, 2)] {
+        craft(&da, encode_bare_frame(0, &[entry]), None);
+        while b.progress() > 0 {}
+    }
+    assert!(!recv.is_complete(), "completed with a hole in it");
+    assert_eq!(b.stats().wire_errors.get(), 1);
+    craft(&da, encode_bare_frame(0, &[data(16, 3)]), None);
+    while b.progress() > 0 {}
+    let want: Vec<u8> = [[1u8; 16], [3u8; 16]].concat();
+    assert_eq!(recv.take_data().unwrap(), Bytes::from(want));
+    assert_eq!(b.stats().wire_errors.get(), 1);
+}
+
+#[test]
+fn a_body_rides_only_on_one_data_entry() {
+    use nm_core::wire::{encode_bare_frame, encode_bare_head, Entry};
+    // A two-part frame's body is the payload of its packet's one DATA
+    // entry. On any other shape, and on a reliable lane, whose frames
+    // are sealed in one part, it is a wire error.
+    for reliable in [false, true] {
+        let mut config = CoreConfig::default().eager_threshold(8);
+        if reliable {
+            config = config.reliability(nm_core::ReliabilityConfig::enabled());
+        }
+        let (da, db) = LoopbackDriver::pair(64);
+        let b = CoreBuilder::new(config)
+            .add_gate(vec![Arc::new(db) as Arc<dyn Driver>])
+            .build();
+        let recv = b.irecv(G, 1).unwrap();
+        let body = Bytes::from(vec![7u8; 16]);
+        let rts = Entry::Rts {
+            tag: 1,
+            seq: 0,
+            total: 16,
+        };
+        let wrong_shapes = [
+            encode_bare_frame(0, std::slice::from_ref(&rts)),
+            encode_bare_frame(0, &[Entry::Cts { tag: 1, seq: 0 }, rts]),
+            encode_bare_head(0, 1, 0, 0, 15),
+        ];
+        let shapes = wrong_shapes.len() as u64;
+        for head in wrong_shapes {
+            craft(&da, head, Some(body.clone()));
+        }
+        while b.progress() > 0 {}
+        assert_eq!(b.stats().wire_errors.get(), shapes, "reliable: {reliable}");
+        if reliable {
+            // What the window lets through are sealed frames only.
+            craft(&da, encode_bare_head(0, 1, 0, 0, 16), Some(body.clone()));
+            while b.progress() > 0 {}
+            assert_eq!(b.stats().wire_errors.get(), shapes + 1);
+            continue;
+        }
+        craft(
+            &da,
+            encode_bare_frame(
+                0,
+                &[Entry::Rts {
+                    tag: 1,
+                    seq: 0,
+                    total: 16,
+                }],
+            ),
+            None,
+        );
+        craft(&da, encode_bare_head(0, 1, 0, 0, 16), Some(body.clone()));
+        while b.progress() > 0 {}
+        assert_eq!(recv.take_data(), Some(body));
+        assert_eq!(b.stats().wire_errors.get(), shapes);
+    }
 }
 
 #[test]
@@ -670,7 +776,7 @@ fn length_hints_strand_nothing_coarse_grain() {
 }
 
 /// A driver whose "NIC idle" hint is always stale: `can_post_vci` says
-/// yes, `post_vci` says what the ring says. `can_post_vci` is documented
+/// yes, `post_frame_vci` says what the ring says. `can_post_vci` is documented
 /// as a racy hint, so this is within contract, and it turns every post
 /// on a full ring into a `WouldBlock` and a `push_front` requeue.
 struct StaleIdle(LoopbackDriver);
@@ -682,10 +788,14 @@ impl Driver for StaleIdle {
     fn can_post_vci(&self, _vci: usize) -> bool {
         true
     }
-    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), nm_fabric::PostError> {
-        self.0.post_vci(vci, data)
+    fn post_frame_vci(
+        &self,
+        vci: usize,
+        frame: nm_fabric::WireFrame,
+    ) -> Result<(), nm_fabric::PostError> {
+        self.0.post_frame_vci(vci, frame)
     }
-    fn poll_vci(&self, vci: usize) -> Option<Bytes> {
+    fn poll_vci(&self, vci: usize) -> Option<nm_fabric::WireFrame> {
         self.0.poll_vci(vci)
     }
 }

@@ -16,7 +16,7 @@ use nm_core::{
     CommCore, CommError, CoreBuilder, CoreConfig, GateId, LockingMode, ReliabilityConfig,
     StrategyKind,
 };
-use nm_fabric::{ChaosDriver, Driver, DriverCaps, FaultPlan, LoopbackDriver, PostError};
+use nm_fabric::{ChaosDriver, Driver, DriverCaps, FaultPlan, LoopbackDriver, PostError, WireFrame};
 use nm_sync::WaitStrategy;
 
 const G: GateId = GateId(0);
@@ -163,7 +163,7 @@ fn a_flipped_byte_fails_the_checksum_and_is_never_decoded() {
     let mut flipped = encode_frame(0, 0, FRAME_RELIABLE, 0, &packet).to_vec();
     let last = flipped.len() - 1;
     flipped[last] ^= 0xFF;
-    da.post_vci(0, Bytes::from(flipped)).unwrap();
+    da.post_frame_vci(0, Bytes::from(flipped).into()).unwrap();
     while b.progress() > 0 {}
     assert_eq!(b.stats().corrupt_dropped.get(), 1);
     assert_eq!(b.stats().wire_errors.get(), 0);
@@ -345,7 +345,7 @@ impl TapDriver {
         }
         let mut script = self.script.lock().unwrap();
         match script.held.take() {
-            Some((held, 0)) => self.inner.post_vci(vci, held)?,
+            Some((held, 0)) => self.inner.post_frame_vci(vci, held.into())?,
             Some((held, n)) => script.held = Some((held, n - 1)),
             None => {}
         }
@@ -373,17 +373,20 @@ impl Driver for TapDriver {
     fn can_post_vci(&self, vci: usize) -> bool {
         self.inner.can_post_vci(vci)
     }
-    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError> {
+    fn post_frame_vci(&self, vci: usize, frame: WireFrame) -> Result<(), PostError> {
+        let (data, None) = frame.into_parts() else {
+            panic!("a reliable lane posts one-part frames");
+        };
         let deliver = self.run_script(vci, &data)?;
         // relaxed: a post counter, publishes nothing.
         let nth = self.posted.fetch_add(1, Ordering::Relaxed);
         if deliver && !self.swallow.contains(&nth) {
-            self.inner.post_vci(vci, data.clone())?;
+            self.inner.post_frame_vci(vci, data.clone().into())?;
         }
         self.log.lock().unwrap().push(data);
         Ok(())
     }
-    fn poll_vci(&self, vci: usize) -> Option<Bytes> {
+    fn poll_vci(&self, vci: usize) -> Option<WireFrame> {
         self.inner.poll_vci(vci)
     }
 }

@@ -7,11 +7,11 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use nm_core::wire::{decode_bare_frame, decode_packet, Entry};
+use nm_core::wire::{decode_bare_frame, decode_packet, decode_packet_with_body, Entry};
 use nm_core::{
     CommCore, CoreBuilder, CoreConfig, GateId, LockingMode, ReliabilityConfig, StrategyKind,
 };
-use nm_fabric::{Driver, DriverCaps, Fabric, LoopbackDriver, PostError, WireModel};
+use nm_fabric::{Driver, DriverCaps, Fabric, LoopbackDriver, PostError, WireFrame, WireModel};
 use nm_sync::WaitStrategy;
 
 const G: GateId = GateId(0);
@@ -101,11 +101,11 @@ fn eager_spills_across_vci_contexts_under_backpressure() {
 struct LyingDriver {
     caps: DriverCaps,
     inner: LoopbackDriver,
-    log: Arc<Mutex<Vec<Bytes>>>,
+    log: Arc<Mutex<Vec<WireFrame>>>,
 }
 
 impl LyingDriver {
-    fn new(inner: LoopbackDriver, log: Arc<Mutex<Vec<Bytes>>>) -> Self {
+    fn new(inner: LoopbackDriver, log: Arc<Mutex<Vec<WireFrame>>>) -> Self {
         LyingDriver {
             caps: DriverCaps {
                 name: "lying".to_string(),
@@ -126,12 +126,12 @@ impl Driver for LyingDriver {
     fn can_post_vci(&self, _vci: usize) -> bool {
         true // the hint every flusher sees, no matter the ring state
     }
-    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError> {
-        self.inner.post_vci(vci, data.clone())?;
-        self.log.lock().unwrap().push(data);
+    fn post_frame_vci(&self, vci: usize, frame: WireFrame) -> Result<(), PostError> {
+        self.inner.post_frame_vci(vci, frame.clone())?;
+        self.log.lock().unwrap().push(frame);
         Ok(())
     }
-    fn poll_vci(&self, vci: usize) -> Option<Bytes> {
+    fn poll_vci(&self, vci: usize) -> Option<WireFrame> {
         self.inner.poll_vci(vci)
     }
 }
@@ -162,7 +162,7 @@ fn an_eager_frame_is_bare_unless_the_lane_is_reliable() {
             b.progress();
         }
         assert_eq!(recv.take_data().unwrap(), payload);
-        let lens: Vec<usize> = log.lock().unwrap().iter().map(Bytes::len).collect();
+        let lens: Vec<usize> = log.lock().unwrap().iter().map(WireFrame::len).collect();
         assert_eq!(lens, [frame_len]);
     }
 }
@@ -234,8 +234,13 @@ fn flush_xfer_requeue_preserves_chunk_order_under_contention() {
         .unwrap()
         .iter()
         .flat_map(|frame| {
-            let f = decode_bare_frame(frame.clone()).expect("recorded frame decodes");
-            decode_packet(f.payload).expect("recorded packet decodes")
+            let (head, body) = frame.clone().into_parts();
+            let f = decode_bare_frame(head).expect("recorded frame decodes");
+            match body {
+                None => decode_packet(f.payload),
+                Some(body) => decode_packet_with_body(f.payload, body),
+            }
+            .expect("recorded packet decodes")
         })
         .filter_map(|e| match e {
             Entry::Data { offset, .. } => Some(offset),
@@ -293,13 +298,13 @@ impl Driver for HalfDeadDriver {
     fn can_post_vci(&self, vci: usize) -> bool {
         self.vcis[vci].can_post_vci(0)
     }
-    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError> {
+    fn post_frame_vci(&self, vci: usize, frame: WireFrame) -> Result<(), PostError> {
         if vci == 0 && self.blackhole_zero {
             return Ok(()); // accepted, never delivered
         }
-        self.vcis[vci].post_vci(0, data)
+        self.vcis[vci].post_frame_vci(0, frame)
     }
-    fn poll_vci(&self, vci: usize) -> Option<Bytes> {
+    fn poll_vci(&self, vci: usize) -> Option<WireFrame> {
         self.vcis[vci].poll_vci(0)
     }
 }

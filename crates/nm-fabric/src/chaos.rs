@@ -13,7 +13,9 @@
 //!
 //! Faults are injected on the receive side (`poll_vci`), modelling the
 //! wire, except stalls, which model the local NIC and gate
-//! `can_post_vci`/`post_vci`.
+//! `can_post_vci`/`post_frame_vci`. A fault acts on a whole [`WireFrame`]:
+//! a two-part frame is lost, duplicated or held as one packet, and the
+//! byte a corruption flips is drawn from head and body together.
 //! Every injected fault increments a global `fabric.chaos_*` counter in
 //! `nm-metrics`, a per-driver [`ChaosStats`] counter, and emits a trace
 //! event (`FaultLoss`, `FaultDup`, `FaultCorrupt`, `FaultDelay`,
@@ -27,7 +29,7 @@ use bytes::{Bytes, BytesMut};
 use nm_metrics::trace_event;
 use nm_sync::SpinLock;
 
-use crate::{metrics, ClockSource, Driver, DriverCaps, PostError};
+use crate::{metrics, ClockSource, Driver, DriverCaps, PostError, WireFrame};
 
 /// The kinds of fault a [`ChaosDriver`] can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,7 +132,7 @@ impl FaultPlan {
 
     /// Stalls the NIC after every `period` accepted posts: the next
     /// `len` injection attempts are refused (`can_post_vci` false,
-    /// `post_vci` returns [`PostError::WouldBlock`]). `period = 0`
+    /// `post_frame_vci` returns [`PostError::WouldBlock`]). `period = 0`
     /// disables stalls.
     pub fn stall(mut self, period: u64, len: u32) -> Self {
         self.stall_period = period;
@@ -186,7 +188,7 @@ impl ChaosStats {
 
 /// A buffered inbound packet, with the polls it must still wait.
 struct Held {
-    data: Bytes,
+    data: WireFrame,
     hold: u32,
     /// Arrival index (for reorder detection).
     arrival: u64,
@@ -255,7 +257,7 @@ impl<D: Driver> ChaosDriver<D> {
             plan,
             caps,
             // Unclassed, like every driver-internal lock: drivers are
-            // leaves of the lock hierarchy (`poll_vci`/`post_vci` are
+            // leaves of the lock hierarchy (`poll_vci`/`post_frame_vci` are
             // called under `core.driver`) and take no classed locks.
             chaos: SpinLock::new(ChaosState {
                 lcg: seed,
@@ -309,12 +311,10 @@ impl<D: Driver> ChaosDriver<D> {
             };
             let data = if st.roll(self.plan.corrupt_ppm) && !data.is_empty() {
                 let idx = (st.next() as usize) % data.len();
-                let mut buf = BytesMut::from(&data[..]);
-                buf[idx] ^= 0xFF;
                 st.stats.corrupted += 1;
                 metrics::chaos_corrupted().incr();
                 trace_event!(FaultCorrupt, idx);
-                buf.freeze()
+                flip(data, idx)
             } else {
                 data
             };
@@ -340,7 +340,7 @@ impl<D: Driver> ChaosDriver<D> {
 
     /// One poll under the chaos lock: refills the shuffle buffer, ages
     /// the packets held back and releases one that is due.
-    fn release(&self, st: &mut ChaosState) -> Option<Bytes> {
+    fn release(&self, st: &mut ChaosState) -> Option<WireFrame> {
         self.fill(st);
         if st.held.is_empty() {
             return None;
@@ -378,6 +378,23 @@ impl<D: Driver> ChaosDriver<D> {
     }
 }
 
+/// `frame` with byte `idx` of its wire bytes, head then body, inverted.
+fn flip(frame: WireFrame, idx: usize) -> WireFrame {
+    let flipped = |part: &Bytes, i: usize| {
+        let mut buf = BytesMut::from(&part[..]);
+        buf[i] ^= 0xFF;
+        buf.freeze()
+    };
+    let (head, body) = frame.into_parts();
+    match body {
+        Some(body) if idx >= head.len() => {
+            let body = flipped(&body, idx - head.len());
+            WireFrame::from_parts(head, Some(body))
+        }
+        body => WireFrame::from_parts(flipped(&head, idx), body),
+    }
+}
+
 impl<D: Driver> Driver for ChaosDriver<D> {
     fn caps(&self) -> &DriverCaps {
         &self.caps
@@ -394,7 +411,7 @@ impl<D: Driver> Driver for ChaosDriver<D> {
         self.inner.can_post_vci(0)
     }
 
-    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError> {
+    fn post_frame_vci(&self, vci: usize, data: WireFrame) -> Result<(), PostError> {
         debug_assert_eq!(vci, 0);
         if self.plan.stall_period > 0 {
             let mut st = self.chaos.lock();
@@ -411,10 +428,10 @@ impl<D: Driver> Driver for ChaosDriver<D> {
                 trace_event!(FaultStall, self.plan.stall_len);
             }
         }
-        self.inner.post_vci(0, data)
+        self.inner.post_frame_vci(0, data)
     }
 
-    fn poll_vci(&self, vci: usize) -> Option<Bytes> {
+    fn poll_vci(&self, vci: usize) -> Option<WireFrame> {
         debug_assert_eq!(vci, 0);
         let mut st = self.chaos.lock();
         let out = self.release(&mut st);
@@ -463,7 +480,7 @@ mod tests {
         while idle < 64 {
             match d.poll_vci(0) {
                 Some(p) => {
-                    out.push(p[0]);
+                    out.push(p.head()[0]);
                     idle = 0;
                 }
                 None => idle += 1,
@@ -474,7 +491,8 @@ mod tests {
 
     fn send<D: Driver>(tx: &D, n: u8) {
         for i in 0..n {
-            tx.post_vci(0, Bytes::copy_from_slice(&[i])).unwrap();
+            tx.post_frame_vci(0, Bytes::copy_from_slice(&[i]).into())
+                .unwrap();
         }
     }
 
@@ -515,9 +533,11 @@ mod tests {
     fn corruption_flips_exactly_one_byte() {
         let (tx, rx) = LoopbackDriver::pair(16);
         let rx = ChaosDriver::new(rx, FaultPlan::new(5).corrupt(1.0));
-        tx.post_vci(0, Bytes::from_static(b"hello world")).unwrap();
+        tx.post_frame_vci(0, Bytes::from_static(b"hello world").into())
+            .unwrap();
         let got = rx.poll_vci(0).unwrap();
         let diff: Vec<usize> = got
+            .head()
             .iter()
             .zip(b"hello world".iter())
             .enumerate()
@@ -532,10 +552,11 @@ mod tests {
     fn delay_holds_packets_across_polls() {
         let (tx, rx) = LoopbackDriver::pair(16);
         let rx = ChaosDriver::new(rx, FaultPlan::new(9).delay(1.0, 3));
-        tx.post_vci(0, Bytes::from_static(b"x")).unwrap();
+        tx.post_frame_vci(0, Bytes::from_static(b"x").into())
+            .unwrap();
         assert_eq!(rx.poll_vci(0), None);
         assert_eq!(rx.poll_vci(0), None);
-        assert_eq!(rx.poll_vci(0), Some(Bytes::from_static(b"x")));
+        assert_eq!(rx.poll_vci(0), Some(Bytes::from_static(b"x").into()));
         assert_eq!(rx.stats().delayed, 1);
     }
 
@@ -544,25 +565,27 @@ mod tests {
         let (tx, rx) = LoopbackDriver::pair(64);
         let tx = ChaosDriver::new(tx, FaultPlan::new(2).stall(4, 2));
         for i in 0..4u8 {
-            tx.post_vci(0, Bytes::copy_from_slice(&[i])).unwrap();
+            tx.post_frame_vci(0, Bytes::copy_from_slice(&[i]).into())
+                .unwrap();
         }
         // The 4th accepted post opened a stall window of 2 attempts.
         assert!(!tx.can_post_vci(0));
         assert_eq!(
-            tx.post_vci(0, Bytes::from_static(b"x")),
+            tx.post_frame_vci(0, Bytes::from_static(b"x").into()),
             Err(PostError::WouldBlock)
         );
         assert_eq!(
-            tx.post_vci(0, Bytes::from_static(b"x")),
+            tx.post_frame_vci(0, Bytes::from_static(b"x").into()),
             Err(PostError::WouldBlock)
         );
         // Window exhausted; injection works again.
         assert!(tx.can_post_vci(0));
-        tx.post_vci(0, Bytes::from_static(&[4])).unwrap();
+        tx.post_frame_vci(0, Bytes::from_static(&[4]).into())
+            .unwrap();
         assert_eq!(tx.stats().stalls, 1);
         let mut got = Vec::new();
         while let Some(p) = rx.poll_vci(0) {
-            got.push(p[0]);
+            got.push(p.head()[0]);
         }
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
     }
@@ -623,10 +646,12 @@ mod tests {
         let tx = ChaosDriver::new(tx, FaultPlan::new(1));
         assert!(tx.caps().thread_safe);
         assert!(tx.can_post_vci(0));
-        tx.post_vci(0, Bytes::from_static(b"a")).unwrap();
-        tx.post_vci(0, Bytes::from_static(b"b")).unwrap();
+        tx.post_frame_vci(0, Bytes::from_static(b"a").into())
+            .unwrap();
+        tx.post_frame_vci(0, Bytes::from_static(b"b").into())
+            .unwrap();
         assert_eq!(
-            tx.post_vci(0, Bytes::from_static(b"c")),
+            tx.post_frame_vci(0, Bytes::from_static(b"c").into()),
             Err(PostError::WouldBlock)
         );
         assert!(rx.poll_vci(0).is_some());

@@ -132,11 +132,17 @@ mod tests {
             .post_vci(0, Bytes::from_static(b"hi"))
             .unwrap();
         clock.advance(1);
-        assert_eq!(b.drivers()[0].poll_vci(0), Some(Bytes::from_static(b"hi")));
+        assert_eq!(
+            b.drivers()[0].poll_vci(0),
+            Some(Bytes::from_static(b"hi").into())
+        );
         b.drivers()[0]
             .post_vci(0, Bytes::from_static(b"yo"))
             .unwrap();
-        assert_eq!(a.drivers()[0].poll_vci(0), Some(Bytes::from_static(b"yo")));
+        assert_eq!(
+            a.drivers()[0].poll_vci(0),
+            Some(Bytes::from_static(b"yo").into())
+        );
     }
 
     #[test]
@@ -151,8 +157,14 @@ mod tests {
         a.drivers()[1]
             .post_vci(0, Bytes::from_static(b"r1"))
             .unwrap();
-        assert_eq!(b.drivers()[0].poll_vci(0), Some(Bytes::from_static(b"r0")));
-        assert_eq!(b.drivers()[1].poll_vci(0), Some(Bytes::from_static(b"r1")));
+        assert_eq!(
+            b.drivers()[0].poll_vci(0),
+            Some(Bytes::from_static(b"r0").into())
+        );
+        assert_eq!(
+            b.drivers()[1].poll_vci(0),
+            Some(Bytes::from_static(b"r1").into())
+        );
     }
 
     #[test]
@@ -164,8 +176,8 @@ mod tests {
         da.post_vci(1, Bytes::from_static(b"v1")).unwrap();
         da.post_vci(2, Bytes::from_static(b"v2")).unwrap();
         assert_eq!(db.poll_vci(0), None);
-        assert_eq!(db.poll_vci(1), Some(Bytes::from_static(b"v1")));
-        assert_eq!(db.poll_vci(2), Some(Bytes::from_static(b"v2")));
+        assert_eq!(db.poll_vci(1), Some(Bytes::from_static(b"v1").into()));
+        assert_eq!(db.poll_vci(2), Some(Bytes::from_static(b"v2").into()));
     }
 
     #[test]
@@ -186,7 +198,7 @@ mod tests {
                 clock.advance(1);
                 assert_eq!(
                     ports[j][i].as_ref().unwrap().drivers()[0].poll_vci(0),
-                    Some(msg)
+                    Some(msg.into())
                 );
             }
         }

@@ -20,7 +20,8 @@
 //!   [`WireModel::gige_tcp`], [`WireModel::ideal`].
 //! * [`SimNic`] — one endpoint of a point-to-point link.
 //! * [`Driver`] — the interface the transfer layer of `nm-core` programs
-//!   against, with [`SimNicDriver`] and [`LoopbackDriver`] implementations.
+//!   against, with [`SimNicDriver`] and [`LoopbackDriver`] implementations;
+//!   a [`WireFrame`] (a head and an optional body) is what crosses it.
 //! * [`Fabric`] — builder for two-node and clique worlds with one or more
 //!   rails.
 
@@ -37,8 +38,8 @@ mod nic;
 
 pub use chaos::{ChaosDriver, ChaosStats, FaultKind, FaultPlan};
 pub use clock::ClockSource;
-pub use driver::{Driver, DriverCaps, LoopbackDriver, PostError, SimNicDriver};
+pub use driver::{Driver, DriverCaps, LoopbackDriver, PostError, SimNicDriver, WireFrame};
 pub use fabric::{Fabric, NodePorts};
 pub use model::WireModel;
 pub use mpmc::MpmcRing;
-pub use nic::{NicCounters, SimNic};
+pub use nic::{NicCounters, SimNic, TxQueueFull};

@@ -3,18 +3,16 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
-
 use nm_metrics::Counter;
 use nm_sync::{CachePadded, SpinLock};
 
-use crate::{ClockSource, MpmcRing, WireModel};
+use crate::{ClockSource, MpmcRing, WireFrame, WireModel};
 
 /// A timestamped packet travelling on a wire.
 #[derive(Debug)]
 struct WirePacket {
     deliver_at_ns: u64,
-    payload: Bytes,
+    payload: WireFrame,
 }
 
 /// One direction of a link: a bounded ring plus the time at which the wire
@@ -253,14 +251,20 @@ impl SimNic {
     /// wires independently — no shared lock, ring or wire clock is
     /// touched on this path.
     ///
-    /// The payload must fit in the wire MTU (enforced; the transfer layer
-    /// is responsible for splitting). Returns [`TxQueueFull`] when the
-    /// injection queue is saturated.
-    pub fn post_send_vci(&self, vci: usize, payload: Bytes) -> Result<(), TxQueueFull> {
+    /// The frame, head and body together, must fit in the wire MTU
+    /// (enforced; the transfer layer is responsible for splitting), and
+    /// its bytes are what the counters count. Returns [`TxQueueFull`]
+    /// when the injection queue is saturated.
+    pub fn post_send_vci(
+        &self,
+        vci: usize,
+        payload: impl Into<WireFrame>,
+    ) -> Result<(), TxQueueFull> {
+        let payload = payload.into();
+        let len = payload.len();
         assert!(
-            payload.len() <= self.model.mtu,
-            "payload {} exceeds wire MTU {}",
-            payload.len(),
+            len <= self.model.mtu,
+            "payload {len} exceeds wire MTU {}",
             self.model.mtu
         );
         let ctx = &self.vcis[vci];
@@ -274,11 +278,10 @@ impl SimNic {
             0
         } else {
             let now = self.clock.now_ns();
-            let tx_ns = self.model.tx_time_ns(payload.len());
+            let tx_ns = self.model.tx_time_ns(len);
             let inject = ctx.tx.reserve(now, tx_ns);
             inject + tx_ns + self.model.latency_ns
         };
-        let len = payload.len();
         let pkt = WirePacket {
             deliver_at_ns,
             payload,
@@ -318,7 +321,7 @@ impl SimNic {
     /// reading the clock or taking the stash lock: an idle poll writes
     /// nothing. On a zero-cost wire no poll reads the clock: every
     /// packet is stamped 0.
-    pub fn poll_recv_vci(&self, vci: usize) -> Option<Bytes> {
+    pub fn poll_recv_vci(&self, vci: usize) -> Option<WireFrame> {
         let ctx = &self.vcis[vci];
         if !ctx.maybe_inbound() {
             return None;
@@ -335,22 +338,23 @@ impl SimNic {
         };
         if pkt.deliver_at_ns <= now {
             ctx.set_stashed(false);
+            let len = pkt.payload.len();
             self.counters.rx_packets.incr();
             // relaxed: a statistic, the mirror of the tx-side add.
             ctx.rx
                 .delivered_bytes
-                .fetch_add(pkt.payload.len() as u64, Ordering::Relaxed);
+                .fetch_add(len as u64, Ordering::Relaxed);
             crate::metrics::rx_packets().incr();
-            crate::metrics::rx_bytes().add(pkt.payload.len() as u64);
-            crate::metrics::inflight_bytes().sub(pkt.payload.len() as i64);
+            crate::metrics::rx_bytes().add(len as u64);
+            crate::metrics::inflight_bytes().sub(len as i64);
             if self.vcis.len() > 1 {
                 // Paired multi-VCI endpoints are symmetric, so the vci
                 // gauge balances: what the peer added on post is
                 // subtracted here on delivery.
                 crate::metrics::vci_rx_packets().incr();
-                crate::metrics::vci_inflight_bytes().sub(pkt.payload.len() as i64);
+                crate::metrics::vci_inflight_bytes().sub(len as i64);
             }
-            nm_metrics::trace_event!(PacketRx, pkt.payload.len());
+            nm_metrics::trace_event!(PacketRx, len);
             if ctx.rx.ring.is_empty() {
                 // Last in-flight packet delivered: the sending side's
                 // injection queue (this wire) is drained — NIC idle.
@@ -418,6 +422,12 @@ impl std::fmt::Debug for SimNic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+
+    /// The one-part frame of `bytes`, as a poll returns it.
+    fn whole(bytes: &'static [u8]) -> Option<WireFrame> {
+        Some(Bytes::from_static(bytes).into())
+    }
 
     fn manual_pair(model: WireModel) -> (SimNic, SimNic, ClockSource) {
         let clock = ClockSource::manual();
@@ -433,14 +443,14 @@ mod tests {
         clock.advance(2_000); // still short of latency + tx time
         assert_eq!(b.poll_recv_vci(0), None);
         clock.advance(200); // past 2_000 + 100 + 0.8 ns
-        assert_eq!(b.poll_recv_vci(0), Some(Bytes::from_static(b"x")));
+        assert_eq!(b.poll_recv_vci(0), whole(b"x"));
     }
 
     #[test]
     fn ideal_wire_delivers_immediately() {
         let (a, b, _clock) = manual_pair(WireModel::ideal());
         a.post_send_vci(0, Bytes::from_static(b"now")).unwrap();
-        assert_eq!(b.poll_recv_vci(0), Some(Bytes::from_static(b"now")));
+        assert_eq!(b.poll_recv_vci(0), whole(b"now"));
     }
 
     #[test]
@@ -451,7 +461,7 @@ mod tests {
         clock.advance(5_000);
         a.post_send_vci(0, Bytes::from_static(b"now")).unwrap();
         assert_eq!(b.next_delivery_ns_vci(0), Some(0));
-        assert_eq!(b.poll_recv_vci(0), Some(Bytes::from_static(b"now")));
+        assert_eq!(b.poll_recv_vci(0), whole(b"now"));
         assert_eq!(b.next_delivery_ns_vci(0), None);
     }
 
@@ -490,7 +500,7 @@ mod tests {
         }
         clock.advance(1_000_000);
         for i in 0..5u8 {
-            assert_eq!(b.poll_recv_vci(0).unwrap()[0], i);
+            assert_eq!(b.poll_recv_vci(0).unwrap().head()[0], i);
         }
         assert_eq!(b.poll_recv_vci(0), None);
     }
@@ -562,6 +572,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "payload 9 exceeds wire MTU 8")]
+    fn the_mtu_bounds_head_and_body_together() {
+        let model = WireModel {
+            mtu: 8,
+            ..WireModel::ideal()
+        };
+        let (a, b, _c) = manual_pair(model);
+        let frame = |head: usize, body: usize| {
+            let body = Some(Bytes::from(vec![1u8; body]));
+            WireFrame::from_parts(Bytes::from(vec![0u8; head]), body)
+        };
+        a.post_send_vci(0, frame(3, 5)).unwrap();
+        assert_eq!(b.poll_recv_vci(0), Some(frame(3, 5)));
+        assert_eq!((a.tx_bytes(), b.rx_bytes()), (8, 8));
+        let _ = a.post_send_vci(0, frame(4, 5));
+    }
+
+    #[test]
     fn counters_track_traffic() {
         let (a, b, clock) = manual_pair(WireModel::myri_10g());
         a.post_send_vci(0, Bytes::from(vec![0u8; 100])).unwrap();
@@ -608,7 +636,7 @@ mod tests {
         for v in [0usize, 1, 3] {
             assert_eq!(b.poll_recv_vci(v), None);
         }
-        assert_eq!(b.poll_recv_vci(2), Some(Bytes::from_static(b"x")));
+        assert_eq!(b.poll_recv_vci(2), whole(b"x"));
     }
 
     #[test]
@@ -681,7 +709,7 @@ mod tests {
         let t = b.next_delivery_ns_vci(0).expect("the stashed packet");
         assert_eq!(b.poll_recv_vci(0), None, "still early");
         clock.advance_to(t);
-        assert_eq!(b.poll_recv_vci(0), Some(Bytes::from_static(b"x")));
+        assert_eq!(b.poll_recv_vci(0), whole(b"x"));
         assert!(!b.has_inbound_vci(0));
         assert_eq!(b.next_delivery_ns_vci(0), None);
         assert_eq!(b.poll_recv_vci(0), None);
@@ -690,7 +718,7 @@ mod tests {
         let t = b.next_delivery_ns_vci(0).expect("in flight");
         assert!(b.vcis[0].rx.ring.is_empty() && b.has_inbound_vci(0));
         clock.advance_to(t);
-        assert_eq!(b.poll_recv_vci(0), Some(Bytes::from_static(b"y")));
+        assert_eq!(b.poll_recv_vci(0), whole(b"y"));
         assert!(!b.has_inbound_vci(0));
     }
 
@@ -701,7 +729,7 @@ mod tests {
         a.post_send_vci(0, Bytes::from_static(b"x")).unwrap();
         let (start, polled, advanced) = (Barrier::new(3), Barrier::new(3), Barrier::new(3));
         let delivered = AtomicBool::new(false);
-        let results: Vec<(Option<Bytes>, Option<Bytes>)> = std::thread::scope(|s| {
+        let results: Vec<(Option<WireFrame>, Option<WireFrame>)> = std::thread::scope(|s| {
             let pollers: Vec<_> = (0..2)
                 .map(|_| {
                     s.spawn(|| {
@@ -733,7 +761,11 @@ mod tests {
         });
         assert!(results.iter().all(|(early, _)| early.is_none()));
         let late: Vec<_> = results.iter().filter_map(|(_, l)| l.as_ref()).collect();
-        assert_eq!(late, [&Bytes::from_static(b"x")], "delivered exactly once");
+        assert_eq!(
+            late,
+            [whole(b"x").as_ref().unwrap()],
+            "delivered exactly once"
+        );
         assert!(!b.has_inbound_vci(0));
         assert_eq!(b.poll_recv_vci(0), None);
     }
@@ -751,7 +783,7 @@ mod tests {
         let t0 = std::time::Instant::now();
         loop {
             if let Some(p) = b.poll_recv_vci(0) {
-                assert_eq!(&p[..], b"ping");
+                assert_eq!(p, whole(b"ping").unwrap());
                 break;
             }
             assert!(t0.elapsed().as_secs() < 5, "packet never arrived");

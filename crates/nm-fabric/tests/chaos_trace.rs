@@ -41,7 +41,8 @@ fn chaos_stats_match_fault_trace_event_counts() {
             .delay(0.15, 3),
     );
     for i in 0..200u8 {
-        tx.post_vci(0, Bytes::copy_from_slice(&[i])).unwrap();
+        tx.post_frame_vci(0, Bytes::copy_from_slice(&[i]).into())
+            .unwrap();
     }
     drain(&rx);
     let rx_stats = rx.stats();
@@ -54,7 +55,7 @@ fn chaos_stats_match_fault_trace_event_counts() {
     while posted < 16 {
         attempts += 1;
         assert!(attempts < 256, "stall windows never close");
-        match stx.post_vci(0, Bytes::copy_from_slice(&[posted])) {
+        match stx.post_frame_vci(0, Bytes::copy_from_slice(&[posted]).into()) {
             Ok(()) => posted += 1,
             Err(PostError::WouldBlock) => continue,
         }
@@ -66,7 +67,8 @@ fn chaos_stats_match_fault_trace_event_counts() {
     let (rtx, rrx) = LoopbackDriver::pair(64);
     let rrx = ChaosDriver::new(rrx, FaultPlan::reorder_only(4, 7));
     for i in 0..32u8 {
-        rtx.post_vci(0, Bytes::copy_from_slice(&[i])).unwrap();
+        rtx.post_frame_vci(0, Bytes::copy_from_slice(&[i]).into())
+            .unwrap();
     }
     drain(&rrx);
     let reorder_stats = rrx.stats();

@@ -51,7 +51,7 @@ proptest! {
                 clock.advance(amount as u64 * 1_000);
                 while let Some(got) = b.poll_recv_vci(0) {
                     let expect = sent.pop_front().expect("received more than sent");
-                    prop_assert_eq!(&got[..], &expect[..]);
+                    prop_assert_eq!(&got.head()[..], &expect[..]);
                     received += 1;
                 }
             }
@@ -60,7 +60,7 @@ proptest! {
         clock.advance(u32::MAX as u64);
         while let Some(got) = b.poll_recv_vci(0) {
             let expect = sent.pop_front().expect("received more than sent");
-            prop_assert_eq!(&got[..], &expect[..]);
+            prop_assert_eq!(&got.head()[..], &expect[..]);
             received += 1;
         }
         prop_assert!(sent.is_empty(), "{} packets lost", sent.len());

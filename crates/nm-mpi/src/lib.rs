@@ -4,7 +4,7 @@
 //! Mad-MPI". This crate is that second interface: ranks, communicators,
 //! tags, and the MPI thread levels, mapped onto the core's locking modes:
 //!
-//! | MPI thread level | [`LockingMode`] |
+//! | MPI thread level | [`LockingMode`](nm_core::LockingMode) |
 //! |------------------|-----------------|
 //! | `Single`         | `SingleThread` (no locks, one thread enforced) |
 //! | `Funneled` / `Serialized` | `Coarse` (one caller at a time anyway) |

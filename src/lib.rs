@@ -18,7 +18,7 @@
 //! * [`core`] — the 3-layer communication library itself.
 //! * [`mpi`] — a Mad-MPI-style façade (communicators, tags, thread levels).
 //! * [`sim`] — discrete-event deterministic twin.
-//! * [`bench`] — the one bench crate: harness library, `figures` binary
+//! * [`bench`](mod@bench) — the one bench crate: harness library, `figures` binary
 //!   and criterion benches that regenerate the paper's figures.
 //! * [`metrics`] — observability: always-on latency histograms, gauges,
 //!   rate counters and the one counters registry with OpenMetrics/JSON

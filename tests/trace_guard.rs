@@ -13,7 +13,7 @@ use bytes::Bytes;
 
 use nomad::core::wire::{decode_bare_frame, FRAME_SPAN_BYTES};
 use nomad::core::{CommCore, CoreBuilder, CoreConfig, GateId};
-use nomad::fabric::{Driver, DriverCaps, LoopbackDriver, PostError};
+use nomad::fabric::{Driver, DriverCaps, LoopbackDriver, PostError, WireFrame};
 use nomad::metrics::trace::{self, EventId};
 use nomad::mpi::{ThreadLevel, World};
 
@@ -32,7 +32,7 @@ fn serial() -> MutexGuard<'static, ()> {
 /// A loopback driver that keeps a copy of every frame it posts.
 struct Tap {
     inner: LoopbackDriver,
-    posted: Arc<Mutex<Vec<Bytes>>>,
+    posted: Arc<Mutex<Vec<WireFrame>>>,
 }
 
 impl Driver for Tap {
@@ -42,12 +42,12 @@ impl Driver for Tap {
     fn can_post_vci(&self, vci: usize) -> bool {
         self.inner.can_post_vci(vci)
     }
-    fn post_vci(&self, vci: usize, data: Bytes) -> Result<(), PostError> {
-        self.inner.post_vci(vci, data.clone())?;
-        self.posted.lock().unwrap().push(data);
+    fn post_frame_vci(&self, vci: usize, frame: WireFrame) -> Result<(), PostError> {
+        self.inner.post_frame_vci(vci, frame.clone())?;
+        self.posted.lock().unwrap().push(frame);
         Ok(())
     }
-    fn poll_vci(&self, vci: usize) -> Option<Bytes> {
+    fn poll_vci(&self, vci: usize) -> Option<WireFrame> {
         self.inner.poll_vci(vci)
     }
     fn has_inbound_vci(&self, vci: usize) -> bool {
@@ -56,7 +56,7 @@ impl Driver for Tap {
 }
 
 /// Two cores over one loopback rail; the taps log what each side posts.
-fn tapped_pair(posted: &Arc<Mutex<Vec<Bytes>>>) -> (Arc<CommCore>, Arc<CommCore>) {
+fn tapped_pair(posted: &Arc<Mutex<Vec<WireFrame>>>) -> (Arc<CommCore>, Arc<CommCore>) {
     let (da, db) = LoopbackDriver::pair(64);
     let tap = |inner| {
         Arc::new(Tap {
@@ -92,10 +92,10 @@ fn pingpong(a: &CommCore, b: &CommCore, n: u64) {
 }
 
 /// Frame length and span word of every frame posted since the last call.
-fn frames(posted: &Mutex<Vec<Bytes>>) -> Vec<(usize, u64)> {
+fn frames(posted: &Mutex<Vec<WireFrame>>) -> Vec<(usize, u64)> {
     std::mem::take(&mut *posted.lock().unwrap())
         .into_iter()
-        .map(|f| (f.len(), decode_bare_frame(f).unwrap().span))
+        .map(|f| (f.len(), decode_bare_frame(f.into_parts().0).unwrap().span))
         .collect()
 }
 

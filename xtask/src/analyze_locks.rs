@@ -39,12 +39,15 @@
 //! * Calls resolve by name (method receiver types are unknown without
 //!   type inference): `self.f()` prefers the same impl block, `T::f()`
 //!   prefers `impl T`, everything else matches any function named `f`.
+//!   A method call also resolves by argument count: `x.f(a)` reaches
+//!   only methods with one parameter besides `self`, so
+//!   `items.join(", ")` does not reach a `fn join(self)`.
 //!   Over-approximation only creates extra (info-level) edges.
 //! * A bare `f(..)` whose `f` is bound by `let` in the enclosing body is
 //!   a local closure call, not a workspace function: it is not resolved
 //!   (the closure's body is scanned in place, where it is written).
 //! * The `_vci` method calls of `dyn Driver` (`.poll_vci()`,
-//!   `.post_vci()`, `.can_post_vci()`, …) are assumed leaf: they are NIC
+//!   `.post_frame_vci()`, `.can_post_vci()`, …) are assumed leaf: they are NIC
 //!   operations whose implementations take no classed locks. Their
 //!   names are distinct from `PollSource::poll`, which re-enters the
 //!   whole library and is resolved like any other call. The runtime
@@ -68,6 +71,7 @@ use crate::rslex::{lex, Tok, TokKind};
 const ASSUMED_LEAF: &[&str] = &[
     "poll_vci",
     "post_vci",
+    "post_frame_vci",
     "can_post_vci",
     "next_event_ns_vci",
     "num_vcis",
@@ -119,8 +123,20 @@ enum CallKind {
 struct CallSite {
     name: String,
     kind: CallKind,
+    /// Arguments between the parentheses (a method call's receiver is
+    /// not one).
+    args: usize,
     line: usize,
     held: Vec<Held>,
+}
+
+/// What a function's parameter list takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Params {
+    /// The first parameter is `self` in some form.
+    has_self: bool,
+    /// Parameters besides `self`.
+    others: usize,
 }
 
 #[derive(Debug)]
@@ -128,6 +144,7 @@ struct FnInfo {
     /// `Type::name` or bare `name`.
     qualified: String,
     name: String,
+    params: Params,
     impl_type: Option<String>,
     file: String,
     acqs: Vec<Acq>,
@@ -163,6 +180,82 @@ fn matching(toks: &[Tok], open: usize, oc: char, cc: char) -> usize {
         }
     }
     toks.len()
+}
+
+/// Number of items in the comma-separated list `toks` (the inside of a
+/// call's or a signature's parentheses): its commas outside nested
+/// brackets, outside a closure's `|params|` and outside generic
+/// arguments, plus one; a trailing comma adds none. `types` says the
+/// list is a signature, where every `<` opens generic arguments; in a
+/// call only a turbofish `::<` does, since `<` is also a comparison.
+fn list_len(toks: &[Tok], types: bool) -> usize {
+    let mut depth = 0usize;
+    let mut commas = 0;
+    let mut i = 0;
+    while i < toks.len() {
+        let t = &toks[i];
+        let after_colons = i >= 2 && toks[i - 1].is(':') && toks[i - 2].is(':');
+        let arrow = i >= 1 && toks[i - 1].is('-');
+        if t.is('(') || t.is('[') || t.is('{') || (t.is('<') && (types || after_colons)) {
+            depth += 1;
+        } else if t.is(')') || t.is(']') || t.is('}') || (t.is('>') && depth > 0 && !arrow) {
+            depth = depth.saturating_sub(1);
+        } else if depth == 0
+            && t.is('|')
+            && (i == 0 || toks[i - 1].is(',') || toks[i - 1].ident() == Some("move"))
+        {
+            // A closure argument: its parameters end at the next `|`.
+            i += 1;
+            while i < toks.len() && !toks[i].is('|') {
+                i += 1;
+            }
+        } else if depth == 0 && t.is(',') && i + 1 < toks.len() {
+            commas += 1;
+        }
+        i += 1;
+    }
+    if toks.is_empty() {
+        0
+    } else {
+        commas + 1
+    }
+}
+
+/// The parameters of the function whose name is at `name`: `fn name`,
+/// optional generics, then the parenthesized list.
+fn signature_params(toks: &[Tok], name: usize) -> Params {
+    let mut open = name + 1;
+    if toks.get(open).is_some_and(|t| t.is('<')) {
+        let mut depth = 0usize;
+        while open < toks.len() {
+            let arrow = toks[open - 1].is('-');
+            if toks[open].is('<') {
+                depth += 1;
+            } else if toks[open].is('>') && !arrow {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            open += 1;
+        }
+        open += 1;
+    }
+    if !toks.get(open).is_some_and(|t| t.is('(')) {
+        return Params {
+            has_self: false,
+            others: 0,
+        };
+    }
+    let close = matching(toks, open, '(', ')');
+    let list = &toks[open + 1..close.min(toks.len())];
+    let first_end = list.iter().position(|t| t.is(',')).unwrap_or(list.len());
+    let has_self = list[..first_end].iter().any(|t| t.ident() == Some("self"));
+    let n = list_len(list, true);
+    Params {
+        has_self,
+        others: n - usize::from(has_self),
+    }
 }
 
 /// Removes `#[cfg(test)]`-gated items (functions, impls, and `mod x { .. }`
@@ -333,7 +426,7 @@ fn scan_fns(
     let mut depth = 0usize;
     let mut impl_stack: Vec<(usize, String)> = Vec::new();
     let mut pending_impl: Option<String> = None;
-    let mut pending_fn: Option<String> = None;
+    let mut pending_fn: Option<(String, Params)> = None;
     let mut cur: Option<CurFn> = None;
 
     let mut i = 0;
@@ -343,7 +436,7 @@ fn scan_fns(
             depth += 1;
             if let Some(ty) = pending_impl.take() {
                 impl_stack.push((depth, ty));
-            } else if let Some(name) = pending_fn.take() {
+            } else if let Some((name, params)) = pending_fn.take() {
                 if cur.is_none() {
                     let impl_type = impl_stack.last().map(|(_, t)| t.clone());
                     let qualified = match &impl_type {
@@ -354,6 +447,7 @@ fn scan_fns(
                         info: FnInfo {
                             qualified,
                             name,
+                            params,
                             impl_type,
                             file: rel.to_string(),
                             acqs: Vec::new(),
@@ -402,7 +496,10 @@ fn scan_fns(
             }
             "fn" => {
                 if cur.is_none() {
-                    pending_fn = toks.get(i + 1).and_then(Tok::ident).map(String::from);
+                    pending_fn = toks
+                        .get(i + 1)
+                        .and_then(Tok::ident)
+                        .map(|name| (name.to_string(), signature_params(toks, i + 1)));
                 }
                 i += 2;
                 continue;
@@ -515,9 +612,12 @@ fn scan_fns(
         } else {
             CallKind::Free
         };
+        let close = matching(toks, i + 1, '(', ')');
+        let args = list_len(&toks[i + 2..close.min(toks.len())], false);
         c.info.calls.push(CallSite {
             name: name.to_string(),
             kind,
+            args,
             line,
             held: snapshot(&c.held),
         });
@@ -641,7 +741,32 @@ enum Prov {
     Via { callee: usize, call_line: usize },
 }
 
+/// Whether `call` can fill the parameters of a function taking `p`: a
+/// method call fills a method of as many parameters besides `self` as
+/// it has arguments. Path and bare calls are not checked.
+fn fills(call: &CallSite, p: Params) -> bool {
+    match call.kind {
+        CallKind::SelfMethod | CallKind::Method => p.has_self && p.others == call.args,
+        CallKind::TypePath(_) | CallKind::Free => true,
+    }
+}
+
+/// The functions `call` may reach: those its name selects (see
+/// [`resolve_by_name`]) whose parameters it can fill.
 fn resolve(
+    call: &CallSite,
+    caller: &FnInfo,
+    fns: &[FnInfo],
+    by_name: &BTreeMap<&str, Vec<usize>>,
+    typed: &BTreeMap<(String, String), Vec<usize>>,
+    known_types: &BTreeSet<&str>,
+) -> Vec<usize> {
+    let mut callees = resolve_by_name(call, caller, by_name, typed, known_types);
+    callees.retain(|&idx| fills(call, fns[idx].params));
+    callees
+}
+
+fn resolve_by_name(
     call: &CallSite,
     caller: &FnInfo,
     by_name: &BTreeMap<&str, Vec<usize>>,
@@ -725,7 +850,7 @@ fn build_graph(analysis: &Analysis) -> StaticGraph {
         let mut changed = false;
         for idx in 0..fns.len() {
             for call in &fns[idx].calls {
-                for callee in resolve(call, &fns[idx], &by_name, &typed, &known_types) {
+                for callee in resolve(call, &fns[idx], fns, &by_name, &typed, &known_types) {
                     if callee == idx {
                         continue;
                     }
@@ -812,7 +937,7 @@ fn build_graph(analysis: &Analysis) -> StaticGraph {
             if call.held.is_empty() {
                 continue;
             }
-            for callee in resolve(call, f, &by_name, &typed, &known_types) {
+            for callee in resolve(call, f, fns, &by_name, &typed, &known_types) {
                 if callee == idx {
                     continue;
                 }
@@ -1402,6 +1527,60 @@ mod tests {
         assert!(
             !g.edges.contains_key(&("t.outer".into(), "t.inner".into())),
             "leaf-assumed .poll_vci() must not pull in a same-named impl"
+        );
+    }
+
+    #[test]
+    fn calls_resolve_by_argument_count() {
+        // `items.join(", ")` passes one argument: it cannot be the
+        // `join(self)` below, which takes none, so holding `outer`
+        // around it acquires nothing. `h.join()` can be.
+        let fixture = |call: &str| {
+            format!(
+                "{DEFS}
+                impl Handle {{
+                    fn join(self, ) {{
+                        let h = S::new().inner.lock();
+                    }}
+                }}
+                fn render(s: &S, items: Vec<String>, h: Handle) {{
+                    let g = s.outer.lock();
+                    {call};
+                }}"
+            )
+        };
+        let outer_inner = ("t.outer".to_string(), "t.inner".to_string());
+        let (_, g) = analyze(&fixture(r#"items.join(", ")"#));
+        assert!(
+            !g.edges.contains_key(&outer_inner),
+            "resolved by name alone"
+        );
+        let (_, g) = analyze(&fixture("h.join()"));
+        assert!(
+            g.edges.contains_key(&outer_inner),
+            "a call that fits resolves"
+        );
+    }
+
+    #[test]
+    fn argument_lists_are_counted_at_their_top_level() {
+        let args = |src: &str| list_len(&lex(src), false);
+        assert_eq!(args(""), 0);
+        assert_eq!(args("a"), 1);
+        assert_eq!(args("a, f(b, c), [d, e],"), 3);
+        assert_eq!(args("|k, v| k < v, move || x, Vec::<(A, B)>::new()"), 3);
+        assert_eq!(args("a < b, c > d"), 2);
+        let params = |src: &str| signature_params(&lex(src), 1);
+        let p = |has_self, others| Params { has_self, others };
+        assert_eq!(params("fn f()"), p(false, 0));
+        assert_eq!(params("fn f(&mut self)"), p(true, 0));
+        assert_eq!(
+            params("fn f(self: Arc<Self>, m: HashMap<K, V>,)"),
+            p(true, 1)
+        );
+        assert_eq!(
+            params("fn f<F: Fn(A, B) -> C>(x: F, (a, b): (u8, u8))"),
+            p(false, 2)
         );
     }
 
