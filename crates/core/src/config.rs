@@ -41,13 +41,23 @@ pub struct CoreConfig {
 /// more frames behind it and otherwise on timeout with exponential
 /// backoff, and fails over to surviving rails when one exhausts its
 /// retries.
+///
+/// The timeout is measured, not set: each lane keeps RFC 6298's
+/// smoothed round trip and variation from its acks (one sample per ack
+/// that advances the window, taken from the newest frame it covers,
+/// never from a resent one), and times a loss out after
+/// `srtt + 4·rttvar`, clamped to `[rto_base_ns, rto_max_ns]`, doubling
+/// per retry up to `rto_max_ns`. Before the first sample the timeout is
+/// `rto_base_ns`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReliabilityConfig {
     /// Run the ack/retransmit protocol over sealed (CRC-checked) frames.
     pub enabled: bool,
     /// Maximum unacknowledged frames in flight per rail.
     pub window: usize,
-    /// Initial retransmit timeout in nanoseconds.
+    /// Retransmit timeout, in nanoseconds, before a lane has measured a
+    /// round trip, and the floor of the measured one. Setting it beyond
+    /// reach (with `rto_max_ns`) keeps the timer out of a test.
     pub rto_base_ns: u64,
     /// Retransmit timeout ceiling (backoff doubles up to this).
     pub rto_max_ns: u64,
@@ -62,7 +72,7 @@ impl Default for ReliabilityConfig {
         ReliabilityConfig {
             enabled: false,
             window: 64,
-            rto_base_ns: 200_000,   // 200 µs
+            rto_base_ns: 20_000,    // 20 µs floor
             rto_max_ns: 50_000_000, // 50 ms cap
             max_retries: 8,
             rail_dead_threshold: 3,

@@ -12,7 +12,9 @@
 //! and the head of the window is resent if its deadline has passed. No
 //! timer is armed; the pass that polls the lane reads the core's clock,
 //! which is its drivers' clock, so a wire on virtual time also runs the
-//! retransmit deadlines on virtual time.
+//! retransmit deadlines on virtual time. The deadline is the lane's
+//! retransmit timeout, estimated from the round trips its acks measure
+//! (RFC 6298, [`Rtt`]), with `rto_base_ns` as its floor.
 //! Locking: the window is a cell of the lane's one section
 //! (`core.driver.N`), which also covers its NIC context, so a post, a
 //! receive, a resend or an ack takes that section once and nests
@@ -25,6 +27,7 @@ use bytes::Bytes;
 use nm_fabric::WireFrame;
 
 use crate::comm::CommCore;
+use crate::config::ReliabilityConfig;
 use crate::error::CommError;
 use crate::gate::{seq_lt, Gate, RdvSend};
 use crate::locking::{Protected, Section, SectionKind};
@@ -55,6 +58,10 @@ pub(crate) struct UnackedFrame {
     /// Retransmits of this frame so far (resets when an ack advances the
     /// window).
     pub attempts: u32,
+    /// Clock reading when the frame first left (the post's one clock
+    /// read). The ack that covers it gives a round-trip sample unless
+    /// the frame was resent.
+    pub sent_at_ns: u64,
     /// Monotonic deadline of the next clock-driven retransmit.
     pub retx_at_ns: u64,
     /// The peer's gap report already provoked a resend of this frame;
@@ -82,9 +89,47 @@ pub(crate) struct RelState {
     pub ack_pending: bool,
     /// Consecutive frames that exhausted their retries (failover trigger).
     pub exhaustions: u32,
+    /// Round-trip estimate of the lane; `None` until the first sample.
+    pub rtt: Option<Rtt>,
+}
+
+/// A lane's smoothed round trip and its variation, in nanoseconds, as
+/// RFC 6298 keeps them (gains 1/8 and 1/4, integer arithmetic).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Rtt {
+    pub srtt_ns: u64,
+    pub rttvar_ns: u64,
+}
+
+impl Rtt {
+    /// The estimate after one more sample `r` (the first is `None`).
+    fn update(prev: Option<Rtt>, r: u64) -> Rtt {
+        match prev {
+            None => Rtt {
+                srtt_ns: r,
+                rttvar_ns: r / 2,
+            },
+            // RTTVAR moves with the old SRTT, then SRTT moves.
+            Some(Rtt { srtt_ns, rttvar_ns }) => Rtt {
+                srtt_ns: (7 * srtt_ns + r) / 8,
+                rttvar_ns: (3 * rttvar_ns + srtt_ns.abs_diff(r)) / 4,
+            },
+        }
+    }
 }
 
 impl RelState {
+    /// The lane's retransmit timeout: `srtt + 4·rttvar` once a round
+    /// trip has been measured, `rto_base_ns` before that, and never
+    /// below `rto_base_ns` nor above `rto_max_ns`. Backoff doubles from
+    /// it.
+    fn rto_ns(&self, r: &ReliabilityConfig) -> u64 {
+        let estimate = self.rtt.map_or(0, |e| {
+            e.srtt_ns.saturating_add(e.rttvar_ns.saturating_mul(4))
+        });
+        estimate.max(r.rto_base_ns).min(r.rto_max_ns)
+    }
+
     /// A data frame just left carrying the cumulative ack. That settles
     /// what the lane owes only while nothing is held out of order: a
     /// data frame's `wseq` is its own sequence number, so the count of
@@ -96,16 +141,38 @@ impl RelState {
     }
 }
 
+/// Packets one frame releases for dispatch, in wire order, each with the
+/// span its frame carried (0 = none): the frame itself if it was the one
+/// expected, then the run of buffered frames it completes. The run is
+/// empty unless the frame filled a hole, so an in-order frame releases
+/// its packet without allocating.
+#[derive(Default)]
+pub(crate) struct Released {
+    first: Option<(Bytes, u64)>,
+    run: Vec<(Bytes, u64)>,
+}
+
+impl IntoIterator for Released {
+    type Item = (Bytes, u64);
+    type IntoIter =
+        std::iter::Chain<std::option::IntoIter<(Bytes, u64)>, std::vec::IntoIter<(Bytes, u64)>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.run)
+    }
+}
+
 impl CommCore {
     /// Runs one raw frame through the lane's receive window: verifies
     /// its checksum (a mismatch counts `corrupt_dropped` before any
     /// field is read; a sealed frame that is not reliable, or does not
     /// decode, counts `wire_errors`, and so does a frame in two parts,
-    /// which no sealed frame is), processes its cumulative ack,
-    /// suppresses duplicates, buffers out-of-order arrivals, and returns
-    /// the packets released for dispatch (in wire order), each paired
-    /// with the span its frame carried (0 = none). The caller holds the
-    /// lane's section `s`, in which it polled `raw`.
+    /// which no sealed frame is, and a data frame a window or more ahead
+    /// of the next one expected, which no sender within its window
+    /// posts), processes its cumulative ack, suppresses duplicates,
+    /// buffers out-of-order arrivals, and returns the packets released
+    /// for dispatch. The caller holds the lane's section `s`, in which it
+    /// polled `raw`.
     ///
     /// Kept out of line so that `poll_lane`'s loop, which every frame of
     /// an unreliable wire runs too, carries neither the checksum nor the
@@ -117,20 +184,20 @@ impl CommCore {
         s: &Section<'_>,
         cell: &Protected<RelState>,
         raw: WireFrame,
-    ) -> Vec<(Bytes, u64)> {
+    ) -> Released {
         let (raw, None) = raw.into_parts() else {
             self.stats.wire_errors.incr();
-            return Vec::new();
+            return Released::default();
         };
         let frame = match decode_frame(raw) {
             Ok(frame) if frame.reliable() => frame,
             Err(WireError::BadChecksum { .. }) => {
                 self.stats.corrupt_dropped.incr();
-                return Vec::new();
+                return Released::default();
             }
             _ => {
                 self.stats.wire_errors.incr();
-                return Vec::new();
+                return Released::default();
             }
         };
         if frame.span != 0 {
@@ -138,23 +205,38 @@ impl CommCore {
         }
         let r = &self.config.reliability;
         cell.with(s, |rel| {
+            let ahead = frame.wseq.wrapping_sub(rel.rx_expected);
+            if !frame.ack_only() && !seq_lt(frame.wseq, rel.rx_expected) && ahead >= r.window as u32
+            {
+                // Beyond the window a peer with this configuration keeps
+                // in flight: buffering it would let one sender grow
+                // `rx_ooo` without bound.
+                self.stats.wire_errors.incr();
+                return Released::default();
+            }
             // Cumulative ack: everything below `frame.ack` is delivered.
-            let mut advanced = false;
+            let mut newest = None;
             while rel
                 .unacked
                 .front()
                 .is_some_and(|f| seq_lt(f.wseq, frame.ack))
             {
-                rel.unacked.pop_front();
-                advanced = true;
+                newest = rel.unacked.pop_front();
             }
-            if advanced {
+            if let Some(acked) = newest {
+                let now = self.clock.now_ns();
+                // Karn's rule: the ack of a resent frame may answer
+                // either copy, so it measures nothing.
+                if acked.attempts == 0 && !acked.fast_retx {
+                    rel.rtt = Some(Rtt::update(rel.rtt, now.saturating_sub(acked.sent_at_ns)));
+                }
                 // The peer is alive and making progress: restart the
                 // backoff clock for whatever is still in flight.
                 rel.exhaustions = 0;
+                let rto = rel.rto_ns(r);
                 if let Some(head) = rel.unacked.front_mut() {
                     head.attempts = 0;
-                    head.retx_at_ns = self.clock.now_ns() + r.rto_base_ns;
+                    head.retx_at_ns = now + rto;
                 }
             }
             if frame.ack_only() {
@@ -169,25 +251,26 @@ impl CommCore {
                         .is_some_and(|h| h.wseq == frame.ack && !h.fast_retx);
                 if resend_owed && self.resend_head(lane, s, rel) {
                     self.stats.fast_retransmits.incr();
+                    let rto = rel.rto_ns(r);
                     let head = rel.unacked.front_mut().expect("head just resent");
                     head.fast_retx = true;
-                    head.retx_at_ns = self.clock.now_ns() + r.rto_base_ns;
+                    head.retx_at_ns = self.clock.now_ns() + rto;
                 }
-                return Vec::new();
+                return Released::default();
             }
             if seq_lt(frame.wseq, rel.rx_expected) || rel.rx_ooo.contains_key(&frame.wseq) {
                 // A retransmit of something already received: drop it,
                 // but re-ack so the sender stops resending.
                 self.stats.dup_dropped.incr();
                 rel.ack_pending = true;
-                return Vec::new();
+                return Released::default();
             }
-            let mut out = Vec::new();
+            let mut out = Released::default();
             if frame.wseq == rel.rx_expected {
-                out.push((frame.payload, frame.span));
+                out.first = Some((frame.payload, frame.span));
                 rel.rx_expected = rel.rx_expected.wrapping_add(1);
                 while let Some(p) = rel.rx_ooo.remove(&rel.rx_expected) {
-                    out.push(p);
+                    out.run.push(p);
                     rel.rx_expected = rel.rx_expected.wrapping_add(1);
                 }
             } else {
@@ -227,12 +310,15 @@ impl CommCore {
             }
             rel.next_tx_wseq = wseq.wrapping_add(1);
             rel.ack_piggybacked();
+            let now = self.clock.now_ns();
+            let retx_at_ns = now + rel.rto_ns(r);
             rel.unacked.push_back(UnackedFrame {
                 wseq,
                 entries,
                 span,
                 attempts: 0,
-                retx_at_ns: self.clock.now_ns() + r.rto_base_ns,
+                sent_at_ns: now,
+                retx_at_ns,
                 fast_retx: false,
             });
             Ok(())
@@ -244,7 +330,8 @@ impl CommCore {
     /// cancelled what it covers): resends the head of the window if its
     /// deadline has passed, then sends the bare ack the lane owes.
     ///
-    /// The resend backs off exponentially up to `rto_max_ns`; a frame
+    /// The resend backs off exponentially from the lane's RTO up to
+    /// `rto_max_ns`; a frame
     /// past `max_retries` counts an exhaustion, and `rail_dead_threshold`
     /// consecutive exhaustions kill the *lane* — a single VCI context can
     /// die while its rail's other contexts stay live; a physical rail
@@ -267,6 +354,7 @@ impl CommCore {
         let mut events = 0;
         let s = self.policy.enter(SectionKind::Driver(lane.id));
         cell.with(&s, |rel| {
+            let rto = rel.rto_ns(r);
             if let Some(head) = rel.unacked.front_mut() {
                 let now = self.clock.now_ns();
                 if now >= head.retx_at_ns {
@@ -284,8 +372,7 @@ impl CommCore {
                         events += 1;
                         let head = rel.unacked.front_mut().expect("head just resent");
                         head.attempts += 1;
-                        let backoff = r
-                            .rto_base_ns
+                        let backoff = rto
                             .saturating_mul(1u64 << head.attempts.min(24))
                             .min(r.rto_max_ns);
                         head.retx_at_ns = now + backoff;
@@ -429,5 +516,41 @@ impl CommCore {
         for lane in &g.lanes {
             self.restripe(g, lane, Vec::new());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_rto_is_the_estimate_clamped_to_the_floor_and_the_ceiling() {
+        let r = ReliabilityConfig {
+            rto_base_ns: 20_000,
+            rto_max_ns: 100_000,
+            ..ReliabilityConfig::enabled()
+        };
+        let mut rel = RelState::default();
+        assert_eq!(rel.rto_ns(&r), 20_000, "no sample yet: the floor");
+        rel.rtt = Some(Rtt::update(None, 4_000));
+        assert_eq!(
+            rel.rtt,
+            Some(Rtt {
+                srtt_ns: 4_000,
+                rttvar_ns: 2_000
+            })
+        );
+        assert_eq!(rel.rto_ns(&r), 20_000, "12 µs estimated, 20 µs floor");
+        rel.rtt = Some(Rtt::update(None, 30_000));
+        assert_eq!(rel.rto_ns(&r), 90_000);
+        rel.rtt = Some(Rtt::update(rel.rtt, 90_000));
+        assert_eq!(
+            rel.rtt,
+            Some(Rtt {
+                srtt_ns: 37_500,
+                rttvar_ns: 26_250
+            })
+        );
+        assert_eq!(rel.rto_ns(&r), 100_000, "142.5 µs estimated, 100 µs cap");
     }
 }

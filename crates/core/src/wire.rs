@@ -16,9 +16,11 @@
 //! **Sealed frames belong to the reliability layer**: within `nm-core`
 //! only `reliability.rs` calls [`encode_frame`], [`decode_frame`] and
 //! the one-pass sealed encoder, and only they run [`crc32`]. `crc` is a
-//! CRC-32 (IEEE) over everything after itself; a
-//! frame whose checksum does not match is dropped before any entry is
-//! decoded ([`WireError::BadChecksum`]). `wseq`/`ack` are the per-wire
+//! CRC-32 (IEEE) over everything after itself, computed by a
+//! carry-less-multiply kernel where the CPU has one and by portable
+//! slicing-by-8 elsewhere, to the same bytes; a frame whose checksum
+//! does not match is dropped before any entry is decoded
+//! ([`WireError::BadChecksum`]). `wseq`/`ack` are the per-wire
 //! send sequence number and cumulative acknowledgement, live because
 //! [`FRAME_RELIABLE`] is set. [`FRAME_ACK_ONLY`] marks a bare
 //! acknowledgement with no packet; it is not sequenced, and its `wseq`
@@ -255,10 +257,10 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Slicing tables for [`crc32`], built at compile time. `T[0]` is the
-/// classic byte-at-a-time table; `T[k][b]` is the CRC of byte `b`
-/// followed by `k` zero bytes, so eight lookups advance the register
-/// over eight input bytes at once.
+/// Slicing tables of the portable [`crc32`] kernel, built at compile
+/// time. `T[0]` is the classic byte-at-a-time table; `T[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so eight lookups advance
+/// the register over eight input bytes at once.
 static CRC_TABLES: [[u32; 256]; 8] = {
     let mut t = [[0u32; 256]; 8];
     let mut i = 0;
@@ -289,14 +291,60 @@ static CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), slicing-by-8.
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
 ///
-/// Computed in portable software so the integrity layer has no
-/// dependencies and one code path on every target; eight bytes per
-/// step, the tail byte by byte.
+/// Two kernels compute the same sum, chosen on each call. On
+/// x86-64 with PCLMULQDQ and SSE4.1 (asked of std at run time; std
+/// caches the answer), an input of 64 bytes or more is folded by
+/// carry-less multiplication, four 128-bit lanes at a time, and reduced
+/// to 32 bits by a Barrett step: the method of Intel's "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// the one zlib and Linux use. Its last 0–15 bytes, shorter inputs,
+/// other targets and Miri (where std reports no CPU feature) run
+/// portable slicing-by-8.
 pub fn crc32(data: &[u8]) -> u32 {
+    let crc = match kernel(data.len()) {
+        Kernel::Sliced => crc32_sliced(!0, data),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Clmul => {
+            let (body, tail) = data.split_at(data.len() & !15);
+            // SAFETY: `kernel` picks `Clmul` only where std detected
+            // both target features `clmul::fold` is compiled for.
+            let crc = unsafe { clmul::fold(!0, body) };
+            crc32_sliced(crc, tail)
+        }
+    };
+    !crc
+}
+
+/// The CRC kernels ([`crc32`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// Portable slicing-by-8, on every target.
+    Sliced,
+    /// PCLMULQDQ folding, then slicing-by-8 for the tail.
+    #[cfg(target_arch = "x86_64")]
+    Clmul,
+}
+
+/// The kernel [`crc32`] runs on an input of `len` bytes.
+fn kernel(len: usize) -> Kernel {
+    #[cfg(target_arch = "x86_64")]
+    if len >= clmul::MIN_LEN
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        return Kernel::Clmul;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = len;
+    Kernel::Sliced
+}
+
+/// The portable kernel: advances the (inverted) CRC register `crc` over
+/// `data`, eight bytes per step, the tail byte by byte.
+fn crc32_sliced(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = !0u32;
     let mut blocks = data.chunks_exact(8);
     for c in &mut blocks {
         let a = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
@@ -313,7 +361,103 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// The carry-less-multiply kernel (x86-64, PCLMULQDQ + SSE4.1).
+///
+/// The constants are the bit-reflected ones of the Intel paper for the
+/// IEEE polynomial, as zlib and Linux's `crc32-pclmul` carry them: `k1`,
+/// `k2` fold a lane across 512 bits, `k3`, `k4` across 128, `k5` takes
+/// 96 bits to 64, and `P'`, `μ` are the polynomial and its Barrett
+/// quotient.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input [`fold`] takes: one 64-byte block seeds its four
+    /// lanes.
+    pub(super) const MIN_LEN: usize = 64;
+
+    const K1: i64 = 0x0001_5444_2bd4;
+    const K2: i64 = 0x0001_c6e4_1596;
+    const K3: i64 = 0x0001_7519_97d0;
+    const K4: i64 = 0x0000_ccaa_009e;
+    const K5: i64 = 0x0001_63cd_6124;
+    const P: i64 = 0x0001_db71_0641;
+    const MU: i64 = 0x0001_f701_1641;
+
+    /// One 16-byte block as a vector.
+    #[inline]
+    fn load(block: &[u8; 16]) -> __m128i {
+        // SAFETY: `block` is 16 readable bytes, and `loadu` asks for no
+        // alignment.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// Folds lane `x` forward by the distance the constant pair `k`
+    /// encodes and adds block `y`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_into(x: __m128i, k: __m128i, y: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(x, k, 0x00);
+        let hi = _mm_clmulepi64_si128(x, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(hi, lo), y)
+    }
+
+    /// Advances the (inverted) CRC register `crc` over `data`, whose
+    /// length is a multiple of 16 and at least [`MIN_LEN`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have PCLMULQDQ and SSE4.1; any `data` is memory-safe
+    /// (a short one panics on a bounds check).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn fold(crc: u32, data: &[u8]) -> u32 {
+        debug_assert!(data.len() >= MIN_LEN && data.len().is_multiple_of(16));
+        let (blocks, _) = data.as_chunks::<16>();
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut x = [
+            load(&blocks[0]),
+            load(&blocks[1]),
+            load(&blocks[2]),
+            load(&blocks[3]),
+        ];
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(crc as i32));
+        let mut quads = blocks[4..].chunks_exact(4);
+        for q in &mut quads {
+            for (lane, block) in x.iter_mut().zip(q) {
+                *lane = fold_into(*lane, k1k2, load(block));
+            }
+        }
+        // Four lanes into one, then the blocks left over one at a time.
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut acc = fold_into(x[0], k3k4, x[1]);
+        acc = fold_into(acc, k3k4, x[2]);
+        acc = fold_into(acc, k3k4, x[3]);
+        for block in quads.remainder() {
+            acc = fold_into(acc, k3k4, load(block));
+        }
+        // 128 bits to 64.
+        let low32 = _mm_setr_epi32(!0, 0, !0, 0);
+        acc = _mm_xor_si128(
+            _mm_srli_si128(acc, 8),
+            _mm_clmulepi64_si128(acc, k3k4, 0x10),
+        );
+        let k5 = _mm_set_epi64x(0, K5);
+        acc = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(acc, low32), k5, 0x00),
+            _mm_srli_si128(acc, 4),
+        );
+        // Barrett reduction to 32 bits.
+        let poly = _mm_set_epi64x(MU, P);
+        let q = _mm_clmulepi64_si128(_mm_and_si128(acc, low32), poly, 0x10);
+        let r = _mm_clmulepi64_si128(_mm_and_si128(q, low32), poly, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(acc, r), 1) as u32
+    }
 }
 
 /// A decoded frame header plus its (still encoded) packet payload. A
@@ -760,20 +904,24 @@ mod tests {
         );
     }
 
-    /// Bit-at-a-time CRC-32: the definition the table kernel must match.
+    /// Bit-at-a-time CRC-32: the definition both kernels must match.
     fn crc32_bitwise(data: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in data {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    0xEDB88320 ^ (crc >> 1)
-                } else {
-                    crc >> 1
-                };
-            }
+        !data
+            .iter()
+            .fold(!0u32, |crc, &b| crc32_bitwise_step(crc, b))
+    }
+
+    /// Advances the (inverted) register `crc` over byte `b`, bit by bit.
+    fn crc32_bitwise_step(mut crc: u32, b: u8) -> u32 {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                0xEDB88320 ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
         }
-        !crc
+        crc
     }
 
     #[test]
@@ -788,6 +936,65 @@ mod tests {
                 "len {len}"
             );
         }
+    }
+
+    /// Lengths (`0..=SWEEP_LEN`) and start offsets (`0..SWEEP_OFFSETS`)
+    /// the kernel tests sweep. Miri, which interprets every table lookup,
+    /// takes a short prefix of the sweep.
+    const SWEEP_LEN: usize = if cfg!(miri) { 160 } else { 4096 };
+    const SWEEP_OFFSETS: usize = if cfg!(miri) { 2 } else { 16 };
+
+    /// Checks `crc` against the bitwise definition for every length and
+    /// offset of the sweep. The reference register advances one byte per
+    /// length, so the sweep costs the kernel's calls, not the reference's.
+    fn sweep(name: &str, crc: impl Fn(&[u8]) -> u32) {
+        let buf: Vec<u8> = (0..SWEEP_LEN + SWEEP_OFFSETS)
+            .map(|i| (i as u32).wrapping_mul(0x9E37_79B9).rotate_left(7) as u8)
+            .collect();
+        for off in 0..SWEEP_OFFSETS {
+            let data = &buf[off..off + SWEEP_LEN];
+            let mut reference = !0u32;
+            for len in 0..=SWEEP_LEN {
+                assert_eq!(
+                    crc(&data[..len]),
+                    !reference,
+                    "{name}: len {len} at offset {off}"
+                );
+                if let Some(&b) = data.get(len) {
+                    reference = crc32_bitwise_step(reference, b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn portable_kernel_matches_bitwise_at_every_length_and_offset() {
+        sweep("slicing-by-8", |d| !crc32_sliced(!0, d));
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn accelerated_kernel_matches_bitwise_at_every_length_and_offset() {
+        if kernel(clmul::MIN_LEN) != Kernel::Clmul {
+            return; // no PCLMULQDQ here; the selection test says why
+        }
+        sweep("pclmulqdq", |d| {
+            if d.len() >= clmul::MIN_LEN {
+                assert_eq!(kernel(d.len()), Kernel::Clmul);
+            }
+            crc32(d)
+        });
+    }
+
+    #[test]
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    fn the_accelerated_kernel_is_selected_where_the_cpu_has_it() {
+        let has = std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1");
+        let want = if has { Kernel::Clmul } else { Kernel::Sliced };
+        assert_eq!(kernel(clmul::MIN_LEN), want);
+        assert_eq!(kernel(16 << 10), want);
+        assert_eq!(kernel(clmul::MIN_LEN - 1), Kernel::Sliced);
     }
 
     /// `n` entries cycling through all four kinds, payload sizes varied.

@@ -6,11 +6,11 @@
 //! gated here rather than on a clock: an eager message costs exactly
 //! eight allocations and a fixed number of bytes (nine and 1032 B while
 //! each posted receive allocated a fresh tag bin; an emptied bin is now
-//! kept as the gate's spare), a rendezvous allocates each payload byte
-//! once, in the buffer it is reassembled in (its chunks leave as slices
-//! of the caller's buffer, behind a head of their own), nothing is
-//! encoded before it can be posted, and a peer's entry count cannot
-//! size an allocation.
+//! kept as the gate's spare), a 1 KiB one on a reliable lane exactly
+//! ten, a rendezvous allocates each payload byte once, in the buffer it
+//! is reassembled in (its chunks leave as slices of the caller's
+//! buffer, behind a head of their own), nothing is encoded before it
+//! can be posted, and a peer's entry count cannot size an allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,7 +20,7 @@ use std::sync::Arc;
 use bytes::{BufMut, Bytes, BytesMut};
 
 use nm_core::wire::{decode_packet, WireError};
-use nm_core::{CommCore, CoreBuilder, CoreConfig, GateId};
+use nm_core::{CommCore, CoreBuilder, CoreConfig, GateId, ReliabilityConfig};
 use nm_fabric::{Driver, Fabric, LoopbackDriver, WireModel};
 
 struct CountingAlloc;
@@ -93,7 +93,10 @@ const MIB: usize = 1 << 20;
 type Rails = Vec<Arc<dyn Driver>>;
 
 fn pair_over(a: Rails, b: Rails) -> (Arc<CommCore>, Arc<CommCore>) {
-    let config = CoreConfig::default();
+    pair_with(CoreConfig::default(), a, b)
+}
+
+fn pair_with(config: CoreConfig, a: Rails, b: Rails) -> (Arc<CommCore>, Arc<CommCore>) {
     (
         CoreBuilder::new(config.clone()).add_gate(a).build(),
         CoreBuilder::new(config).add_gate(b).build(),
@@ -143,6 +146,34 @@ fn data_path_allocation_budget() {
         904 * EAGER_MSGS,
         "bytes allocated per 8 B eager message (budget exactly 904)"
     );
+
+    // Reliable: 1 KiB eager messages over a lossless pair with the
+    // protocol on and its timers out of reach, so no resend joins the
+    // count. Its frame and its ack add to the eager path's allocations;
+    // a frame released in order allocates nothing for the release (11
+    // while the window returned a fresh list per frame).
+    let reliable = CoreConfig::default().reliability(ReliabilityConfig {
+        rto_base_ns: 60_000_000_000,
+        rto_max_ns: 60_000_000_000,
+        ..ReliabilityConfig::enabled()
+    });
+    let (pa, pb) = fabric.pair(&[WireModel::ideal()], true);
+    let (ra, rb) = pair_with(reliable, pa.drivers(), pb.drivers());
+    let kib = Bytes::from((0..1024).map(|i| i as u8).collect::<Vec<u8>>());
+    for _ in 0..64 {
+        deliver(&ra, &rb, &kib);
+    }
+    let (allocs, _) = measure(|| {
+        for _ in 0..EAGER_MSGS {
+            deliver(&ra, &rb, &kib);
+        }
+    });
+    assert_eq!(
+        allocs,
+        10 * EAGER_MSGS,
+        "allocations per reliable 1 KiB eager message (budget exactly 10)"
+    );
+    drop((ra, rb));
 
     // Rendezvous: every payload byte is allocated once, in the
     // reassembly buffer; each of the 64 chunks adds a frame head and the

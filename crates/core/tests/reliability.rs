@@ -179,6 +179,42 @@ fn a_flipped_byte_fails_the_checksum_and_is_never_decoded() {
 }
 
 #[test]
+fn a_frame_beyond_the_receive_window_is_dropped_not_buffered() {
+    // Sealed, CRC-valid frames whose `wseq` lies a window or more ahead
+    // of what b expects, injected on b's wire before any traffic. No
+    // sender within the window posts them, so each counts a wire error
+    // and none is held: buffered, a peer could grow b's memory without
+    // bound. a's own stream is still delivered.
+    let (da, db) = LoopbackDriver::pair(64);
+    let da = Arc::new(da);
+    let config = CoreConfig::default().reliability(fast_reliability());
+    let window = config.reliability.window as u32;
+    let a = CoreBuilder::new(config.clone())
+        .add_gate(vec![Arc::clone(&da) as Arc<dyn Driver>])
+        .build();
+    let b = CoreBuilder::new(config)
+        .add_gate(vec![Arc::new(db) as Arc<dyn Driver>])
+        .build();
+    let far_ahead = [window, window + 1, 1 << 30, u32::MAX / 2];
+    for wseq in far_ahead {
+        let packet = encode_packet(&[Entry::Eager {
+            tag: 7,
+            seq: wseq,
+            data: Bytes::from_static(b"ahead"),
+        }]);
+        let frame = encode_frame(wseq, 0, FRAME_RELIABLE, 0, &packet);
+        da.post_frame_vci(0, frame.into()).unwrap();
+    }
+    while b.progress() > 0 {}
+    assert_eq!(b.stats().wire_errors.get(), far_ahead.len() as u64);
+    assert_eq!(b.stats().ooo_buffered.get(), 0, "a frame was buffered");
+    assert_eq!(b.stats().acks_tx.get(), 0, "a dropped frame was acked");
+
+    stream_and_verify(&a, &b, 2 * window as u64);
+    assert_eq!(b.stats().wire_errors.get(), far_ahead.len() as u64);
+}
+
+#[test]
 #[should_panic(expected = "enable reliability")]
 fn an_unreliable_core_refuses_a_wire_that_may_corrupt() {
     let (da, _db) = LoopbackDriver::pair(64);
