@@ -312,7 +312,7 @@ impl CommCore {
     /// this wait may itself be stuck behind the coarse lock (two
     /// cross-waiting busy spinners on two cores otherwise deadlock).
     /// With [`WaitStrategy::Passive`] the caller never polls: a
-    /// progression thread (or scheduler hooks) must be driving
+    /// progression thread must be driving
     /// [`CommCore::progress`].
     ///
     /// Returns the operation's outcome: `Err` consumes the completion

@@ -221,8 +221,8 @@ impl CompletionQueue {
 
     /// Takes one completion, waiting with `strategy` until one arrives.
     ///
-    /// Something else must drive the library (a progression thread,
-    /// scheduler hooks, or another thread in `progress`) — the queue
+    /// Something else must drive the library (a progression thread or
+    /// another thread in `progress`) — the queue
     /// itself polls nothing. Use [`CompletionQueue::wait_with_poll`]
     /// from a thread that should drive progression while it spins.
     pub fn wait(&self, strategy: WaitStrategy) -> CompletionEvent {

@@ -346,8 +346,8 @@ impl Request {
 
     /// Busy-waits on the raw flag without polling anything.
     ///
-    /// Only correct when some other agent (progression thread, scheduler
-    /// hooks, another thread's polling) is driving the library; prefer
+    /// Only correct when some other agent (progression thread, another
+    /// thread's polling) is driving the library; prefer
     /// waiting through the core / progression engine.
     pub fn wait_flag_only(&self, strategy: WaitStrategy) {
         self.inner.flag.wait(strategy);

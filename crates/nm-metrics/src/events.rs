@@ -16,9 +16,9 @@ macro_rules! events {
         /// Identifier of a trace event kind.
         ///
         /// Discriminants are grouped by layer (`nm-sync` 1.., `nm-core`
-        /// 16.., `nm-progress` 32.., `nm-sched` 48.., `nm-fabric` 64..,
-        /// spans 80..) and are the on-ring encoding; never reuse a
-        /// retired value.
+        /// 16.., `nm-progress` 32.., `nm-fabric` 64.., spans 80..) and are
+        /// the on-ring encoding; never reuse a retired value (48 and 49
+        /// among them).
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         #[repr(u16)]
         #[non_exhaustive]
@@ -152,13 +152,6 @@ events! {
     /// still pending after the pop.
     TimerFire = 41, "nm-progress", "a=due, b=pending";
 
-    // ---- nm-sched ------------------------------------------------------
-    /// A worker passed a task boundary (cooperative context switch).
-    /// `a` = worker index.
-    CtxSwitch = 48, "nm-sched", "a=worker";
-    /// A worker entered its idle hook (no runnable task). `a` = worker.
-    IdleHook = 49, "nm-sched", "a=worker";
-
     // ---- nm-fabric -----------------------------------------------------
     /// A packet was posted to a NIC. `a` = payload bytes.
     PacketTx = 64, "nm-fabric", "a=bytes";
@@ -289,8 +282,6 @@ mod tests {
         ("WakerRegister", 39, "nm-progress"),
         ("WakerWake", 40, "nm-progress"),
         ("TimerFire", 41, "nm-progress"),
-        ("CtxSwitch", 48, "nm-sched"),
-        ("IdleHook", 49, "nm-sched"),
         ("PacketTx", 64, "nm-fabric"),
         ("PacketRx", 65, "nm-fabric"),
         ("NicIdle", 66, "nm-fabric"),

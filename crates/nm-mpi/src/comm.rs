@@ -242,8 +242,8 @@ impl Endpoint {
     /// thousands of outstanding operations.
     ///
     /// Something must drive progression while the future is pending: a
-    /// [`ProgressionThread`](nm_progress::ProgressionThread), scheduler
-    /// hooks, or an executor poll hook such as
+    /// [`ProgressionThread`](nm_progress::ProgressionThread) or an
+    /// executor poll hook such as
     /// [`exec::block_on_with`](crate::exec::block_on_with).
     pub fn send_async(&self, tag: u64, data: &[u8]) -> SendFuture {
         self.send_async_bytes(tag, Bytes::copy_from_slice(data))

@@ -4,8 +4,8 @@
 //!
 //! * [`block_on`] — parks the calling thread between polls; correct when
 //!   something else drives progression (a
-//!   [`ProgressionThread`](nm_progress::ProgressionThread), scheduler
-//!   hooks, another rank's busy wait).
+//!   [`ProgressionThread`](nm_progress::ProgressionThread), another
+//!   rank's busy wait).
 //! * [`block_on_with`] — never parks: calls a poll hook (typically
 //!   `|| { core.progress(); }`) between polls. This is the
 //!   deterministic, self-driving variant used by the stack tests.

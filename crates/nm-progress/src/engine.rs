@@ -227,15 +227,6 @@ impl ProgressEngine {
     pub fn total_progressions(&self) -> u64 {
         self.progressions.get()
     }
-
-    /// Attaches this engine to a scheduler: every idle, yield and timer
-    /// event triggers a polling pass — the paper's MARCEL hooks.
-    pub fn attach(self: &Arc<Self>, scheduler: &nm_sched::Scheduler) {
-        let engine = Arc::clone(self);
-        scheduler.add_hook(move |_event| {
-            engine.poll_all();
-        });
-    }
 }
 
 impl Default for ProgressEngine {
@@ -406,24 +397,5 @@ mod tests {
             p.join().unwrap();
         }
         assert_eq!(engine.num_sources(), 0);
-    }
-
-    #[test]
-    fn attach_polls_from_scheduler_hooks() {
-        let engine = Arc::new(ProgressEngine::new());
-        let polled = Arc::new(AtomicUsize::new(0));
-        let p2 = Arc::clone(&polled);
-        engine.register(Arc::new(move || {
-            p2.fetch_add(1, Ordering::Relaxed);
-            PollOutcome::Idle
-        }));
-        let sched = nm_sched::Scheduler::new(nm_sched::SchedulerConfig::default().workers(1));
-        engine.attach(&sched);
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert!(
-            polled.load(Ordering::Relaxed) > 0,
-            "idle hooks never polled the engine"
-        );
-        sched.shutdown();
     }
 }

@@ -6,13 +6,13 @@
 //! switch, on timer interrupts) or within tasklets in order to exploit any
 //! core of the machine."
 //!
-//! This crate reproduces that inventory:
+//! This crate reproduces that inventory except the MARCEL hooks: the
+//! caller's own wait and a progression thread do their work (DESIGN.md,
+//! MARCEL row).
 //!
 //! * [`ProgressEngine`] — a registry of [`PollSource`]s. Going through the
 //!   engine (instead of polling the driver directly) costs the lock + list
 //!   management the paper measures at ~200 ns (Fig 6).
-//! * Scheduler integration — [`ProgressEngine::attach`] hooks the engine
-//!   into `nm-sched`'s idle/yield/timer events.
 //! * [`ProgressionThread`] — a dedicated polling thread, optionally bound
 //!   to a chosen core; Fig 8's "polling on CPU n" placements. It keeps a
 //!   [`SourceCache`] of the engine's list and re-takes the list lock only
@@ -25,7 +25,7 @@
 //!   idle-core (drained by the progression engine), and tasklet.
 //! * [`wait_on`] — strategy-driven waiting that composes a completion flag
 //!   with engine polling (busy waiters poll the engine themselves; passive
-//!   waiters rely on a progression thread or scheduler hooks).
+//!   waiters rely on a progression thread).
 //! * [`WakerTable`] — request-id-keyed waker registry behind the async
 //!   facade: futures park their [`std::task::Waker`] here and completion
 //!   delivery wakes exactly the right task, so no thread blocks per

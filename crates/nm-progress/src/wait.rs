@@ -15,7 +15,7 @@ use crate::ProgressEngine;
 ///   tight loop until the flag is signalled (by its own polling or by
 ///   someone else's).
 /// * [`WaitStrategy::Passive`] — the thread blocks immediately; the
-///   progression thread / scheduler hooks must keep polling and signal the
+///   progression thread must keep polling and signal the
 ///   flag, at the cost of a context switch on wakeup.
 /// * [`WaitStrategy::FixedSpin`] — poll for the window, then block; the
 ///   context switch is avoided iff the event lands within the window.

@@ -98,7 +98,7 @@ impl Semaphore {
     /// `poll` is the integration point for the progression engine: a busy
     /// or fixed-spin waiter drives network progression itself while it
     /// spins; a passive waiter relies on someone else (the engine's
-    /// progression thread or scheduler hooks) to poll and [`release`].
+    /// progression thread) to poll and [`release`].
     ///
     /// [`release`]: Semaphore::release
     pub fn acquire_with_poll(&self, strategy: WaitStrategy, mut poll: impl FnMut()) {

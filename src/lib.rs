@@ -4,16 +4,14 @@
 //! the impact of multi-threading on communication performance* (Trahay,
 //! Brunet, Denis — CAC/IPDPS 2009): a NewMadeleine-style communication
 //! library with selectable thread-safety strategies, a PIOMan-style I/O
-//! progression engine, a Marcel-style two-level scheduler with progression
-//! hooks, and simulated high-performance NICs standing in for Myrinet MX /
-//! ConnectX InfiniBand hardware.
+//! progression engine, and simulated high-performance NICs standing in for
+//! Myrinet MX / ConnectX InfiniBand hardware.
 //!
 //! The crates are re-exported here under short names:
 //!
 //! * [`sync`] — spinlocks, semaphores, wait strategies, completion flags.
 //! * [`topo`] — machine topology and thread affinity.
 //! * [`fabric`] — simulated NICs, wire models, polling drivers.
-//! * [`sched`] — two-level task scheduler with progression hooks.
 //! * [`progress`] — poll registry, tasklets, submission offload.
 //! * [`core`] — the 3-layer communication library itself.
 //! * [`mpi`] — a Mad-MPI-style façade (communicators, tags, thread levels).
@@ -55,7 +53,6 @@ pub use nm_fabric as fabric;
 pub use nm_metrics as metrics;
 pub use nm_mpi as mpi;
 pub use nm_progress as progress;
-pub use nm_sched as sched;
 pub use nm_sim as sim;
 pub use nm_sync as sync;
 pub use nm_topo as topo;

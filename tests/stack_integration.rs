@@ -1,5 +1,5 @@
-//! Cross-crate integration: scheduler + progression engine + core +
-//! fabric working as one stack.
+//! Cross-crate integration: progression engine + core + fabric working
+//! as one stack.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,11 +10,11 @@ use nomad::core::{CoreBuilder, CoreConfig, GateId, LockingMode};
 use nomad::fabric::{ClockSource, Fabric, WireModel};
 use nomad::mpi::{ThreadLevel, World, WorldBuilder};
 use nomad::progress::{IdlePolicy, OffloadMode, ProgressEngine, ProgressionThread, TaskletEngine};
-use nomad::sched::{Scheduler, SchedulerConfig};
 use nomad::sync::WaitStrategy;
 
-/// Passive waits driven purely by scheduler hooks: the paper's "poll from
-/// MARCEL hooks" configuration, end to end.
+/// Passive waits driven purely by a progression thread that parks
+/// between passes: the configuration the paper runs from MARCEL's idle
+/// and timer hooks, end to end.
 #[test]
 fn scheduler_hooks_drive_passive_communication() {
     let fabric = Fabric::real_time();
@@ -30,23 +30,22 @@ fn scheduler_hooks_drive_passive_communication() {
     engine.register(Arc::clone(&a) as _);
     engine.register(Arc::clone(&b) as _);
 
-    // The engine polls from the scheduler's idle/yield/timer hooks only.
-    let sched = Scheduler::new(
-        SchedulerConfig::default()
-            .workers(1)
-            .timer_interval(Duration::from_micros(200)),
-    );
-    engine.attach(&sched);
+    // Only the progression thread polls; it sleeps 200 µs after every
+    // pass that finds nothing.
+    let pt = ProgressionThread::spawn(engine, None, IdlePolicy::Park(Duration::from_micros(200)));
 
     let recv = b.irecv(GateId(0), 1).expect("irecv");
     let send = a
-        .isend(GateId(0), 1, Bytes::from_static(b"via hooks"))
+        .isend(GateId(0), 1, Bytes::from_static(b"via a parked thread"))
         .expect("isend");
     // Purely passive: neither waiter polls anything itself.
     recv.wait_flag_only(WaitStrategy::Passive);
     send.wait_flag_only(WaitStrategy::Passive);
-    assert_eq!(recv.take_data().unwrap(), Bytes::from_static(b"via hooks"));
-    sched.shutdown();
+    assert_eq!(
+        recv.take_data().unwrap(),
+        Bytes::from_static(b"via a parked thread")
+    );
+    pt.stop();
 }
 
 /// The full §4.2 configuration: submissions deferred through a tasklet

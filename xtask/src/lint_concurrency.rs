@@ -12,7 +12,7 @@
 //! 2. **No ad-hoc primitives on hot paths.** `std::sync::Mutex`,
 //!    `RwLock`, `Condvar`, `Barrier` and bare `std::thread::spawn` are
 //!    banned in the hot-path crates (`nm-sync`, `nm-fabric`,
-//!    `nm-progress`, `nm-core`, `nm-sched`) outside test code: locks must
+//!    `nm-progress`, `nm-core`) outside test code: locks must
 //!    go through `nm-sync`/`parking_lot` (so lockcheck sees them) and
 //!    threads through the crates' own spawn wrappers, which set names and
 //!    affinity. Use-list imports (`use std::sync::{Arc, Barrier}`) are
@@ -78,7 +78,6 @@ const HOT_PATH_CRATES: &[&str] = &[
     "crates/nm-fabric",
     "crates/nm-progress",
     "crates/core",
-    "crates/nm-sched",
 ];
 
 /// How many lines above an occurrence a justification comment may sit.
